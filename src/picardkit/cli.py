@@ -11,7 +11,7 @@ arrays together with a "basis" legend naming the coordinates.
 
 Exit codes: 0 on success (and for a verification that passed), 1 for a
 verification suite that failed, 2 for usage errors (bad flags, out-of-range
-ranks, malformed input files).
+ranks, malformed input files, an --out path that cannot be written).
 
 The environment variable PICARDKIT_THREADS caps the parallelism of the
 pair scans (0 or unset picks a size automatically).
@@ -74,8 +74,11 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
     else:
         rendered = "\n".join(text_lines) + "\n"
     if args.out:
-        with open(args.out, "w") as f:
-            f.write(rendered)
+        try:
+            with open(args.out, "w") as f:
+                f.write(rendered)
+        except OSError as exc:
+            raise ValueError(f"cannot write {args.out}: {exc}") from None
     else:
         sys.stdout.write(rendered)
 
@@ -173,7 +176,8 @@ def _cmd_cones(args) -> int:
     else:
         model = SurfaceModel.product_p1(args.rank)
     report = surface_cone_report(model)
-    nef_gens = report.nef._generators  # None when kept lazy on purpose
+    # None when kept lazy on purpose
+    nef_gens = report.nef.rays() if report.nef.rays_materialized else None
     result = {
         "model": {"kind": model.kind, "size": model.size},
         "basis": list(model.basis_labels),
@@ -223,6 +227,8 @@ def _parse_branch(text: str) -> list[int]:
 def _cmd_cover(args) -> int:
     spec = DoubleCoverSpec.of(_parse_branch(args.branch))
     rho = expected_picard_number(spec)
+    fano = is_fano(spec)
+    power = anticanonical_power(spec)
     payload = {
         "command": "cover",
         "params": {"branch_type": list(spec.branch_type)},
@@ -230,8 +236,8 @@ def _cmd_cover(args) -> int:
             "n": spec.n,
             "branch_type": list(spec.branch_type),
             "branch_divisor_type": [2 * d for d in spec.branch_type],
-            "is_fano": is_fano(spec),
-            "anticanonical_power": anticanonical_power(spec),
+            "is_fano": fano,
+            "anticanonical_power": power,
             "expected_picard_number": rho,
         },
     }
@@ -239,8 +245,8 @@ def _cmd_cover(args) -> int:
         f"double cover of the product of {spec.n} lines, "
         f"branch type {tuple(spec.branch_type)}",
         f"branch divisor class: {tuple(2 * d for d in spec.branch_type)}",
-        f"fano: {'yes' if is_fano(spec) else 'no'}",
-        f"anticanonical power: {anticanonical_power(spec)}",
+        f"fano: {'yes' if fano else 'no'}",
+        f"anticanonical power: {power}",
         f"expected picard number: {rho if rho is not None else 'not determined'}",
     ]
     _emit(args, payload, lines)
@@ -377,13 +383,12 @@ def _suite_deg2_pairs() -> VerificationReport:
 
 def _suite_quadric_target() -> VerificationReport:
     details = []
-    for r in range(1, 9):
-        summary = scan_conic_pairs(r)
+    summaries = {r: scan_conic_pairs(r) for r in range(1, 9)}
+    for r, summary in summaries.items():
         details.append(_detail(f"rank {r} finite pairs exist", r in (5, 7, 8),
                                summary.finite_pair_count > 0))
-    five = scan_conic_pairs(5)
     details.append(_detail("rank 5 finite degrees", [2],
-                           list(five.finite_degrees)))
+                           list(summaries[5].finite_degrees)))
     details.append(_detail("rank 5 degree bound", 2, max_degree_bound(5)))
     return _report("quadric-target", details)
 
@@ -409,18 +414,17 @@ def _suite_cone_dp() -> VerificationReport:
         report = surface_cone_report(model)
         details.append(_detail(f"nef equals psef on {name}", want_equal,
                                report.equal))
-    for r in range(1, 9):
-        model = SurfaceModel.blowup_p2(r)
-        report = surface_cone_report(model)
+        if model.kind != "BlowupP2" or model.size == 0:
+            continue  # the checks below are for BlowupP2(1..8)
         mk = -canonical_class(model)
         details.append(_detail(
-            f"BlowupP2({r}) -K pairs positively with every psef generator",
+            f"{name} -K pairs positively with every psef generator",
             True,
             all(pairing(mk, DivisorClass(model, g)) > 0
                 for g in report.psef.rays())))
         e1 = tuple(1 if i == 1 else 0 for i in range(model.rank))
         details.append(_detail(
-            f"BlowupP2({r}) E1 lies in psef but not in nef", True,
+            f"{name} E1 lies in psef but not in nef", True,
             report.psef.contains(e1, via="lp")
             and not report.nef.contains(e1)))
     return _report("cone-dp", details)

@@ -16,6 +16,8 @@ is used anywhere.
   rule decides whether a vector is a nonnegative combination of given
   generators.  This is the second, independent route to containment next
   to the facet-sign test, and the two are required to agree.
+* Row reduction: one Fraction RREF helper gives ranks, lineality bases and
+  coset representatives modulo the lineality space.
 
 Normalization: rays and facet normals are scaled to primitive integer
 vectors (denominators cleared, gcd divided out) with orientation preserved;
@@ -33,14 +35,17 @@ of a blow-up at many points has a combinatorially huge set of extremal rays
 that nothing downstream needs.  The Mori cone of a blow-up model is
 identified with the psef cone (divisor and curve classes coincide on a
 surface); for ProductP1(n) it is the nonnegative orthant of curve classes.
+On every reported model that orthant has the psef generators too, so the
+report decides Mori simpliciality on the psef cone itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
-from typing import Iterable, Sequence
+from itertools import islice
+from math import gcd, lcm
+from typing import Iterable, Iterator, Sequence
 
 from .curves import enumerate_exceptional
 from .lattice import DivisorClass, SurfaceModel, canonical_class, pairing
@@ -59,13 +64,9 @@ def _neg(v: Sequence) -> tuple:
 def _primitive(vec: Sequence) -> Vec:
     """Clear denominators and divide by the gcd.  Orientation preserved."""
     fracs = [Fraction(v) for v in vec]
-    den = 1
-    for f in fracs:
-        den = den * f.denominator // gcd(den, f.denominator)
+    den = lcm(*(f.denominator for f in fracs))
     ints = [int(f * den) for f in fracs]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
+    g = gcd(*ints)
     if g == 0:
         return tuple(ints)
     return tuple(v // g for v in ints)
@@ -81,63 +82,38 @@ def _canon_line(vec: Sequence) -> Vec:
     return p
 
 
-def _rank(vectors: Iterable[Sequence]) -> int:
-    rows = [[Fraction(v) for v in vec] for vec in vectors]
-    rank = 0
-    col = 0
-    width = len(rows[0]) if rows else 0
-    while rank < len(rows) and col < width:
-        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
-        if piv is None:
-            col += 1
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        lead = rows[rank][col]
-        rows[rank] = [a / lead for a in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-        col += 1
-    return rank
-
-
-def _row_basis(vectors: Iterable[Sequence]) -> list[list[Fraction]]:
-    """Reduced row echelon basis of the span, rows with leading entry 1."""
-    rows = [[Fraction(v) for v in vec] for vec in vectors]
-    basis: list[list[Fraction]] = []
-    for row in rows:
-        row = row[:]
-        for b in basis:
-            lead = next(i for i, v in enumerate(b) if v)
-            if row[lead]:
-                f = row[lead]
-                row = [a - f * c for a, c in zip(row, b)]
-        if any(row):
-            lead_val = next(v for v in row if v)
-            row = [a / lead_val for a in row]
-            basis.append(row)
-            basis.sort(key=lambda b: next(i for i, v in enumerate(b) if v))
-            # re-reduce upward so the basis stays in reduced form
-            for i, b in enumerate(basis):
-                lead = next(k for k, v in enumerate(b) if v)
-                for j, other in enumerate(basis):
-                    if i != j and other[lead]:
-                        f = other[lead]
-                        basis[j] = [a - f * c for a, c in zip(other, b)]
-    return [b for b in basis if any(b)]
-
-
-def _reduce_mod(vec: Sequence, basis: list[list[Fraction]]) -> Vec:
-    """Canonical coset representative of vec modulo the span of basis."""
+def _reduce(vec: Sequence, basis: list[tuple[int, list[Fraction]]]
+            ) -> list[Fraction]:
+    """vec with its pivot columns cleared against a _rref basis: the
+    canonical coset representative modulo the span of the basis."""
     row = [Fraction(v) for v in vec]
-    for b in basis:
-        lead = next(i for i, v in enumerate(b) if v)
-        if row[lead]:
-            f = row[lead]
+    for piv, b in basis:
+        if row[piv]:
+            f = row[piv]
             row = [a - f * c for a, c in zip(row, b)]
-    return _primitive(row)
+    return row
+
+
+def _rref(vectors: Iterable[Sequence]) -> list[tuple[int, list[Fraction]]]:
+    """Reduced row echelon basis of the span, as (pivot column, row) pairs.
+
+    Each row is 1 at its own pivot and 0 at every other pivot, so the rank
+    is the length of the basis.  Stops once the basis spans everything.
+    """
+    basis: list[tuple[int, list[Fraction]]] = []
+    for vec in vectors:
+        row = _reduce(vec, basis)
+        piv = next((i for i, v in enumerate(row) if v), None)
+        if piv is None:
+            continue
+        row = [a / row[piv] for a in row]
+        # re-reduce the earlier rows so the basis stays in reduced form
+        basis = [(p, [a - b[piv] * c for a, c in zip(b, row)] if b[piv] else b)
+                 for p, b in basis]
+        basis.append((piv, row))
+        if len(basis) == len(row):
+            break
+    return basis
 
 
 def in_cone_lp(generators: Sequence[Sequence], x: Sequence) -> bool:
@@ -146,9 +122,8 @@ def in_cone_lp(generators: Sequence[Sequence], x: Sequence) -> bool:
     Phase-I simplex with Bland's rule; exact Fractions throughout.
     """
     d = len(x)
-    cols = [[Fraction(g[i]) for i in range(d)] for g in generators]
-    m = len(cols)
-    A = [[cols[j][i] for j in range(m)] for i in range(d)]
+    m = len(generators)
+    A = [[Fraction(g[i]) for g in generators] for i in range(d)]
     b = [Fraction(v) for v in x]
     for i in range(d):
         if b[i] < 0:
@@ -192,11 +167,12 @@ def in_cone_lp(generators: Sequence[Sequence], x: Sequence) -> bool:
     return objval == 0
 
 
-def _dual_description(normals: Sequence[Sequence], dim: int):
-    """Generators of {x : <x, h> >= 0 for every h}.
+def _dual_description(normals: Sequence[Sequence], dim: int
+                      ) -> tuple[Vec, ...]:
+    """Generators of {x : <x, h> >= 0 for every h}, sorted.
 
-    Returns (rays, lineality): primitive ray vectors of the pointed part
-    and a basis of line directions contained in the cone.
+    These are the primitive rays of the pointed part plus each line
+    direction of the lineality space in both signs.
     """
     lineality: list[Vec] = [
         tuple(1 if j == i else 0 for j in range(dim)) for i in range(dim)
@@ -252,7 +228,7 @@ def _dual_description(normals: Sequence[Sequence], dim: int):
                         kept.append(w)
                 rays = kept
         done.append(h)
-    return rays, lineality
+    return tuple(sorted(rays + [s for l in lineality for s in (l, _neg(l))]))
 
 
 class ConePoly:
@@ -307,15 +283,16 @@ class ConePoly:
             ambient_dim = len(facets[0])
         return cls(ambient_dim, facets=facets)
 
+    @property
+    def rays_materialized(self) -> bool:
+        """Whether the generator description is known without running DD."""
+        return self._generators is not None
+
     def rays(self) -> tuple[Vec, ...]:
         """Generators; computed from the facet description if absent."""
         if self._generators is None:
-            rays, lin = _dual_description(self._facets, self.ambient_dim)
-            gens = list(rays)
-            for l in lin:
-                gens.append(l)
-                gens.append(_neg(l))
-            self._generators = tuple(sorted(gens))
+            self._generators = _dual_description(self._facets,
+                                                 self.ambient_dim)
         return self._generators
 
     def facet_normals(self) -> tuple[Vec, ...]:
@@ -325,12 +302,8 @@ class ConePoly:
         dual cone contribute both signs (equality constraints).
         """
         if self._facets is None:
-            rays, lin = _dual_description(self._generators, self.ambient_dim)
-            normals = list(rays)
-            for l in lin:
-                normals.append(l)
-                normals.append(_neg(l))
-            self._facets = tuple(sorted(normals))
+            self._facets = _dual_description(self._generators,
+                                             self.ambient_dim)
         return self._facets
 
     def contains(self, x: Sequence, via: str = "facets") -> bool:
@@ -342,7 +315,7 @@ class ConePoly:
         raise ValueError(f"unknown membership route {via!r}")
 
     def span_rank(self) -> int:
-        return _rank(self.rays()) if self.rays() else 0
+        return len(_rref(self.rays()))
 
 
 def dual_cone(c: ConePoly, form: Sequence[Sequence] | None = None) -> ConePoly:
@@ -358,14 +331,6 @@ def dual_cone(c: ConePoly, form: Sequence[Sequence] | None = None) -> ConePoly:
     else:
         normals = [tuple(_dot(row, g) for row in form) for g in gens]
         # symmetric form: form(x, g) = <x, form @ g>
-    if not gens:
-        # dual of the zero cone is everything
-        dim = c.ambient_dim
-        basis = [tuple(1 if j == i else 0 for j in range(dim))
-                 for i in range(dim)]
-        everything = ConePoly(dim, generators=basis + [_neg(b) for b in basis],
-                              facets=[])
-        return everything
     dual = ConePoly.from_facets(normals, c.ambient_dim)
     dual.rays()  # materialize the generator description now
     return dual
@@ -384,6 +349,14 @@ def lattice_form(model: SurfaceModel) -> tuple[Vec, ...]:
     raise ValueError(f"no bilinear pairing on {model}")
 
 
+def _extremal(gens: Sequence[Vec]) -> Iterator[Vec]:
+    """Each generator that is not a nonnegative combination of the others,
+    in input order (the simplex route)."""
+    for g in gens:
+        if not in_cone_lp([h for h in gens if h != g], g):
+            yield g
+
+
 def extremal_rays(c: ConePoly) -> list[Vec]:
     """A minimal generating set of primitive rays, sorted.
 
@@ -392,43 +365,28 @@ def extremal_rays(c: ConePoly) -> list[Vec]:
     simplex route).  A cone with lineality returns a canonical line basis
     in both signs plus the extremal rays of the pointed quotient.
     """
-    gens = [g for g in c.rays()]
+    gens = list(c.rays())
     if not gens:
         return []
     lin_members = [g for g in gens if in_cone_lp(gens, _neg(g))]
     if not lin_members:
-        return sorted(g for g in gens
-                      if not in_cone_lp([h for h in gens if h != g], g))
-    basis = _row_basis(lin_members)
+        return sorted(_extremal(gens))
+    basis = _rref(lin_members)
     reduced = []
     seen = set()
     for g in gens:
-        q = _reduce_mod(g, basis)
+        q = _primitive(_reduce(g, basis))
         if any(q) and q not in seen:
             seen.add(q)
             reduced.append(q)
-    quotient_extremal = [g for g in reduced
-                         if not in_cone_lp([h for h in reduced if h != g], g)]
-    lines = [_canon_line(b) for b in basis]
-    out = sorted(set(lines) | {_neg(l) for l in lines} | set(quotient_extremal))
-    return out
+    lines = [_canon_line(b) for _, b in basis]
+    return sorted(set(lines) | {_neg(l) for l in lines} | set(_extremal(reduced)))
 
 
 def is_simplicial(c: ConePoly) -> bool:
     """True when the extremal ray count equals the dimension of the span."""
     rays = extremal_rays(c)
-    return len(rays) == _rank(rays)
-
-
-def _extremal_count_capped(gens: Sequence[Vec], cap: int) -> int:
-    """Number of extremal generators, stopping once the count exceeds cap."""
-    count = 0
-    for g in gens:
-        if not in_cone_lp([h for h in gens if h != g], g):
-            count += 1
-            if count > cap:
-                return count
-    return count
+    return len(rays) == len(_rref(rays))
 
 
 @dataclass(frozen=True)
@@ -479,20 +437,21 @@ def surface_cone_report(model: SurfaceModel) -> ConeReport:
     nef_facets = [tuple(_dot(row, v) for row in form) for v in coords]
     psef = ConePoly.from_generators(coords, model.rank)
     nef = ConePoly.from_facets(nef_facets, model.rank)
-    small = model.kind != "BlowupP2" or model.size <= 2
-    if small:
+    if model.kind != "BlowupP2" or model.size <= 2:
         nef.rays()  # materialize: cheap here, huge for the larger blow-ups
 
     # psef inside nef: every generator must pair >= 0 with every generator;
-    # the diagonal is checked first since a negative square settles it
-    psef_in_nef = all(_dot(v, f) >= 0 for v, f in zip(coords, nef_facets)) \
-        and all(_dot(v, f) >= 0 for v in coords for f in nef_facets)
+    # on a blow-up with r >= 1 the first pair, the square of an exceptional
+    # class, is already negative
+    psef_in_nef = all(_dot(v, f) >= 0 for v in coords for f in nef_facets)
     equal = psef_in_nef and all(
         psef.contains(r, via="facets") for r in nef.rays())
 
-    mori = mori_cone(model)
-    dim = mori.span_rank()
-    mori_simplicial = _extremal_count_capped(mori.rays(), dim) == dim
+    # the Mori cone of every reported model has the psef generators (see
+    # mori_cone); simplicial iff exactly dim of them are extremal, so the
+    # count stops at dim + 1
+    dim = psef.span_rank()
+    mori_simplicial = len(list(islice(_extremal(psef.rays()), dim + 1))) == dim
 
     return ConeReport(
         model=model,

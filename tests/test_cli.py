@@ -274,6 +274,17 @@ def test_out_flag_writes_file_and_keeps_stdout_quiet(capsys, tmp_path):
     assert target.read_text() == capsys.readouterr().out
 
 
+def test_unwritable_out_path_is_usage_error(capsys, tmp_path):
+    target = tmp_path / "missing" / "x.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "double-cover-k", "--out", str(target)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"cannot write {target}" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_module_entrypoint_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "picardkit", "enumerate", "exceptional",

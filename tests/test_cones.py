@@ -99,6 +99,20 @@ def test_halfplane_lineality():
     assert hp.contains((5, 3)) and hp.contains((5, 3), via="lp")
 
 
+def test_plane_of_lines_with_pointed_quotient():
+    # lineality spanned by (1, 1, 1, 0) and (0, 1, 0, 0), reduced basis
+    # (1, 0, 1, 0) and (0, 1, 0, 0); modulo it the generators leave
+    # (0, 0, 1, 0), (0, 0, 0, 1) and (0, 0, -1, 1), the middle one the sum
+    # of the outer two
+    c = ConePoly.from_generators(
+        [(1, 1, 1, 0), (-1, -1, -1, 0), (0, 1, 0, 0), (0, -1, 0, 0),
+         (0, 0, 1, 0), (0, 0, 0, 1), (1, 0, 0, 1)])
+    assert extremal_rays(c) == [(-1, 0, -1, 0), (0, -1, 0, 0), (0, 0, -1, 1),
+                                (0, 0, 1, 0), (0, 1, 0, 0), (1, 0, 1, 0)]
+    assert not is_simplicial(c)
+    assert c.span_rank() == 4
+
+
 def test_mori_cone_of_products_is_simplicial():
     for n in (2, 3, 4):
         cone = mori_cone(_pp(n))
@@ -213,6 +227,7 @@ def test_report_one_blowup():
     rep = surface_cone_report(_bp(1))
     assert not rep.equal
     assert rep.mori_simplicial
+    assert rep.nef.rays_materialized
     assert sorted(rep.nef.rays()) == [(1, -1), (1, 0)]
     assert sorted(rep.psef.rays()) == [(0, 1), (1, -1)]
 
@@ -236,6 +251,9 @@ def test_mori_simplicial_iff_small_rank():
     for r in range(9):
         rep = surface_cone_report(_bp(r))
         assert rep.mori_simplicial is (r <= 2)
+        if r <= 6:
+            # the report's capped count against the full route on mori_cone
+            assert rep.mori_simplicial is is_simplicial(mori_cone(_bp(r)))
 
 
 def test_anticanonical_positive_on_effective_generators():
@@ -260,7 +278,7 @@ def test_report_rejects_larger_products():
 
 def test_nef_description_stays_lazy_for_large_rank():
     rep = surface_cone_report(_bp(7))
-    assert rep.nef._generators is None
+    assert not rep.nef.rays_materialized
     # membership still works through the facet description
     h = (1, 0, 0, 0, 0, 0, 0, 0)
     assert rep.nef.contains(h)
