@@ -11,7 +11,8 @@ arrays together with a "basis" legend naming the coordinates.
 
 Exit codes: 0 on success (and for a verification that passed), 1 for a
 verification suite that failed, 2 for usage errors (bad flags, out-of-range
-ranks, malformed input files, an --out path that cannot be written).
+ranks, malformed input files, an --out path that cannot be written), 3 for
+an internal fault (any other exception, reported on one stderr line).
 
 The environment variable PICARDKIT_THREADS caps the parallelism of the
 pair scans (0 or unset picks a size automatically).
@@ -636,3 +637,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         return args.func(args)
     except ValueError as exc:
         parser.error(str(exc))  # prints usage to stderr and exits 2
+    except Exception as exc:
+        # a fault of the program, not of the input: never exit 1, the code
+        # of a failed verification suite
+        message = " ".join(str(exc).split())
+        print(f"picardkit: internal error: {type(exc).__name__}: {message}",
+              file=sys.stderr)
+        return 3

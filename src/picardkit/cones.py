@@ -1,8 +1,9 @@
 """Exact rational polyhedral cones and the nef/psef/mori surface reports.
 
-Everything here runs over exact arithmetic: integers for normalized rays
-and facet normals, Fractions inside the two algorithms.  No floating point
-is used anywhere.
+Everything here runs over exact arithmetic.  The double description and
+the simplex work on integers only; Fraction inputs are scaled to integers
+on entry, and the row reduction is the one place that keeps Fractions.  No
+floating point is used anywhere.
 
 * Double description: a cone given by halfspace normals is converted to
   generators by Motzkin-style incremental refinement.  Lineality is carried
@@ -12,10 +13,12 @@ is used anywhere.
   adjacency uses the combinatorial zero-set test (two rays combine only if
   no third ray's tight set contains the intersection of theirs), which
   keeps the description minimal at every step.
-* Membership and extremality: a phase-I simplex over Fractions with Bland's
-  rule decides whether a vector is a nonnegative combination of given
-  generators.  This is the second, independent route to containment next
-  to the facet-sign test, and the two are required to agree.
+* Membership and extremality: a phase-I simplex with Bland's rule, pivoting
+  over the integers with one common denominator, decides whether a vector
+  is a nonnegative combination of given generators.  This is the second,
+  independent route to containment next to the facet-sign test, and the
+  two are required to agree.  One such LP decides whether a cone is
+  pointed.
 * Row reduction: one Fraction RREF helper gives ranks, lineality bases and
   coset representatives modulo the lineality space.
 
@@ -63,11 +66,14 @@ def _neg(v: Sequence) -> tuple:
 
 def _primitive(vec: Sequence) -> Vec:
     """Clear denominators and divide by the gcd.  Orientation preserved."""
-    fracs = [Fraction(v) for v in vec]
-    den = lcm(*(f.denominator for f in fracs))
-    ints = [int(f * den) for f in fracs]
+    if all(type(v) is int for v in vec):
+        ints = vec
+    else:
+        fracs = [Fraction(v) for v in vec]
+        den = lcm(*(f.denominator for f in fracs))
+        ints = [int(f * den) for f in fracs]
     g = gcd(*ints)
-    if g == 0:
+    if g <= 1:
         return tuple(ints)
     return tuple(v // g for v in ints)
 
@@ -119,52 +125,66 @@ def _rref(vectors: Iterable[Sequence]) -> list[tuple[int, list[Fraction]]]:
 def in_cone_lp(generators: Sequence[Sequence], x: Sequence) -> bool:
     """Is x a nonnegative rational combination of the generators?
 
-    Phase-I simplex with Bland's rule; exact Fractions throughout.
+    Phase-I simplex with Bland's rule, pivoting over the integers
+    (Edmonds 1967; Bareiss 1968).  The rational tableau is T / D for an
+    integer matrix T and one common denominator D > 0, which starts at 1.
+    A pivot on p = T[r][e] keeps row r, replaces every other entry a by
+    (a*p - f*c) // D, where f is the entry of a's row in column e and c that
+    of row r in a's column, and then sets D = p.  Each division is exact,
+    since every entry of T is a minor of the starting matrix.  As D stays
+    positive, signs are those of the rational tableau and the ratio test
+    compares cross products, so every pivot is the one the same simplex
+    takes over Fractions.
     """
     d = len(x)
     m = len(generators)
-    A = [[Fraction(g[i]) for g in generators] for i in range(d)]
-    b = [Fraction(v) for v in x]
-    for i in range(d):
-        if b[i] < 0:
-            b[i] = -b[i]
-            A[i] = [-a for a in A[i]]
-    for i in range(d):
-        A[i] += [Fraction(1 if k == i else 0) for k in range(d)]
+    rows = [[g[i] for g in generators] + [x[i]] for i in range(d)]
+    if not all(type(v) is int for row in rows for v in row):
+        # one denominator for the whole system: scaling all rows alike
+        # scales the phase-I objective too, so the pivots do not change
+        rows = [[Fraction(v) for v in row] for row in rows]
+        den = lcm(*(v.denominator for row in rows for v in row))
+        rows = [[int(v * den) for v in row] for row in rows]
+    # columns: the m generators, one artificial per row, the right-hand side
+    T = []
+    for i, row in enumerate(rows):
+        if row[m] < 0:
+            row = [-a for a in row]
+        T.append(row[:m] + [int(k == i) for k in range(d)] + [row[m]])
+    # phase-I objective row: artificial columns reduce to 0, and the last
+    # entry is the sum of the artificials
+    obj = [sum(col) for col in zip(*T)] or [0] * (m + 1)
+    obj[m:m + d] = [0] * d
     basis = list(range(m, m + d))
-    obj = [sum(A[i][j] for i in range(d)) for j in range(m + d)]
-    for k in range(d):
-        obj[m + k] -= 1
-    objval = sum(b)
+    D = 1
     while True:
         enter = next((j for j in range(m + d) if obj[j] > 0), None)
         if enter is None:
-            break
+            return obj[-1] == 0
         pr = None
-        best = None
-        for i in range(d):
-            a = A[i][enter]
+        for i, row in enumerate(T):
+            a = row[enter]
             if a > 0:
-                ratio = b[i] / a
-                if best is None or ratio < best or \
-                        (ratio == best and basis[i] < basis[pr]):
-                    best, pr = ratio, i
+                if pr is None:
+                    pr = i
+                    continue
+                # b_i / a < b_pr / a_pr, with both a positive
+                lhs, rhs = row[-1] * T[pr][enter], T[pr][-1] * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[pr]):
+                    pr = i
         if pr is None:
             # cannot happen: the phase-I objective is bounded below by 0
             raise RuntimeError("unbounded phase-I simplex")
-        piv = A[pr][enter]
-        A[pr] = [a / piv for a in A[pr]]
-        b[pr] /= piv
-        for i in range(d):
-            if i != pr and A[i][enter]:
-                f = A[i][enter]
-                A[i] = [a - f * p for a, p in zip(A[i], A[pr])]
-                b[i] -= f * b[pr]
+        prow = T[pr]
+        p = prow[enter]
+        for i, row in enumerate(T):
+            if i != pr:
+                f = row[enter]
+                T[i] = [(a * p - f * c) // D for a, c in zip(row, prow)]
         f = obj[enter]
-        obj = [o - f * p for o, p in zip(obj, A[pr])]
-        objval -= f * b[pr]
+        obj = [(o * p - f * c) // D for o, c in zip(obj, prow)]
+        D = p
         basis[pr] = enter
-    return objval == 0
 
 
 def _dual_description(normals: Sequence[Sequence], dim: int
@@ -368,9 +388,11 @@ def extremal_rays(c: ConePoly) -> list[Vec]:
     gens = list(c.rays())
     if not gens:
         return []
-    lin_members = [g for g in gens if in_cone_lp(gens, _neg(g))]
-    if not lin_members:
+    # pointed exactly when 0 is no nonnegative combination of the
+    # generators with coefficients summing to 1: one LP settles it
+    if not in_cone_lp([g + (1,) for g in gens], (0,) * c.ambient_dim + (1,)):
         return sorted(_extremal(gens))
+    lin_members = [g for g in gens if in_cone_lp(gens, _neg(g))]
     basis = _rref(lin_members)
     reduced = []
     seen = set()

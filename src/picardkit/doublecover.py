@@ -2,8 +2,10 @@
 
 A cover is recorded by the type (2*d_1, ..., 2*d_n) of its branch divisor
 on the n-fold product of lines.  The numerical invariants are closed-form
-integer expressions evaluated through the lattice layer, so they stay
-exact for any n.
+integer expressions, so they stay exact and cost O(n) for any supported
+branch type; lattice.top_intersection remains the general route that the
+tests check them against.  A branch type has at most MAX_FACTORS entries,
+each at most MAX_BRANCH_ENTRY.
 
 Branch divisors themselves are multihomogeneous polynomials with rational
 coefficients.  A polynomial in n coordinate pairs keeps its exponent
@@ -26,11 +28,15 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial, prod
 from typing import Mapping, Sequence
 
-from .lattice import DivisorClass, SurfaceModel, top_intersection
-
 COEFF_PATTERN = re.compile(r"^-?\d+(/\d+)?$")
+
+# Bounds on a branch type.  At these sizes the anticanonical power has at
+# most a few hundred digits, so it prints at once.
+MAX_FACTORS = 64
+MAX_BRANCH_ENTRY = 1000
 
 
 @dataclass(frozen=True)
@@ -47,11 +53,17 @@ class DoubleCoverSpec:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("need at least one factor")
+        if self.n > MAX_FACTORS:
+            raise ValueError(f"branch type has {self.n} factors; at most "
+                             f"{MAX_FACTORS} are supported")
         if len(self.branch_type) != self.n:
             raise ValueError("one branch-type entry per factor required")
         for d in self.branch_type:
             if not isinstance(d, int) or isinstance(d, bool) or d < 0:
                 raise ValueError(f"branch-type entry {d!r} is not a nonnegative int")
+            if d > MAX_BRANCH_ENTRY:
+                raise ValueError(f"branch-type entry {d} exceeds "
+                                 f"{MAX_BRANCH_ENTRY}")
 
     @staticmethod
     def of(branch_type: Sequence[int]) -> "DoubleCoverSpec":
@@ -66,13 +78,13 @@ def is_fano(spec: DoubleCoverSpec) -> bool:
 def anticanonical_power(spec: DoubleCoverSpec) -> int:
     """Top self-intersection of the anticanonical class of the cover.
 
-    The anticanonical class pulls back from the class with coefficients
-    (2 - d_k), and the cover has degree 2 over the base, hence
-    2 * n! * prod(2 - d_k).
+    The anticanonical class pulls back from the class L with coefficients
+    (2 - d_k), and the cover has degree 2 over the base.  L^n on the
+    product of n lines is n! * prod(2 - d_k): each of the n! orderings of
+    the factors contributes one product of coefficients.  Hence
+    2 * n! * prod(2 - d_k), computed directly.
     """
-    model = SurfaceModel.product_p1(spec.n)
-    cls = DivisorClass(model, tuple(2 - d for d in spec.branch_type))
-    return 2 * top_intersection(model, [cls] * spec.n)
+    return 2 * factorial(spec.n) * prod(2 - d for d in spec.branch_type)
 
 
 def expected_picard_number(spec: DoubleCoverSpec) -> int | None:

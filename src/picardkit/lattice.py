@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 from typing import Iterable, Sequence
 
 BLOWUP = "BlowupP2"
@@ -76,7 +77,8 @@ class DivisorClass:
 
     def __post_init__(self) -> None:
         coords = tuple(self.coords)
-        if any(not isinstance(c, int) for c in coords):
+        # exactly int: bool is a subclass, and (True, False) would print as H
+        if not {int}.issuperset(map(type, coords)):
             raise ValueError("divisor class coordinates must be integers")
         if len(coords) != self.model.rank:
             raise ValueError(
@@ -190,34 +192,37 @@ def adjunction_genus(c: DivisorClass) -> Fraction:
     return Fraction(pairing(c, c) + pairing(c, k), 2) + 1
 
 
-def _permanent(rows: list[tuple[int, ...]]) -> int:
-    """Permanent by Ryser's inclusion-exclusion formula.
+# Largest matrix _permanent accepts: 2^20 Gray-code steps take a few seconds.
+MAX_PERMANENT_SIZE = 20
 
-    O(2^n n) additions; n <= 10 throughout this package, so this is instant
-    and avoids the n! blow-up of the Leibniz expansion.
+
+def _permanent(rows: list[tuple[int, ...]]) -> int:
+    """Permanent by Ryser's formula, visiting column subsets in Gray-code
+    order (Nijenhuis & Wilf, Combinatorial Algorithms, 1978).
+
+    Successive subsets differ in one column, so each step updates the n row
+    sums by one addition each: O(2^n n) in all.  Matrices larger than
+    MAX_PERMANENT_SIZE raise ValueError.
     """
     n = len(rows)
+    if n > MAX_PERMANENT_SIZE:
+        raise ValueError(f"permanent of a {n} x {n} matrix: at most "
+                         f"{MAX_PERMANENT_SIZE} rows are supported")
     if n == 0:
         return 1
+    cols = list(zip(*rows))
+    sums = [0] * n
+    subset = 0
     total = 0
-    for mask in range(1, 1 << n):
-        prod = 1
-        for row in rows:
-            s = 0
-            m = mask
-            j = 0
-            while m:
-                if m & 1:
-                    s += row[j]
-                m >>= 1
-                j += 1
-            prod *= s
-            if prod == 0:
-                break
-        if bin(mask).count("1") % 2 == n % 2:
-            total += prod
+    for k in range(1, 1 << n):
+        j = (k & -k).bit_length() - 1  # the column entering or leaving
+        subset ^= 1 << j
+        if subset >> j & 1:
+            sums = [s + a for s, a in zip(sums, cols[j])]
         else:
-            total -= prod
+            sums = [s - a for s, a in zip(sums, cols[j])]
+        # the k-th subset has k's parity of columns; sign (-1)^(n - |S|)
+        total += prod(sums) if (k - n) % 2 == 0 else -prod(sums)
     return total
 
 
@@ -227,7 +232,8 @@ def top_intersection(model: SurfaceModel,
 
     Equals the permanent of the n x n matrix whose rows are the coordinate
     vectors: a product of basis classes is 1 when all indices are distinct
-    and 0 otherwise.
+    and 0 otherwise.  Defined for n <= MAX_PERMANENT_SIZE; larger n raises
+    ValueError.
     """
     if model.kind != PRODUCT:
         raise ValueError("top_intersection needs a ProductP1 model")

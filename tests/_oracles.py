@@ -14,8 +14,13 @@ points, with
 
 Cauchy-Schwarz bounds the degree: (3d - k)^2 <= r (d^2 + eps) with
 (k, eps) = (1, 1) or (2, 0), and each entry by |m_i| <= isqrt(d^2 + eps).
+
+A second oracle, ``fraction_in_cone_lp``, is the cone engine's phase-I
+simplex as it was written over Fractions, before the library switched to
+integer pivoting; the two must agree on every membership query.
 """
 
+from fractions import Fraction
 from math import isqrt
 
 
@@ -91,6 +96,57 @@ def signature_histogram(classes):
         key = (d, tuple(sorted(m, reverse=True)))
         hist[key] = hist.get(key, 0) + 1
     return hist
+
+
+def fraction_in_cone_lp(generators, x):
+    """Is x a nonnegative rational combination of the generators?
+
+    Phase-I simplex with Bland's rule; exact Fractions throughout.
+    """
+    d = len(x)
+    m = len(generators)
+    A = [[Fraction(g[i]) for g in generators] for i in range(d)]
+    b = [Fraction(v) for v in x]
+    for i in range(d):
+        if b[i] < 0:
+            b[i] = -b[i]
+            A[i] = [-a for a in A[i]]
+    for i in range(d):
+        A[i] += [Fraction(1 if k == i else 0) for k in range(d)]
+    basis = list(range(m, m + d))
+    obj = [sum(A[i][j] for i in range(d)) for j in range(m + d)]
+    for k in range(d):
+        obj[m + k] -= 1
+    objval = sum(b)
+    while True:
+        enter = next((j for j in range(m + d) if obj[j] > 0), None)
+        if enter is None:
+            break
+        pr = None
+        best = None
+        for i in range(d):
+            a = A[i][enter]
+            if a > 0:
+                ratio = b[i] / a
+                if best is None or ratio < best or \
+                        (ratio == best and basis[i] < basis[pr]):
+                    best, pr = ratio, i
+        if pr is None:
+            # cannot happen: the phase-I objective is bounded below by 0
+            raise RuntimeError("unbounded phase-I simplex")
+        piv = A[pr][enter]
+        A[pr] = [a / piv for a in A[pr]]
+        b[pr] /= piv
+        for i in range(d):
+            if i != pr and A[i][enter]:
+                f = A[i][enter]
+                A[i] = [a - f * p for a, p in zip(A[i], A[pr])]
+                b[i] -= f * b[pr]
+        f = obj[enter]
+        obj = [o - f * p for o, p in zip(obj, A[pr])]
+        objval -= f * b[pr]
+        basis[pr] = enter
+    return objval == 0
 
 
 if __name__ == "__main__":

@@ -167,6 +167,16 @@ def test_cover_bad_branch_values(capsys):
         capsys.readouterr()
 
 
+def test_cover_beyond_supported_size_is_usage_error(capsys):
+    for branch in (",".join(["1"] * 2000), "1,1001"):
+        with pytest.raises(SystemExit) as exc:
+            main(["cover", branch])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "supported" in err or "exceeds" in err
+        assert "Traceback" not in err
+
+
 # --- singular ------------------------------------------------------------------------
 
 def _write_branch(tmp_path, obj=BRANCH_JSON):
@@ -254,6 +264,18 @@ def test_verify_failure_exits_one(capsys, monkeypatch):
     out = capsys.readouterr().out
     assert out.splitlines()[0] == "hodge-bound: FAIL"
     assert "MISMATCH" in out
+
+
+def test_internal_fault_exits_three(capsys, monkeypatch):
+    def broken():
+        return 1 // 0
+
+    monkeypatch.setitem(cli._SUITES, "hodge-bound", broken)
+    assert main(["verify", "hodge-bound"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("picardkit: internal error: ZeroDivisionError: "
+                            "integer division or modulo by zero\n")
 
 
 def test_verify_unknown_id_is_usage_error(capsys):

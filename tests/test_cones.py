@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _oracles import fraction_in_cone_lp
+from picardkit import cones
 from picardkit.cones import (
     ConePoly,
     dual_cone,
@@ -89,6 +91,33 @@ def test_all_effective_generators_extremal_rank7():
     assert set(ext) == set(cone.rays())
 
 
+def test_pointed_cone_takes_one_pointedness_lp(monkeypatch):
+    # one pointedness LP, then one extremality LP per generator: 1 + 56
+    calls = []
+
+    def counted(generators, x):
+        calls.append(x)
+        return in_cone_lp(generators, x)
+
+    cone = mori_cone(_bp(7))
+    cone.rays()
+    monkeypatch.setattr(cones, "in_cone_lp", counted)
+    assert len(extremal_rays(cone)) == 56
+    assert len(calls) == 57
+
+
+def test_pointedness_lp_agrees_with_lineality_search():
+    # a cone is pointed exactly when no generator's negative is a member
+    rng = random.Random(1978)
+    for _ in range(60):
+        dim = rng.randint(2, 5)
+        c = _random_cone(rng, dim, rng.randint(1, dim + 3))
+        gens = c.rays()
+        pointed = not in_cone_lp([g + (1,) for g in gens], (0,) * dim + (1,))
+        assert pointed == (not any(fraction_in_cone_lp(gens, tuple(-a for a in g))
+                                   for g in gens))
+
+
 def test_halfplane_lineality():
     hp = ConePoly.from_generators([(1, 0), (-1, 0), (0, 1)])
     assert extremal_rays(hp) == [(-1, 0), (0, 1), (1, 0)]
@@ -162,6 +191,31 @@ def test_nonnegative_combinations_are_members(data):
     assert in_cone_lp(cone.rays(), x)
     assert cone.contains(x, via="lp")
     assert cone.contains(x, via="facets")
+
+
+def _entry(data, fractional: bool):
+    v = data.draw(st.integers(-4, 4))
+    return Fraction(v, data.draw(st.integers(1, 3))) if fractional else v
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_integer_simplex_matches_fraction_simplex(data):
+    # the integer-pivoting kernel against the Fraction simplex it replaced
+    dim = data.draw(st.integers(2, 8))
+    count = data.draw(st.integers(1, dim + 4))
+    fractional = data.draw(st.booleans())
+    gens = [tuple(_entry(data, fractional) for _ in range(dim))
+            for _ in range(count)]
+    if data.draw(st.booleans()):
+        # built inside the cone, then possibly pushed out along one axis
+        coeffs = [data.draw(st.integers(0, 3)) for _ in gens]
+        x = [sum(c * g[i] for c, g in zip(coeffs, gens)) for i in range(dim)]
+        x[data.draw(st.integers(0, dim - 1))] += data.draw(st.integers(-1, 0))
+        x = tuple(x)
+    else:
+        x = tuple(_entry(data, data.draw(st.booleans())) for _ in range(dim))
+    assert in_cone_lp(gens, x) == fraction_in_cone_lp(gens, x)
 
 
 # --- randomized dual-route validation ---------------------------------------

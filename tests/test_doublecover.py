@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from picardkit.doublecover import (
+    MAX_BRANCH_ENTRY,
+    MAX_FACTORS,
     DoubleCoverSpec,
     MultiHomogPoly,
     ProductPoint,
@@ -16,6 +18,7 @@ from picardkit.doublecover import (
     is_fano,
     poly_from_json_dict,
 )
+from picardkit.lattice import DivisorClass, SurfaceModel, top_intersection
 
 # branch divisor of type (2, 2, 2) with exactly the origin-like point
 # (0:1) x (0:1) x (0:1) as a singular point of interest
@@ -40,6 +43,18 @@ def test_spec_validation():
         DoubleCoverSpec.of([True, 1])
     with pytest.raises(ValueError):
         DoubleCoverSpec(0, ())
+
+
+def test_spec_size_bounds():
+    DoubleCoverSpec.of([1] * MAX_FACTORS)
+    DoubleCoverSpec.of([MAX_BRANCH_ENTRY, 0])
+    with pytest.raises(ValueError, match="at most"):
+        DoubleCoverSpec.of([1] * (MAX_FACTORS + 1))
+    with pytest.raises(ValueError, match="exceeds"):
+        DoubleCoverSpec.of([MAX_BRANCH_ENTRY + 1, 0])
+    # the largest supported power prints without Python's digit limit
+    worst = DoubleCoverSpec.of([MAX_BRANCH_ENTRY] * MAX_FACTORS)
+    assert len(str(anticanonical_power(worst))) < 4300
 
 
 def test_is_fano_examples():
@@ -83,6 +98,17 @@ def test_fano_iff_positive_anticanonical_power_small_types():
         for ds in product((0, 1, 2), repeat=n):
             spec = DoubleCoverSpec.of(list(ds))
             assert is_fano(spec) == (anticanonical_power(spec) > 0)
+
+
+def test_closed_form_agrees_with_top_intersection():
+    # the closed form against the permanent route, on every type in
+    # {0..3}^n for n <= 5
+    for n in range(1, 6):
+        model = SurfaceModel.product_p1(n)
+        for ds in product(range(4), repeat=n):
+            minus_k = DivisorClass(model, tuple(2 - d for d in ds))
+            assert anticanonical_power(DoubleCoverSpec.of(list(ds))) == \
+                2 * top_intersection(model, [minus_k] * n)
 
 
 @settings(max_examples=40, deadline=None)

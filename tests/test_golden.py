@@ -42,6 +42,34 @@ GOLDEN_SHA256 = {
         "7d6d1e69cab9110bc52b5126ada021a4bbfa3dd4cd48bbcc634a88b51e7c5f5d",
     "cover 0,1,2,2":
         "e17db67a0b378c1bd8b7679da4dc1ee0c4a8a7133373c70a86529ba9a96c3518",
+    # all-ones branch types of length 2..12 (length 3 is listed above), and
+    # types with a zero, a vanishing and a negative anticanonical power
+    "cover 1,1":
+        "d076f2557d4f2fe388db5443dc7ecd246b537f19d9acbb827cd7f85e5112f984",
+    "cover 1,1,1,1":
+        "608327fc5a782e7d86ddaff7613388ea1c7f665a11c602070e6d19267d6e4939",
+    "cover 1,1,1,1,1":
+        "0264b23e4116beae081f6c167b6f4034021d615bab00e9f4b7eed73e6a2c5388",
+    "cover 1,1,1,1,1,1":
+        "d18c35934b3dd40c1ccbf2040a2196f2b194c7b3d1f34d1c255f9c7088bf8e0b",
+    "cover 1,1,1,1,1,1,1":
+        "4ab8614e87976e61fcc26f1012fa9656fba20fd26bb8706c065ba2071e412d5a",
+    "cover 1,1,1,1,1,1,1,1":
+        "872a39ee38ae5ee2d2eaa9bf83f354ebc87ee407a262a1abb4125296b4b70d4e",
+    "cover 1,1,1,1,1,1,1,1,1":
+        "d1ede1957771a117632cf9163c43cd8dae19d5d04569d48c68b3978c48ca9383",
+    "cover 1,1,1,1,1,1,1,1,1,1":
+        "8fe245616b22e95f5e950dd808551322040a741d2de702a2926b1f705da5e7d1",
+    "cover 1,1,1,1,1,1,1,1,1,1,1":
+        "d5c4df7375b85fdc2fb7e4d5ce102517d5b15b2ba4ad41e0b774d7ab89b6b790",
+    "cover 1,1,1,1,1,1,1,1,1,1,1,1":
+        "49bf6eae1720cf3fbaa8d74fccc68f6ff22bf4ac708bb612a4bd29bb1ff5fac1",
+    "cover 0,0":
+        "7b8ff6ece5c6aa969688b66b058df6f2a1b61363f885aad42787e38838ac4f5b",
+    "cover 2,1":
+        "49b8bde565fe8c355f76892674f829626ae8ce26cd1d19b112da3ad0c61eda8f",
+    "cover 3,1":
+        "97a769967d330b5a94d16292f158e301c469c40da7a9d6eeeda49733613c8c33",
 }
 
 

@@ -1,9 +1,12 @@
 from fractions import Fraction
+from itertools import permutations
+from math import prod
 
 import pytest
 from hypothesis import given, strategies as st
 
 from picardkit.lattice import (
+    MAX_PERMANENT_SIZE,
     DivisorClass,
     SurfaceModel,
     adjunction_genus,
@@ -36,6 +39,8 @@ def test_divisor_class_validation():
         cls(DP7, 1, 2)  # wrong length
     with pytest.raises(ValueError):
         DivisorClass(DP7, (Fraction(1, 2),) * 8)  # non-integer entries
+    with pytest.raises(ValueError):
+        DivisorClass(SurfaceModel.blowup_p2(1), (True, False))  # not H
 
 
 def test_cross_model_classes_never_equal():
@@ -134,6 +139,24 @@ def test_top_intersection_errors():
         top_intersection(p3, [t, t])  # arity
     with pytest.raises(ValueError):
         top_intersection(SurfaceModel.blowup_p2(2), [t, t, t])  # wrong model
+
+
+def test_top_intersection_size_limit():
+    n = MAX_PERMANENT_SIZE + 1
+    model = SurfaceModel.product_p1(n)
+    ones = cls(model, *[1] * n)
+    # rejected before any of the 2^n Ryser steps
+    with pytest.raises(ValueError, match="at most"):
+        top_intersection(model, [ones] * n)
+
+
+def test_top_intersection_matches_leibniz_expansion():
+    # the permanent summed over all 4! permutations, against Ryser's formula
+    model = SurfaceModel.product_p1(4)
+    rows = [(2, -1, 0, 3), (1, 1, -2, 0), (0, 3, 1, -1), (-2, 0, 1, 1)]
+    leibniz = sum(prod(rows[i][p[i]] for i in range(4))
+                  for p in permutations(range(4)))
+    assert top_intersection(model, [cls(model, *r) for r in rows]) == leibniz
 
 
 coords7 = st.tuples(*[st.integers(-9, 9)] * 8)
