@@ -13,9 +13,6 @@ Exit codes: 0 on success (and for a verification that passed), 1 for a
 verification suite that failed, 2 for usage errors (bad flags, out-of-range
 ranks, malformed input files, an --out path that cannot be written), 3 for
 an internal fault (any other exception, reported on one stderr line).
-
-The environment variable PICARDKIT_THREADS caps the parallelism of the
-pair scans (0 or unset picks a size automatically).
 """
 
 from __future__ import annotations
@@ -38,6 +35,7 @@ from .curves import (
 )
 from .doublecover import (
     COEFF_PATTERN,
+    MAX_BRANCH_ENTRY,
     DoubleCoverSpec,
     MultiHomogPoly,
     ProductPoint,
@@ -218,11 +216,24 @@ def _cmd_cones(args) -> int:
 # --- cover -------------------------------------------------------------------
 
 def _parse_branch(text: str) -> list[int]:
-    try:
-        return [int(tok.strip()) for tok in text.split(",") if tok.strip() != ""]
-    except ValueError:
-        raise ValueError(f"branch type {text!r} is not a comma-separated "
-                         f"list of integers") from None
+    width = len(str(MAX_BRANCH_ENTRY))
+    entries = []
+    for tok in text.split(","):
+        tok = tok.strip()
+        if not tok:
+            continue
+        # bounded before int(), which refuses over 4300 digits
+        digits = tok.lstrip("+-").lstrip("0")
+        if len(digits) > width and digits.isdigit():
+            raise ValueError(f"branch-type entry {tok[:width + 1]}... has "
+                             f"{len(digits)} digits; entries are at most "
+                             f"{MAX_BRANCH_ENTRY}")
+        try:
+            entries.append(int(tok))
+        except ValueError:
+            raise ValueError(f"branch type {text!r} is not a comma-separated "
+                             f"list of integers") from None
+    return entries
 
 
 def _cmd_cover(args) -> int:

@@ -12,7 +12,9 @@ floating point is used anywhere.
   non-pointed intermediate cones are handled without perturbation.  Ray
   adjacency uses the combinatorial zero-set test (two rays combine only if
   no third ray's tight set contains the intersection of theirs), which
-  keeps the description minimal at every step.
+  keeps the description minimal at every step.  Each ray carries its zero
+  set forward as a bitmask over the processed halfspaces, so no dot
+  product is taken twice.
 * Membership and extremality: a phase-I simplex with Bland's rule, pivoting
   over the integers with one common denominator, decides whether a vector
   is a nonnegative combination of given generators.  This is the second,
@@ -198,11 +200,14 @@ def _dual_description(normals: Sequence[Sequence], dim: int
         tuple(1 if j == i else 0 for j in range(dim)) for i in range(dim)
     ]
     rays: list[Vec] = []
-    done: list[Vec] = []
+    # zsets[i]: bitmask of the processed halfspaces rays[i] lies on
+    zsets: list[int] = []
+    k = 0  # index of the halfspace being processed
     for raw in normals:
         h = _primitive(raw)
         if not any(h):
             continue
+        bit = 1 << k
         lvals = [_dot(l, h) for l in lineality]
         if any(lvals):
             idx = next(i for i, v in enumerate(lvals) if v)
@@ -218,36 +223,41 @@ def _dual_description(normals: Sequence[Sequence], dim: int
                                           for x, y in zip(l, lstar)))
                 new_lin.append(l)
             lineality = new_lin
+            # every ray moves onto h; lstar lies on all earlier halfspaces
             rays = [_primitive(tuple(a * x - _dot(r, h) * y
                                      for x, y in zip(r, lstar)))
                     for r in rays]
             rays.append(_primitive(lstar))
+            zsets = [z | bit for z in zsets] + [bit - 1]
         else:
             vals = [_dot(r, h) for r in rays]
+            # a halfspace that cuts nothing is redundant from here on, so
+            # leaving it out of every zero set keeps the adjacency test exact
             if any(v < 0 for v in vals):
                 pos = [i for i, v in enumerate(vals) if v > 0]
                 neg = [i for i, v in enumerate(vals) if v < 0]
                 zero = [i for i, v in enumerate(vals) if v == 0]
-                zsets = [frozenset(k for k, hk in enumerate(done)
-                                   if _dot(r, hk) == 0) for r in rays]
-                fresh: list[Vec] = []
+                fresh: list[tuple[Vec, int]] = []
                 for i in pos:
                     for j in neg:
                         common = zsets[i] & zsets[j]
-                        if any(t != i and t != j and common <= zsets[t]
-                               for t in range(len(rays))):
+                        if any(t != i and t != j and common & z == common
+                               for t, z in enumerate(zsets)):
                             continue  # not adjacent
-                        fresh.append(_primitive(
+                        fresh.append((_primitive(
                             tuple(vals[i] * rj - vals[j] * ri
-                                  for ri, rj in zip(rays[i], rays[j]))))
-                kept = [rays[i] for i in pos] + [rays[i] for i in zero]
-                seen = set(kept)
-                for w in fresh:
+                                  for ri, rj in zip(rays[i], rays[j]))),
+                            common | bit))
+                kept = ([(rays[i], zsets[i]) for i in pos]
+                        + [(rays[i], zsets[i] | bit) for i in zero])
+                seen = {r for r, _ in kept}
+                for w, z in fresh:
                     if w not in seen:
                         seen.add(w)
-                        kept.append(w)
-                rays = kept
-        done.append(h)
+                        kept.append((w, z))
+                rays = [r for r, _ in kept]
+                zsets = [z for _, z in kept]
+        k += 1
     return tuple(sorted(rays + [s for l in lineality for s in (l, _neg(l))]))
 
 

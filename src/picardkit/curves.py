@@ -30,14 +30,27 @@ actual curve depends on the blown-up points being in general position,
 which has no lattice counterpart; the enumerations assume it.
 
 Output order is lexicographic on (d, multiplicity vector), so reports and
-JSON renderings are stable across runs.
+JSON renderings are stable across runs.  Both families are built once per
+rank and shared: they are frozen, so every caller gets the same object.
+
+Contraction: a conic fibration contracts an exceptional class e exactly
+when e.c = 0, and then c - e is exceptional too and meets e once (its square
+is -1, its K-degree -1, and e.(c - e) = 1), so the contracted classes are
+the components of the reducible fibres (Manin, Cubic Forms, ch. IV;
+Dolgachev, Classical Algebraic Geometry, ch. 8).  contraction_table walks
+the exceptional pairs meeting once, once per rank, and records for each
+conic the bitmask of the classes it contracts; reducible fibres and the
+pair analysis in fibration read it instead of scanning the family.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from math import isqrt
-from typing import Iterator
+from operator import add, mul
+from types import MappingProxyType
+from typing import Iterator, Mapping
 
 from .lattice import DivisorClass, SurfaceModel, canonical_class, pairing
 
@@ -75,6 +88,16 @@ class ClassFamily:
 
     def __contains__(self, c: object) -> bool:
         return c in self._member_set
+
+    def selected(self, mask: int) -> tuple[DivisorClass, ...]:
+        """The members whose bit is set in mask (bit i is member i), in
+        family order."""
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(self.members[low.bit_length() - 1])
+            mask ^= low
+        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -136,6 +159,16 @@ def _mult_vectors(r: int, target_sum: int, target_sq: int):
 
 def enumerate_exceptional(r: int) -> ClassFamily:
     """All classes with c^2 = c.K = -1 on BlowupP2(r), 0 <= r <= 8."""
+    return _exceptional(r)
+
+
+def enumerate_conic(r: int) -> ClassFamily:
+    """All classes with c^2 = 0, c.K = -2 on BlowupP2(r), 1 <= r <= 8."""
+    return _conic(r)
+
+
+@cache
+def _exceptional(r: int) -> ClassFamily:
     model = SurfaceModel.blowup_p2(r)
     members = []
     d = 0
@@ -150,8 +183,8 @@ def enumerate_exceptional(r: int) -> ClassFamily:
     return ClassFamily(model, EXCEPTIONAL, tuple(members))
 
 
-def enumerate_conic(r: int) -> ClassFamily:
-    """All classes with c^2 = 0, c.K = -2 on BlowupP2(r), 1 <= r <= 8."""
+@cache
+def _conic(r: int) -> ClassFamily:
     if not 1 <= r <= 8:
         raise ValueError(f"conic enumeration needs 1 <= r <= 8, got {r}")
     model = SurfaceModel.blowup_p2(r)
@@ -170,12 +203,39 @@ def orbit_signature(c: DivisorClass) -> OrbitSignature:
                           tuple(sorted(c.multiplicities(), reverse=True)))
 
 
+@cache
+def contraction_table(r: int
+                      ) -> tuple[ClassFamily, Mapping[tuple[int, ...], int]]:
+    """The exceptional family of BlowupP2(r) and, per conic class, the
+    bitmask over that family of the exceptional classes it contracts.
+
+    The map is keyed by conic coordinates; a conic absent from it has no
+    reducible fibre and contracts nothing.  Built once per rank from the
+    exceptional pairs a.b = 1, each of which sets two bits on a + b, and
+    shared by every caller as a read-only mapping.
+    """
+    fam = _exceptional(r)
+    coords = [e.coords for e in fam]
+    # a.b = a_0 b_0 - sum a_i b_i as one dot product against the twisted a
+    twisted = [(a[0],) + tuple(-v for v in a[1:]) for a in coords]
+    masks: dict[tuple[int, ...], int] = {}
+    for i, (a, ta) in enumerate(zip(coords, twisted)):
+        for j in range(i + 1, len(coords)):
+            b = coords[j]
+            if sum(map(mul, ta, b)) == 1:
+                c = tuple(map(add, a, b))
+                masks[c] = masks.get(c, 0) | 1 << i | 1 << j
+    return fam, MappingProxyType(masks)
+
+
 def reducible_fibers(c: DivisorClass,
                      fam: ClassFamily) -> list[ReducibleFiber]:
     """All splittings c = A + B into two exceptional classes with A.B = 1.
 
     Each unordered pair is listed once, ordered by the lexicographically
-    smaller component.
+    smaller component.  On the shared family of enumerate_exceptional the
+    components come from the contraction table; a family built by hand is
+    scanned member by member.
     """
     if not is_conic(c):
         raise ValueError(f"{c} is not a conic fibration class")
@@ -183,10 +243,17 @@ def reducible_fibers(c: DivisorClass,
         raise ValueError("reducible_fibers needs the exceptional family")
     if fam.model != c.model:
         raise ValueError("family and class live in different models")
-    fibers = []
-    for a in fam:
-        b = c - a
-        if a.coords < b.coords and b in fam and pairing(a, b) == 1:
-            fibers.append(ReducibleFiber(c, (a, b)))
+    table_fam, masks = contraction_table(c.model.size)
+    if fam is table_fam:
+        # each contracted a pairs with c - a; the fibre checks itself
+        pairs = ((a, c - a) for a in fam.selected(masks.get(c.coords, 0)))
+        fibers = [ReducibleFiber(c, (a, b)) for a, b in pairs
+                  if a.coords < b.coords]
+    else:
+        fibers = []
+        for a in fam:
+            b = c - a
+            if a.coords < b.coords and b in fam and pairing(a, b) == 1:
+                fibers.append(ReducibleFiber(c, (a, b)))
     fibers.sort(key=lambda f: f.components[0].coords)
     return fibers

@@ -11,34 +11,33 @@ separately through the degree field.
 The signature-(1, r) index bound 2 K^2 (c1.c2) <= (K.c1 + K.c2)^2 caps the
 degree at 8 / K^2 for conic pairs (the right side is 16).
 
-The full-rank pair scans (rank 8 has 2160 conic classes, about 2.3 million
-unordered pairs) run on numpy int64 Gram matrices.  Entries are bounded by
-9 * 11^2 (coordinates never exceed 11 in absolute value, checked before the
-multiply), so 64-bit arithmetic is exact.  Shared-contraction masks are
-computed as an indicator-matrix product in float64, where every value is a
-count of at most 240 and therefore exactly representable.  The env var
-PICARDKIT_THREADS caps the thread count of the blocked product (0 = auto).
+Which exceptional classes a conic contracts comes from the per-rank
+contraction table of curves (one int bitmask per conic), so the classes
+two conics both contract are the bits of mask1 & mask2.  The whole-rank
+pair scan (rank 8 has 2160 conic classes, about 2.3 million unordered
+pairs) runs once per rank in pure Python and uses the S_r symmetry that
+permutes E_1, ..., E_r: it preserves the pairing and the exceptional
+family, so every class of one orbit signature has the same partners up to
+relabelling.  The scan pairs one representative per signature (15 at rank
+8) with every class and weights each count by the size of the
+representative's orbit.  That counts each unordered pair once from each
+end, so every count is halved.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-
-import numpy as np
+from functools import cache
+from operator import mul
 
 from .curves import (
     ClassFamily,
     OrbitSignature,
+    contraction_table,
     enumerate_conic,
-    enumerate_exceptional,
     is_conic,
-    orbit_signature,
 )
 from .lattice import DivisorClass, SurfaceModel, canonical_class, pairing
-
-BLOCK_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -95,16 +94,26 @@ class PairScanSummary:
 
 def analyze_pair(pair: FibrationPair,
                  exceptional: ClassFamily | None = None) -> FinitenessReport:
-    """Degree, commonly contracted exceptional classes, and finiteness."""
+    """Degree, commonly contracted exceptional classes, and finiteness.
+
+    Without a family, or with the shared one of enumerate_exceptional, the
+    contracted classes come from the contraction table; a family built by
+    hand is scanned for classes orthogonal to both conics.
+    """
+    table_fam, masks = contraction_table(pair.model.size)
     if exceptional is None:
-        exceptional = enumerate_exceptional(pair.model.size)
+        exceptional = table_fam
     elif exceptional.model != pair.model:
         raise ValueError("exceptional family from a different model")
     degree = pairing(pair.c1, pair.c2)
-    contracted = tuple(
-        e for e in exceptional
-        if pairing(e, pair.c1) == 0 and pairing(e, pair.c2) == 0
-    )
+    if exceptional is table_fam:
+        contracted = table_fam.selected(masks.get(pair.c1.coords, 0)
+                                        & masks.get(pair.c2.coords, 0))
+    else:
+        contracted = tuple(
+            e for e in exceptional
+            if pairing(e, pair.c1) == 0 and pairing(e, pair.c2) == 0
+        )
     return FinitenessReport(
         degree=degree,
         common_contracted=contracted,
@@ -136,80 +145,67 @@ def max_degree_bound(r: int) -> int:
     return 8 // (9 - r)
 
 
-def _thread_budget() -> int:
-    raw = os.environ.get("PICARDKIT_THREADS", "0").strip()
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError(f"PICARDKIT_THREADS must be an integer, got {raw!r}")
-    if n < 0:
-        raise ValueError(f"PICARDKIT_THREADS must be >= 0, got {n}")
-    if n == 0:
-        return min(os.cpu_count() or 1, 8)
-    return n
+@cache
+def _pair_scan(r: int) -> tuple[PairScanSummary, tuple[PairClassEntry, ...]]:
+    """The scan summary and the finite-pair classification of one rank.
 
-
-def _coord_matrix(fam: ClassFamily) -> np.ndarray:
-    return np.array([c.coords for c in fam], dtype=np.int64)
-
-
-def _pair_tables(r: int):
-    """Degrees and shared-contraction mask over all conic-class pairs.
-
-    Returns (conic family, degree matrix G with G[i,j] = c_i.c_j, and a
-    boolean matrix marking pairs that share a contracted exceptional class).
+    Pairs one representative per orbit signature with every conic class;
+    see the module docstring for the weighting.
     """
     fam = enumerate_conic(r)
-    exc = enumerate_exceptional(r)
-    C = _coord_matrix(fam)
-    E = _coord_matrix(exc)
-    if max(np.abs(C).max(), np.abs(E).max(initial=0)) > 2 ** 20:
-        raise ValueError("coordinates too large for the 64-bit fast path")
-    CJ = C.copy()
-    CJ[:, 1:] *= -1
-    G = CJ @ C.T
-    # indicator of "this exceptional class is contracted by this fibration"
-    Z = ((CJ @ E.T) == 0).astype(np.float64) if len(exc) else \
-        np.zeros((len(fam), 0))
-    n = Z.shape[0]
-    shared = np.empty((n, n), dtype=bool)
-
-    def fill(lo: int, hi: int) -> None:
-        # exact: each entry counts shared zeros, an integer <= 240
-        shared[lo:hi] = (Z[lo:hi] @ Z.T) > 0.5
-
-    blocks = [(lo, min(lo + BLOCK_ROWS, n)) for lo in range(0, n, BLOCK_ROWS)]
-    workers = min(_thread_budget(), len(blocks)) if blocks else 1
-    if workers <= 1:
-        for lo, hi in blocks:
-            fill(lo, hi)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda b: fill(*b), blocks))
-    return fam, G, shared
+    n = len(fam)
+    if n < 2:
+        return PairScanSummary(r, n, 0, 0, True, 0, ()), ()
+    _, masks = contraction_table(r)
+    coords = [c.coords for c in fam]
+    cmasks = [masks.get(c, 0) for c in coords]
+    # integer signature ids, in (degree, multiplicities) order
+    keys = [(c[0], tuple(sorted((-v for v in c[1:]), reverse=True)))
+            for c in coords]
+    unique = sorted(set(keys))
+    index = {k: i for i, k in enumerate(unique)}
+    sig_ids = [index[k] for k in keys]
+    orbit = [0] * len(unique)
+    rep = [-1] * len(unique)
+    for i, s in enumerate(sig_ids):
+        orbit[s] += 1
+        if rep[s] < 0:
+            rep[s] = i
+    counts: dict[tuple[int, int, int], int] = {}
+    max_degree = 0
+    for s, x in enumerate(rep):
+        cx = coords[x]
+        twisted = (cx[0],) + tuple(-v for v in cx[1:])
+        mx = cmasks[x]
+        for y, (cy, my, t) in enumerate(zip(coords, cmasks, sig_ids)):
+            if y == x:
+                continue
+            deg = sum(map(mul, twisted, cy))
+            if deg > max_degree:
+                max_degree = deg
+            if deg > 0 and not mx & my:
+                key = (s, t, deg) if s <= t else (t, s, deg)
+                counts[key] = counts.get(key, 0) + orbit[s]
+    sigs = [OrbitSignature(d, m) for d, m in unique]
+    entries = tuple(
+        PairClassEntry(signature_pair=(sigs[a], sigs[b]), degree=deg,
+                       count=total // 2)
+        for (a, b, deg), total in sorted(counts.items()))
+    summary = PairScanSummary(
+        rank=r,
+        class_count=n,
+        pair_count=n * (n - 1) // 2,
+        max_degree=max_degree,
+        hodge_holds=2 * (9 - r) * max_degree <= 16,
+        finite_pair_count=sum(e.count for e in entries),
+        finite_degrees=tuple(sorted({e.degree for e in entries})),
+    )
+    return summary, entries
 
 
 def scan_conic_pairs(r: int) -> PairScanSummary:
     """Exhaustive facts over every unordered pair of conic classes."""
-    fam, G, shared = _pair_tables(r)
-    n = len(fam)
-    if n < 2:
-        return PairScanSummary(r, n, 0, 0, True, 0, ())
-    iu = np.triu_indices(n, 1)
-    degrees = G[iu]
-    max_degree = int(degrees.max())
-    k_sq = 9 - r
-    finite = (degrees > 0) & ~shared[iu]
-    fin_deg = degrees[finite]
-    return PairScanSummary(
-        rank=r,
-        class_count=n,
-        pair_count=len(degrees),
-        max_degree=max_degree,
-        hodge_holds=2 * k_sq * max_degree <= 16,
-        finite_pair_count=int(finite.sum()),
-        finite_degrees=tuple(int(d) for d in np.unique(fin_deg)),
-    )
+    return _pair_scan(r)[0]
 
 
 def classify_finite_pairs(r: int) -> list[PairClassEntry]:
@@ -218,32 +214,4 @@ def classify_finite_pairs(r: int) -> list[PairClassEntry]:
     Entries are sorted by (first signature, second signature, degree); each
     signature pair is ordered with the smaller signature first.
     """
-    fam, G, shared = _pair_tables(r)
-    n = len(fam)
-    if n < 2:
-        return []
-    sigs = [orbit_signature(c) for c in fam]
-    unique = sorted(set(sigs),
-                    key=lambda s: (s.degree, s.multiplicities))
-    index = {s: i for i, s in enumerate(unique)}
-    sig_ids = np.array([index[s] for s in sigs], dtype=np.int64)
-
-    ii, jj = np.triu_indices(n, 1)
-    finite = (G[ii, jj] > 0) & ~shared[ii, jj]
-    ii, jj = ii[finite], jj[finite]
-    deg = G[ii, jj]
-    a = np.minimum(sig_ids[ii], sig_ids[jj])
-    b = np.maximum(sig_ids[ii], sig_ids[jj])
-    # composite key; degree <= 8 < 32 by the index bound
-    key = (a * len(unique) + b) * 32 + deg
-    values, counts = np.unique(key, return_counts=True)
-    out = []
-    for v, cnt in zip(values.tolist(), counts.tolist()):
-        d = v % 32
-        ab = v // 32
-        out.append(PairClassEntry(
-            signature_pair=(unique[ab // len(unique)], unique[ab % len(unique)]),
-            degree=int(d),
-            count=int(cnt),
-        ))
-    return out
+    return list(_pair_scan(r)[1])

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
+from operator import mul
 from typing import Iterable, Sequence
 
 BLOWUP = "BlowupP2"
@@ -171,8 +172,7 @@ def pairing(a: DivisorClass, b: DivisorClass) -> int:
     model = a.model
     if model.kind == BLOWUP:
         return a.coords[0] * b.coords[0] - sum(
-            x * y for x, y in zip(a.coords[1:], b.coords[1:])
-        )
+            map(mul, a.coords[1:], b.coords[1:]))
     if model.size == 2:
         return a.coords[0] * b.coords[1] + a.coords[1] * b.coords[0]
     raise ValueError(

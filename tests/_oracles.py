@@ -18,10 +18,19 @@ Cauchy-Schwarz bounds the degree: (3d - k)^2 <= r (d^2 + eps) with
 A second oracle, ``fraction_in_cone_lp``, is the cone engine's phase-I
 simplex as it was written over Fractions, before the library switched to
 integer pivoting; the two must agree on every membership query.
+
+``recomputed_dual_description`` is the double description with every
+ray's zero set recomputed from scratch against all processed halfspaces at
+each step; the library carries the zero sets forward instead.
+
+``contracted_by_scan`` is the direct contraction test, e.c = 0 over the
+exceptional family, with no table; ``finite_pair_groups`` classifies every
+unordered conic pair with it, one pair at a time.
 """
 
 from fractions import Fraction
-from math import isqrt
+from itertools import combinations
+from math import gcd, isqrt
 
 
 def _multisets(k, hi, lo, total, sq_total):
@@ -147,6 +156,111 @@ def fraction_in_cone_lp(generators, x):
         objval -= f * b[pr]
         basis[pr] = enter
     return objval == 0
+
+
+def _oracle_primitive(vec):
+    g = gcd(*vec)
+    return tuple(v // g for v in vec) if g > 1 else tuple(vec)
+
+
+def _oracle_dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
+
+
+def recomputed_dual_description(normals, dim):
+    """Generators of {x : <x, h> >= 0 for every h}, for integer normals,
+    sorted: primitive rays plus the lineality directions in both signs."""
+    lineality = [tuple(1 if j == i else 0 for j in range(dim))
+                 for i in range(dim)]
+    rays = []
+    done = []
+
+    def line(vec):
+        p = _oracle_primitive(vec)
+        lead = next((v for v in p if v), 1)
+        return p if lead > 0 else tuple(-v for v in p)
+
+    for raw in normals:
+        h = _oracle_primitive(raw)
+        if not any(h):
+            continue
+        lvals = [_oracle_dot(l, h) for l in lineality]
+        if any(lvals):
+            idx = next(i for i, v in enumerate(lvals) if v)
+            lstar, a = lineality[idx], lvals[idx]
+            if a < 0:
+                lstar, a = tuple(-x for x in lstar), -a
+            lineality = [
+                line(tuple(a * x - v * y for x, y in zip(l, lstar))) if v else l
+                for i, (l, v) in enumerate(zip(lineality, lvals)) if i != idx]
+            rays = [_oracle_primitive(tuple(a * x - _oracle_dot(r, h) * y
+                                            for x, y in zip(r, lstar)))
+                    for r in rays]
+            rays.append(_oracle_primitive(lstar))
+        else:
+            vals = [_oracle_dot(r, h) for r in rays]
+            if any(v < 0 for v in vals):
+                zsets = [frozenset(k for k, hk in enumerate(done)
+                                   if _oracle_dot(r, hk) == 0) for r in rays]
+                kept = [r for r, v in zip(rays, vals) if v > 0]
+                kept += [r for r, v in zip(rays, vals) if v == 0]
+                for i, j in ((i, j) for i, vi in enumerate(vals) if vi > 0
+                             for j, vj in enumerate(vals) if vj < 0):
+                    common = zsets[i] & zsets[j]
+                    if any(t not in (i, j) and common <= zsets[t]
+                           for t in range(len(rays))):
+                        continue
+                    w = _oracle_primitive(tuple(
+                        vals[i] * rj - vals[j] * ri
+                        for ri, rj in zip(rays[i], rays[j])))
+                    if w not in kept:
+                        kept.append(w)
+                rays = kept
+        done.append(h)
+    return tuple(sorted(rays + [s for l in lineality
+                                for s in (l, tuple(-x for x in l))]))
+
+
+def _pair(a, b):
+    return a[0] * b[0] - sum(x * y for x, y in zip(a[1:], b[1:]))
+
+
+def contracted_by_scan(exceptional, c1, c2=None):
+    """Exceptional classes e (in family order) with e.c1 = 0, and e.c2 = 0
+    when c2 is given."""
+    return tuple(e for e in exceptional
+                 if _pair(e.coords, c1.coords) == 0
+                 and (c2 is None or _pair(e.coords, c2.coords) == 0))
+
+
+def fibers_by_scan(exceptional, c):
+    """Unordered splittings c = a + b into family members meeting once, as
+    sorted coordinate pairs."""
+    members = {e.coords for e in exceptional}
+    out = set()
+    for e in exceptional:
+        b = tuple(x - y for x, y in zip(c.coords, e.coords))
+        if b in members and _pair(e.coords, b) == 1:
+            out.add(tuple(sorted((e.coords, b))))
+    return sorted(out)
+
+
+def finite_pair_groups(conics, exceptional):
+    """{(signature, signature, degree): count} over every unordered finite
+    pair, signatures as (degree, descending multiplicities) with the smaller
+    first."""
+    contracted = {c: set(contracted_by_scan(exceptional, c)) for c in conics}
+    groups = {}
+    for c1, c2 in combinations(conics, 2):
+        degree = _pair(c1.coords, c2.coords)
+        if degree <= 0 or contracted[c1] & contracted[c2]:
+            continue
+        s1, s2 = sorted((c.coords[0], tuple(sorted((-v for v in c.coords[1:]),
+                                                   reverse=True)))
+                        for c in (c1, c2))
+        key = (s1, s2, degree)
+        groups[key] = groups.get(key, 0) + 1
+    return groups
 
 
 if __name__ == "__main__":

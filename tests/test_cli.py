@@ -177,6 +177,17 @@ def test_cover_beyond_supported_size_is_usage_error(capsys):
         assert "Traceback" not in err
 
 
+def test_cover_overlong_entry_gets_one_short_line(capsys):
+    # longer than int() accepts; the bound's message, not a 5000-digit echo
+    with pytest.raises(SystemExit) as exc:
+        main(["cover", "1," + "9" * 5000])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("usage:")
+    assert len(err) == 2 and len(err[1]) < 120
+    assert "5000 digits" in err[1] and "at most 1000" in err[1]
+
+
 # --- singular ------------------------------------------------------------------------
 
 def _write_branch(tmp_path, obj=BRANCH_JSON):
@@ -314,3 +325,11 @@ def test_module_entrypoint_runs():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "exceptional classes on BlowupP2(0): 0"
+
+
+def test_cli_import_needs_no_numpy():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, picardkit.cli; print('numpy' in sys.modules)"],
+        capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import fraction_in_cone_lp
+from _oracles import fraction_in_cone_lp, recomputed_dual_description
 from picardkit import cones
 from picardkit.cones import (
     ConePoly,
@@ -216,6 +216,20 @@ def test_integer_simplex_matches_fraction_simplex(data):
     else:
         x = tuple(_entry(data, data.draw(st.booleans())) for _ in range(dim))
     assert in_cone_lp(gens, x) == fraction_in_cone_lp(gens, x)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_carried_zero_sets_match_recomputed_zero_sets(data):
+    # the double description with zero sets carried forward against the
+    # same algorithm recomputing them from scratch at every halfspace
+    dim = data.draw(st.integers(2, 6))
+    vecs = data.draw(st.lists(
+        st.tuples(*[st.integers(-3, 3)] * dim), min_size=1, max_size=dim + 5))
+    want = recomputed_dual_description(vecs, dim)
+    assert ConePoly.from_facets(vecs, ambient_dim=dim).rays() == want
+    assert ConePoly.from_generators(vecs, ambient_dim=dim).facet_normals() \
+        == want
 
 
 # --- randomized dual-route validation ---------------------------------------

@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from picardkit.curves import (
+    EXCEPTIONAL,
     ClassFamily,
     OrbitSignature,
+    contraction_table,
     enumerate_conic,
     enumerate_exceptional,
     is_conic,
@@ -21,7 +23,13 @@ from picardkit.lattice import (
     pairing,
 )
 
-from _oracles import oracle_conic, oracle_exceptional, signature_histogram
+from _oracles import (
+    contracted_by_scan,
+    fibers_by_scan,
+    oracle_conic,
+    oracle_exceptional,
+    signature_histogram,
+)
 
 # frozen from the oracle run before the primary enumerator existed
 EXCEPTIONAL_COUNTS = [0, 1, 3, 6, 10, 16, 27, 56, 240]
@@ -236,3 +244,56 @@ def test_class_family_contains_is_model_aware():
     fam = enumerate_exceptional(2)
     e1_other_model = DivisorClass(SurfaceModel.blowup_p2(3), (0, 1, 0, 0))
     assert e1_other_model not in fam
+
+
+# --- the contraction table against the direct scan ----------------------------
+
+def _fiber_coords(fibers):
+    return sorted(tuple(sorted(x.coords for x in f.components)) for f in fibers)
+
+
+def test_families_are_built_once_per_rank():
+    assert enumerate_exceptional(7) is enumerate_exceptional(7)
+    assert enumerate_conic(8) is enumerate_conic(8)
+    assert contraction_table(7)[0] is enumerate_exceptional(7)
+
+
+def test_reducible_fibers_match_direct_scan():
+    rng = random.Random(4)
+    for r in range(1, 9):
+        fam = enumerate_exceptional(r)
+        conics = list(enumerate_conic(r))
+        if r >= 7:
+            conics = rng.sample(conics, 60)
+        for c in conics:
+            fibers = reducible_fibers(c, fam)
+            assert _fiber_coords(fibers) == fibers_by_scan(fam, c)
+            assert [f.components[0].coords for f in fibers] == sorted(
+                f.components[0].coords for f in fibers)
+
+
+def test_contraction_masks_are_the_orthogonal_exceptionals():
+    # every conic contracts exactly its fibre components, 2(r - 1) of them
+    for r in range(1, 9):
+        fam, masks = contraction_table(r)
+        conics = enumerate_conic(r)
+        assert all(key in conics for key in
+                   (DivisorClass(conics.model, k) for k in masks))
+        sample = list(conics) if r < 8 else list(conics)[::9]
+        for c in sample:
+            chosen = fam.selected(masks.get(c.coords, 0))
+            assert chosen == contracted_by_scan(fam, c)
+            assert len(chosen) == 2 * (r - 1)
+
+
+def test_hand_built_family_fibers_use_its_members_only():
+    dp8 = SurfaceModel.blowup_p2(8)
+    fam = enumerate_exceptional(8)
+    quartic = DivisorClass.from_curve(dp8, 4, (0, 1, 1, 1, 1, 2, 2, 2))
+    copy = ClassFamily(dp8, EXCEPTIONAL, fam.members)
+    assert reducible_fibers(quartic, copy) == reducible_fibers(quartic, fam)
+    low = ClassFamily(dp8, EXCEPTIONAL,
+                      tuple(e for e in fam if e.degree <= 2))
+    got = reducible_fibers(quartic, low)
+    assert _fiber_coords(got) == fibers_by_scan(low, quartic)
+    assert len(got) == 3  # the two-conic splittings

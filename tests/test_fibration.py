@@ -1,8 +1,19 @@
 import itertools
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from picardkit.curves import enumerate_conic, enumerate_exceptional, orbit_signature
+from _oracles import contracted_by_scan, finite_pair_groups
+from picardkit.curves import (
+    EXCEPTIONAL,
+    ClassFamily,
+    enumerate_conic,
+    enumerate_exceptional,
+    orbit_signature,
+    reducible_fibers,
+)
 from picardkit.fibration import (
     FibrationPair,
     analyze_pair,
@@ -206,12 +217,94 @@ def test_classify_r8_contains_the_degree_four_quartic_pair():
     assert entries[0].count >= 1
 
 
-def test_thread_budget_env(monkeypatch):
-    monkeypatch.setenv("PICARDKIT_THREADS", "1")
-    one = classify_finite_pairs(7)
-    monkeypatch.setenv("PICARDKIT_THREADS", "3")
-    three = classify_finite_pairs(7)
-    assert one == three
-    monkeypatch.setenv("PICARDKIT_THREADS", "zebra")
-    with pytest.raises(ValueError):
-        scan_conic_pairs(2)
+# --- the contraction table against the direct scan ----------------------------
+
+def _check_pair(model, fam, c1, c2):
+    want = contracted_by_scan(fam, c1, c2)
+    for rep in (analyze_pair(FibrationPair(model, c1, c2), fam),
+                analyze_pair(FibrationPair(model, c1, c2))):
+        assert rep.degree == pairing(c1, c2)
+        assert rep.common_contracted == want
+        assert rep.is_finite == (rep.degree > 0 and not want)
+
+
+def test_analyze_pair_matches_direct_scan_every_pair_small_ranks():
+    for r in range(2, 7):
+        model = SurfaceModel.blowup_p2(r)
+        fam = enumerate_exceptional(r)
+        for c1, c2 in itertools.combinations(enumerate_conic(r), 2):
+            _check_pair(model, fam, c1, c2)
+
+
+def test_analyze_pair_matches_direct_scan_sampled_ranks_7_8():
+    rng = random.Random(2716)
+    for r in (7, 8):
+        model = SurfaceModel.blowup_p2(r)
+        fam = enumerate_exceptional(r)
+        conics = list(enumerate_conic(r))
+        for _ in range(300):
+            _check_pair(model, fam, *rng.sample(conics, 2))
+
+
+def test_classify_matches_unweighted_pair_loop():
+    for r in range(1, 8):
+        conics = list(enumerate_conic(r))
+        groups = finite_pair_groups(conics, enumerate_exceptional(r))
+        table = {((a.degree, a.multiplicities), (b.degree, b.multiplicities),
+                  e.degree): e.count
+                 for e in classify_finite_pairs(r)
+                 for a, b in [e.signature_pair]}
+        assert table == groups, r
+        summary = scan_conic_pairs(r)
+        assert summary.finite_pair_count == sum(groups.values())
+        assert summary.finite_degrees == tuple(sorted({d for _, _, d in groups}))
+        assert summary.max_degree == max(
+            (pairing(a, b) for a, b in itertools.combinations(conics, 2)),
+            default=0)
+
+
+def _permuted(c, perm):
+    return DivisorClass(c.model,
+                        (c.coords[0],) + tuple(c.coords[1 + i] for i in perm))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_permuting_the_points_preserves_pair_facts(data):
+    # S_r permutes E_1..E_r and preserves the pairing and both families;
+    # the orbit-weighted scan relies on exactly this
+    r = data.draw(st.integers(2, 8))
+    model = SurfaceModel.blowup_p2(r)
+    fam = enumerate_exceptional(r)
+    conics = enumerate_conic(r)
+    perm = data.draw(st.permutations(range(r)))
+    i, j = data.draw(st.lists(st.integers(0, len(conics) - 1), min_size=2,
+                              max_size=2, unique=True))
+    c1, c2 = conics.members[i], conics.members[j]
+    p1, p2 = _permuted(c1, perm), _permuted(c2, perm)
+    assert p1 in conics and p2 in conics
+    before = analyze_pair(FibrationPair(model, c1, c2), fam)
+    after = analyze_pair(FibrationPair(model, p1, p2), fam)
+    assert (after.degree, after.is_finite) == (before.degree, before.is_finite)
+    assert {_permuted(e, perm) for e in before.common_contracted} \
+        == set(after.common_contracted)
+    fibers = reducible_fibers(c1, fam)
+    moved = reducible_fibers(p1, fam)
+    assert len(moved) == len(fibers)
+    assert {frozenset(_permuted(x, perm) for x in f.components)
+            for f in fibers} == {frozenset(f.components) for f in moved}
+
+
+def test_hand_built_family_keeps_the_scan_answer():
+    fam = enumerate_exceptional(7)
+    rng = random.Random(5)
+    sub = ClassFamily(DP7, EXCEPTIONAL,
+                      tuple(e for e in fam if rng.random() < 0.5))
+    copy = ClassFamily(DP7, EXCEPTIONAL, fam.members)
+    conics = list(enumerate_conic(7))
+    for c1, c2 in itertools.islice(itertools.combinations(conics, 2), 0, 3000, 13):
+        pair = FibrationPair(DP7, c1, c2)
+        rep = analyze_pair(pair, sub)
+        assert rep.common_contracted == contracted_by_scan(sub, c1, c2)
+        assert rep.is_finite == (rep.degree > 0 and not rep.common_contracted)
+        assert analyze_pair(pair, copy) == analyze_pair(pair, fam)

@@ -70,6 +70,30 @@ GOLDEN_SHA256 = {
         "49b8bde565fe8c355f76892674f829626ae8ce26cd1d19b112da3ad0c61eda8f",
     "cover 3,1":
         "97a769967d330b5a94d16292f158e301c469c40da7a9d6eeeda49733613c8c33",
+    # pair scans and classifications at every rank, and the suites built on
+    # reducible fibres and pair analysis
+    "pairs --rank 1":
+        "0abf3850f6486f98e41efa58ad2e2d0c17177b1e75173c24487bf7f54e1eb1ca",
+    "pairs --rank 2":
+        "82b669ea95cc9a32e85c4c0561795fe2fe97462bc749fb887ccb2eeaece90c73",
+    "pairs --rank 3":
+        "ed9d7b46bcc137d777f01ebf30e612a87ce08b9fe75a699b89853bf2119aa306",
+    "pairs --rank 4":
+        "beeaff7d702b515e09b7fa0dd8c2d0f50cb0c4705bcd7a394b256f1e38207602",
+    "pairs --rank 5":
+        "944453007d5cb4ff2971d28f2b841c4dfd17ce4ec52c2e6d786df992f4a05616",
+    "pairs --rank 6":
+        "4a3eed53f1b14b6aab57ea833523a1d57815c6d421a52367732961e211f7d038",
+    "pairs --rank 7":
+        "031d344a02c24e3d454d170db7208808d19d456da4694a23d38a22166f835a13",
+    "pairs --rank 8":
+        "d636a7663c3d9064e4340f82186c4fca579e1c3bc73977cb951a660f471c23e4",
+    "verify fiber-counts":
+        "f17cbcb0847ce93fe2bad4e3a022c519c8af7f26ec8384f96da9c1a13343831a",
+    "verify deg2-pairs":
+        "841da8921aef3cb02eaa95738be6d3f03dc5f814519e8f45b7f2c2cbd6a969de",
+    "verify hodge-bound":
+        "5aec953cb487b5dacf27a51f8805afa523fddac15eb4e7c2cd71300a2299d74a",
 }
 
 
