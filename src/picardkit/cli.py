@@ -34,8 +34,8 @@ from .curves import (
     reducible_fibers,
 )
 from .doublecover import (
-    COEFF_PATTERN,
     MAX_BRANCH_ENTRY,
+    MAX_FACTORS,
     DoubleCoverSpec,
     MultiHomogPoly,
     ProductPoint,
@@ -43,7 +43,9 @@ from .doublecover import (
     cover_singular_at,
     expected_picard_number,
     is_fano,
+    parse_rational,
     poly_from_json_dict,
+    short_repr,
 )
 from .fibration import (
     FibrationPair,
@@ -231,8 +233,8 @@ def _parse_branch(text: str) -> list[int]:
         try:
             entries.append(int(tok))
         except ValueError:
-            raise ValueError(f"branch type {text!r} is not a comma-separated "
-                             f"list of integers") from None
+            raise ValueError(f"branch-type entry {short_repr(tok)} is not "
+                             f"an integer") from None
     return entries
 
 
@@ -268,19 +270,18 @@ def _cmd_cover(args) -> int:
 # --- singular ----------------------------------------------------------------
 
 def _parse_point(text: str) -> ProductPoint:
+    toks = text.split(",")
+    if len(toks) > MAX_FACTORS:
+        raise ValueError(f"point has {len(toks)} coordinate pairs; at most "
+                         f"{MAX_FACTORS} are supported")
     pairs = []
-    for tok in text.split(","):
+    for tok in toks:
         parts = tok.strip().split(":")
         if len(parts) != 2:
-            raise ValueError(f"coordinate pair {tok!r} must look like a:b")
-        entries = []
-        for part in parts:
-            part = part.strip()
-            if not COEFF_PATTERN.match(part):
-                raise ValueError(f"coordinate {part!r} is not an exact "
-                                 f"integer or fraction")
-            entries.append(Fraction(part))
-        pairs.append(tuple(entries))
+            raise ValueError(f"coordinate pair {short_repr(tok)} must look "
+                             f"like a:b")
+        pairs.append(tuple(parse_rational(part.strip(), "coordinate")
+                           for part in parts))
     return ProductPoint.of(pairs)
 
 
@@ -290,7 +291,9 @@ def _load_poly(path: str) -> MultiHomogPoly:
             obj = json.load(f)
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # a syntax error, an integer past Python's 4300-digit conversion
+        # limit, or nesting deeper than the decoder's recursion limit
         raise ValueError(f"{path} is not valid JSON: {exc}") from None
     return poly_from_json_dict(obj)
 

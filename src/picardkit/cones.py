@@ -13,8 +13,10 @@ floating point is used anywhere.
   adjacency uses the combinatorial zero-set test (two rays combine only if
   no third ray's tight set contains the intersection of theirs), which
   keeps the description minimal at every step.  Each ray carries its zero
-  set forward as a bitmask over the processed halfspaces, so no dot
-  product is taken twice.
+  set forward as a bitmask over the processed halfspaces, and each
+  halfspace step takes one dot product per ray and per lineality
+  direction (a plain integer sum of products), so no dot product is taken
+  twice.
 * Membership and extremality: a phase-I simplex with Bland's rule, pivoting
   over the integers with one common denominator, decides whether a vector
   is a nonnegative combination of given generators.  This is the second,
@@ -50,6 +52,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 from .curves import enumerate_exceptional
@@ -59,7 +62,7 @@ Vec = tuple[int, ...]
 
 
 def _dot(u: Sequence, v: Sequence):
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def _neg(v: Sequence) -> tuple:
@@ -68,7 +71,7 @@ def _neg(v: Sequence) -> tuple:
 
 def _primitive(vec: Sequence) -> Vec:
     """Clear denominators and divide by the gcd.  Orientation preserved."""
-    if all(type(v) is int for v in vec):
+    if {int}.issuperset(map(type, vec)):
         ints = vec
     else:
         fracs = [Fraction(v) for v in vec]
@@ -224,9 +227,12 @@ def _dual_description(normals: Sequence[Sequence], dim: int
                 new_lin.append(l)
             lineality = new_lin
             # every ray moves onto h; lstar lies on all earlier halfspaces
-            rays = [_primitive(tuple(a * x - _dot(r, h) * y
-                                     for x, y in zip(r, lstar)))
-                    for r in rays]
+            moved = []
+            for r in rays:
+                v = _dot(r, h)
+                moved.append(_primitive(tuple(a * x - v * y
+                                              for x, y in zip(r, lstar))))
+            rays = moved
             rays.append(_primitive(lstar))
             zsets = [z | bit for z in zsets] + [bit - 1]
         else:

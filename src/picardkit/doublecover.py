@@ -12,15 +12,22 @@ coefficients.  A polynomial in n coordinate pairs keeps its exponent
 vectors flat: entry 2k is the first variable of factor k, entry 2k+1 the
 second.  Whether the cover is singular above a branch point is decided by
 the Jacobian criterion: for a point on the divisor, all 2n partials must
-vanish.  The per-factor Euler identities
+vanish.
 
-    a_k * d/da_k + b_k * d/db_k = (degree in factor k) * p
-
-make this test independent of how the point's coordinate pairs are scaled,
-which the test suite checks directly.
+Only whether the value and the partials vanish matters, and scaling does
+not change that: scaling coordinate pair k by lam != 0 multiplies p and
+each partial by a power of lam (the per-factor Euler identities
+a_k * dp/da_k + b_k * dp/db_k = d_k * p, d_k the degree in factor k, say
+the same), and scaling all coefficients by D != 0 multiplies everything by
+D.  So cover_singular_at works over the integers in one pass over the
+terms; evaluate and partial_derivative are the Fraction route, which the
+verify suite and the tests keep as an independent check.
 
 Coefficients arrive as integers or exact fraction strings; floats are
-rejected at the JSON boundary so no rounding can enter.
+rejected at the JSON boundary so no rounding can enter.  That boundary
+also bounds the input's size: MAX_FACTORS factors, total degree
+MAX_POLY_DEGREE, MAX_POLY_TERMS term entries, and MAX_COEFF_DIGITS digits
+for each numerator and denominator.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, prod
+from math import factorial, lcm, prod
 from typing import Mapping, Sequence
 
 COEFF_PATTERN = re.compile(r"^-?\d+(/\d+)?$")
@@ -37,6 +44,15 @@ COEFF_PATTERN = re.compile(r"^-?\d+(/\d+)?$")
 # most a few hundred digits, so it prints at once.
 MAX_FACTORS = 64
 MAX_BRANCH_ENTRY = 1000
+
+# Bounds on a branch polynomial read from JSON and on a point's
+# coordinates (n is at most MAX_FACTORS there too).  At these sizes the
+# integer gradient of the largest accepted polynomial at the largest
+# accepted point takes under half a second (Python 3.11).
+MAX_POLY_DEGREE = 24
+MAX_POLY_TERMS = 1024
+MAX_COEFF_DIGITS = 50
+_COEFF_BOUND = 10 ** MAX_COEFF_DIGITS
 
 
 @dataclass(frozen=True)
@@ -241,6 +257,44 @@ class MultiHomogPoly:
         return MultiHomogPoly(self.n, out, multidegree=md)
 
 
+def _value_and_gradient(poly: MultiHomogPoly, point: ProductPoint
+                        ) -> tuple[int, list[int]]:
+    """poly and its 2n first partials at point, as integers, in one pass.
+
+    Each is the exact value times a nonzero factor (see cover_singular_at),
+    so each is zero exactly when the exact value is.  In a term, the
+    partial in a variable v_j of exponent e_j > 0 is the coefficient times
+    e_j * v_j^(e_j - 1) and the powers of the term's other variables, which
+    prefix and suffix products over the term's variables give.
+    """
+    flat: list[int] = []
+    for a, b in point.pairs:
+        scale = lcm(a.denominator, b.denominator)
+        flat += (a.numerator * (scale // a.denominator),
+                 b.numerator * (scale // b.denominator))
+    # powers[j][e] = flat[j] ** e up to the degree of j's factor
+    powers = [[v ** e for e in range(poly.multidegree[j // 2] + 1)]
+              for j, v in enumerate(flat)]
+    den = lcm(*(c.denominator for c in poly.terms.values()))
+    value = 0
+    grad = [0] * len(flat)
+    for exps, coeff in poly.terms.items():
+        support = [j for j, e in enumerate(exps) if e]
+        # left[i]: the powers of the support variables before support[i]
+        left = [1]
+        for j in support:
+            left.append(left[-1] * powers[j][exps[j]])
+        # right: the integer coefficient times the powers after support[i]
+        right = coeff.numerator * (den // coeff.denominator)
+        value += right * left[-1]
+        for i in range(len(support) - 1, -1, -1):
+            j = support[i]
+            e = exps[j]
+            grad[j] += e * left[i] * powers[j][e - 1] * right
+            right *= powers[j][e]
+    return value, grad
+
+
 def cover_singular_at(poly: MultiHomogPoly, point) -> bool:
     """Is the double cover branched along {poly = 0} singular above point?
 
@@ -248,33 +302,69 @@ def cover_singular_at(poly: MultiHomogPoly, point) -> bool:
     its complement, so asking elsewhere is a usage error).  Above a branch
     point the cover is singular exactly when the divisor is, and by the
     Jacobian criterion that means all 2n partials vanish there.
+
+    By multihomogeneity, scaling one coordinate pair by lam != 0 multiplies
+    the value and every partial by a power of lam, and scaling the
+    coefficients by D != 0 multiplies them all by D; neither changes which
+    of them vanish.  So the point's pairs are scaled to integers and the
+    coefficients put over one common denominator, and one integer pass
+    over the terms gives the value and the whole gradient together.
+    evaluate and partial_derivative stay the independent Fraction route.
     """
     if not isinstance(point, ProductPoint):
         point = ProductPoint.of(point)
-    if poly.evaluate(point) != 0:
+    if point.n != poly.n:
+        raise ValueError(f"point has {point.n} factors, expected {poly.n}")
+    value, grad = _value_and_gradient(poly, point)
+    if value:
         raise ValueError("point does not lie on the branch divisor")
-    return all(poly.partial_derivative(v).evaluate(point) == 0
-               for v in range(2 * poly.n))
+    return not any(grad)
 
 
-def _expect_int(value, what: str) -> int:
+def short_repr(raw) -> str:
+    """repr of raw, cut short enough for a one-line message."""
+    try:
+        text = repr(raw)
+    except ValueError:  # holds an int past Python's 4300-digit str limit
+        return "(a very long integer)"
+    return text if len(text) <= 24 else text[:20] + "..."
+
+
+def _expect_int(value, what: str, limit: int) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
+        raise ValueError(f"{what} must be an integer, got {short_repr(value)}")
+    if not 0 <= value <= limit:
+        raise ValueError(f"{what} {short_repr(value)} is not in 0..{limit}")
     return value
 
 
+def parse_rational(text: str, what: str = "coefficient") -> Fraction:
+    """An exact rational written 'p' or 'p/q', each part at most
+    MAX_COEFF_DIGITS digits and q nonzero."""
+    if not COEFF_PATTERN.match(text):
+        raise ValueError(f"{what} {short_repr(text)} is not of the form "
+                         f"'p' or 'p/q'")
+    longest = max(len(part.lstrip("-")) for part in text.split("/"))
+    if longest > MAX_COEFF_DIGITS:
+        raise ValueError(f"{what} {short_repr(text)} has a part of {longest} "
+                         f"digits; at most {MAX_COEFF_DIGITS} are supported")
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"{what} {short_repr(text)} has a zero "
+                         f"denominator") from None
+
+
 def _parse_coeff(raw) -> Fraction:
-    if isinstance(raw, bool) or isinstance(raw, float):
-        raise ValueError(f"coefficient {raw!r} must be an exact int or "
-                         f"a fraction string")
-    if isinstance(raw, int):
-        return Fraction(raw)
     if isinstance(raw, str):
-        if not COEFF_PATTERN.match(raw):
-            raise ValueError(f"coefficient string {raw!r} is not of the "
-                             f"form 'p' or 'p/q'")
-        return Fraction(raw)
-    raise ValueError(f"coefficient {raw!r} must be an int or a string")
+        return parse_rational(raw)
+    if not isinstance(raw, int) or isinstance(raw, bool):
+        raise ValueError(f"coefficient {short_repr(raw)} must be an exact "
+                         f"int or a fraction string")
+    if abs(raw) >= _COEFF_BOUND:
+        raise ValueError(f"integer coefficient has more than "
+                         f"{MAX_COEFF_DIGITS} digits")
+    return Fraction(raw)
 
 
 def poly_from_json_dict(obj) -> MultiHomogPoly:
@@ -285,31 +375,52 @@ def poly_from_json_dict(obj) -> MultiHomogPoly:
          "terms": [{"exponents": [2, 0, 2, 0, 0, 2], "coeff": "1"}, ...]}
 
     Coefficients are integers or strings 'p' / 'p/q'; floats are rejected.
-    Duplicate exponent tuples are summed, zero totals dropped.
+    Duplicate exponent tuples are summed, zero totals dropped.  Sizes are
+    checked before anything is built from them: n is at most MAX_FACTORS,
+    the total degree sum(multidegree), and so every exponent, at most
+    MAX_POLY_DEGREE, and there are at most MAX_POLY_TERMS term entries.  A
+    coefficient's numerator and denominator have at most MAX_COEFF_DIGITS
+    digits each, and so does the common denominator of all coefficients,
+    over which cover_singular_at puts them.
     """
     if not isinstance(obj, dict):
         raise ValueError("polynomial data must be a JSON object")
     extra = set(obj) - {"n", "multidegree", "terms"}
     if extra:
-        raise ValueError(f"unknown keys in polynomial data: {sorted(extra)}")
+        raise ValueError(f"unknown keys in polynomial data: "
+                         f"{short_repr(sorted(extra))}")
     for key in ("n", "multidegree", "terms"):
         if key not in obj:
             raise ValueError(f"polynomial data is missing {key!r}")
-    n = _expect_int(obj["n"], "n")
+    n = _expect_int(obj["n"], "n", MAX_FACTORS)
     md_raw = obj["multidegree"]
-    if not isinstance(md_raw, list):
-        raise ValueError("multidegree must be a list")
-    multidegree = [_expect_int(d, "multidegree entry") for d in md_raw]
+    if not isinstance(md_raw, list) or len(md_raw) != n:
+        raise ValueError(f"multidegree must be a list of {n} entries")
+    multidegree = [_expect_int(d, "multidegree entry", MAX_POLY_DEGREE)
+                   for d in md_raw]
+    if sum(multidegree) > MAX_POLY_DEGREE:
+        raise ValueError(f"total degree {sum(multidegree)} exceeds "
+                         f"{MAX_POLY_DEGREE}")
     terms_raw = obj["terms"]
     if not isinstance(terms_raw, list):
         raise ValueError("terms must be a list")
+    if len(terms_raw) > MAX_POLY_TERMS:
+        raise ValueError(f"{len(terms_raw)} term entries; at most "
+                         f"{MAX_POLY_TERMS} are supported")
     acc: dict[tuple[int, ...], Fraction] = {}
     for entry in terms_raw:
         if not isinstance(entry, dict) or set(entry) != {"exponents", "coeff"}:
-            raise ValueError(f"bad term entry: {entry!r}")
+            raise ValueError(f"bad term entry: {short_repr(entry)}")
         exps_raw = entry["exponents"]
-        if not isinstance(exps_raw, list):
-            raise ValueError("exponents must be a list")
-        exps = tuple(_expect_int(e, "exponent") for e in exps_raw)
+        if not isinstance(exps_raw, list) or len(exps_raw) != 2 * n:
+            raise ValueError(f"exponents must be a list of {2 * n} entries")
+        exps = tuple(_expect_int(e, "exponent", MAX_POLY_DEGREE)
+                     for e in exps_raw)
         acc[exps] = acc.get(exps, Fraction(0)) + _parse_coeff(entry["coeff"])
+    den = 1
+    for coeff in acc.values():
+        den = lcm(den, coeff.denominator)
+        if den >= _COEFF_BOUND:
+            raise ValueError(f"the coefficients' common denominator has more "
+                             f"than {MAX_COEFF_DIGITS} digits")
     return MultiHomogPoly(n, acc, multidegree=multidegree)

@@ -26,6 +26,11 @@ each step; the library carries the zero sets forward instead.
 ``contracted_by_scan`` is the direct contraction test, e.c = 0 over the
 exceptional family, with no table; ``finite_pair_groups`` classifies every
 unordered conic pair with it, one pair at a time.
+
+``fraction_cover_singular_at`` is the double cover's singularity test as
+it was written before the library switched to one integer pass: the
+polynomial evaluated in Fractions, then each of its 2n partial derivatives
+built and evaluated in turn.
 """
 
 from fractions import Fraction
@@ -261,6 +266,15 @@ def finite_pair_groups(conics, exceptional):
         key = (s1, s2, degree)
         groups[key] = groups.get(key, 0) + 1
     return groups
+
+
+def fraction_cover_singular_at(poly, point):
+    """Is the cover branched along {poly = 0} singular above point?  A
+    ValueError when the point is off the divisor."""
+    if poly.evaluate(point) != 0:
+        raise ValueError("point does not lie on the branch divisor")
+    return all(poly.partial_derivative(v).evaluate(point) == 0
+               for v in range(2 * poly.n))
 
 
 if __name__ == "__main__":

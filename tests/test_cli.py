@@ -188,6 +188,17 @@ def test_cover_overlong_entry_gets_one_short_line(capsys):
     assert "5000 digits" in err[1] and "at most 1000" in err[1]
 
 
+def test_cover_long_non_integer_entry_gets_one_short_line(capsys):
+    # the offending token, cut short, not the whole 5000-character argument
+    with pytest.raises(SystemExit) as exc:
+        main(["cover", "1," + "x" * 5000])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("usage:")
+    assert len(err) == 2 and len(err[1]) < 80
+    assert "'xxxxxxxx" in err[1] and "not an integer" in err[1]
+
+
 # --- singular ------------------------------------------------------------------------
 
 def _write_branch(tmp_path, obj=BRANCH_JSON):
@@ -234,6 +245,42 @@ def test_singular_rejects_decimals_and_missing_files(capsys, tmp_path):
               "--at", "0:1"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def _bad_input_line(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("usage:") and len(err) == 2
+    return err[1]
+
+
+def test_singular_oversized_or_broken_input_gets_one_line(capsys, tmp_path):
+    many = {**BRANCH_JSON, "terms": BRANCH_JSON["terms"] * 300}
+    line = _bad_input_line(capsys, ["singular", "--input",
+                                    _write_branch(tmp_path, many),
+                                    "--at", "0:1,0:1,0:1"])
+    assert "1200 term entries" in line
+    wide = tmp_path / "wide.json"
+    wide.write_text('{"n": 1, "multidegree": [1], "terms": [{"exponents": '
+                    '[1, 0], "coeff": ' + "9" * 5000 + '}]}')
+    line = _bad_input_line(capsys, ["singular", "--input", str(wide),
+                                    "--at", "0:1"])
+    assert "not valid JSON" in line and len(line) < 300
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000)
+    line = _bad_input_line(capsys, ["singular", "--input", str(deep),
+                                    "--at", "0:1"])
+    assert "not valid JSON" in line
+    path = _write_branch(tmp_path)
+    for at, words in (("1/0:1,0:1,0:1", "zero denominator"),
+                      ("1:" + "7" * 60 + ",0:1,0:1", "digits"),
+                      (",".join(["0:1"] * 65), "at most 64"),
+                      ("1:2:" + "3" * 5000, "must look like a:b")):
+        line = _bad_input_line(capsys, ["singular", "--input", path,
+                                        "--at", at])
+        assert words in line and len(line) < 120
 
 
 def test_singular_scaled_point_gives_same_answer(capsys, tmp_path):

@@ -6,9 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _oracles import fraction_cover_singular_at
 from picardkit.doublecover import (
     MAX_BRANCH_ENTRY,
+    MAX_COEFF_DIGITS,
     MAX_FACTORS,
+    MAX_POLY_DEGREE,
+    MAX_POLY_TERMS,
     DoubleCoverSpec,
     MultiHomogPoly,
     ProductPoint,
@@ -201,6 +205,88 @@ def test_singularity_survives_coordinate_rescaling():
     assert not cover_singular_at(q, smooth.scaled(0, 4).scaled(1, Fraction(1, 6)))
 
 
+def _times(p, q):
+    """Product of two polynomials given as {flat exponents: coefficient}."""
+    out = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return out
+
+
+def _vanishing_line(n, k, pair):
+    """b * x_k - a * y_k: a form of degree one in factor k through (a:b)."""
+    a, b = pair
+    first, second = [0] * (2 * n), [0] * (2 * n)
+    first[2 * k], second[2 * k + 1] = 1, 1
+    return {tuple(first): b, tuple(second): -a}
+
+
+_RATIONAL = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4))
+
+
+@st.composite
+def _branch_and_point(draw):
+    """A polynomial with Fraction coefficients and a point with Fraction
+    coordinates: a random polynomial (the point mostly off its divisor), one
+    through the point, one singular there, or the zero polynomial."""
+    n = draw(st.integers(1, 3))
+    pairs = []
+    for _ in range(n):
+        a, b = draw(_RATIONAL), draw(_RATIONAL)
+        pairs.append((a, b) if a or b else (a, Fraction(1)))
+    md = [draw(st.integers(0, 2)) for _ in range(n)]
+    kind = draw(st.sampled_from(["random", "through", "singular", "zero"]))
+    if kind == "zero":
+        return MultiHomogPoly(n, {}, multidegree=md), ProductPoint.of(pairs)
+    terms = {}
+    for _ in range(draw(st.integers(1, 5))):
+        exps = []
+        for d in md:
+            e0 = draw(st.integers(0, d))
+            exps += [e0, d - e0]
+        terms[tuple(exps)] = draw(_RATIONAL)
+    lines = {"random": 0, "through": 1, "singular": 2}[kind]
+    for _ in range(lines):
+        k = draw(st.integers(0, n - 1))
+        terms = _times(terms, _vanishing_line(n, k, pairs[k]))
+    terms = {e: c for e, c in terms.items() if c}
+    if not terms:
+        return MultiHomogPoly(n, {}, multidegree=[0] * n), \
+            ProductPoint.of(pairs)
+    return MultiHomogPoly(n, terms), ProductPoint.of(pairs)
+
+
+def _answer(test, poly, point):
+    try:
+        return test(poly, point)
+    except ValueError:
+        return "off the divisor"
+
+
+@settings(max_examples=200, deadline=None)
+@given(_branch_and_point(),
+       st.lists(st.builds(Fraction, st.integers(1, 9), st.integers(1, 9))
+                .map(lambda f: f if f.numerator % 2 else -f),
+                min_size=3, max_size=3))
+def test_singularity_test_matches_the_fraction_route(data, lams):
+    poly, pt = data
+    want = _answer(fraction_cover_singular_at, poly, pt)
+    assert _answer(cover_singular_at, poly, pt) == want
+    # a point rescaled pair by pair is the same point of the product
+    scaled = pt
+    for k in range(poly.n):
+        scaled = scaled.scaled(k, lams[k])
+    assert _answer(fraction_cover_singular_at, poly, scaled) == want
+    assert _answer(cover_singular_at, poly, scaled) == want
+
+
+def test_singularity_test_checks_the_factor_count():
+    with pytest.raises(ValueError, match="factors"):
+        cover_singular_at(BRANCH, ProductPoint.of([(0, 1), (0, 1)]))
+
+
 # --- algebraic identities, randomized ------------------------------------------
 
 @st.composite
@@ -317,3 +403,62 @@ def test_json_accepts_negative_fractions():
     obj = {"n": 1, "multidegree": [1],
            "terms": [{"exponents": [0, 1], "coeff": "-3/7"}]}
     assert poly_from_json_dict(obj).terms == {(0, 1): Fraction(-3, 7)}
+
+
+# --- size limits at the JSON boundary ------------------------------------------
+
+_ONE_TERM = {"n": 1, "multidegree": [1],
+             "terms": [{"exponents": [1, 0], "coeff": "1"}]}
+
+
+def _with_coeffs(*coeffs):
+    return {"n": 1, "multidegree": [1],
+            "terms": [{"exponents": [1 - i, i], "coeff": c}
+                      for i, c in enumerate(coeffs)]}
+
+
+@pytest.mark.parametrize("obj, message", [
+    ({**_ONE_TERM, "n": 10 ** 100}, "not in 0..64"),
+    ({**_ONE_TERM, "n": 10 ** 5000}, "very long integer"),
+    ({**_ONE_TERM, "n": MAX_FACTORS + 1}, "not in 0..64"),
+    ({**_ONE_TERM, "multidegree": [MAX_POLY_DEGREE + 1]}, "not in 0.."),
+    ({"n": 2, "multidegree": [MAX_POLY_DEGREE // 2 + 1] * 2, "terms": []},
+     "total degree"),
+    ({**_ONE_TERM, "terms": [{"exponents": [10 ** 100, 0], "coeff": "1"}]},
+     "exponent"),
+    # the same entry object repeated: no large polynomial is ever built
+    ({**_ONE_TERM, "terms": _ONE_TERM["terms"] * (MAX_POLY_TERMS + 1)},
+     "term entries"),
+    (_with_coeffs("9" * (MAX_COEFF_DIGITS + 1)), "digits"),
+    (_with_coeffs("1/" + "9" * (MAX_COEFF_DIGITS + 1)), "digits"),
+    (_with_coeffs(10 ** MAX_COEFF_DIGITS), "digits"),
+    (_with_coeffs(-10 ** MAX_COEFF_DIGITS), "digits"),
+    (_with_coeffs("1/0"), "zero denominator"),
+    # each denominator is short, their lcm is not
+    (_with_coeffs(f"1/{3 ** 60}", f"1/{2 ** 100}"), "common denominator"),
+])
+def test_json_limits(obj, message):
+    with pytest.raises(ValueError, match=message):
+        poly_from_json_dict(obj)
+
+
+def test_json_limits_are_inclusive():
+    poly_from_json_dict({"n": MAX_FACTORS, "multidegree": [0] * MAX_FACTORS,
+                         "terms": [{"exponents": [0] * (2 * MAX_FACTORS),
+                                    "coeff": "1"}]})
+    widest = "9" * MAX_COEFF_DIGITS + "/" + "7" * MAX_COEFF_DIGITS
+    top = poly_from_json_dict({
+        "n": 1, "multidegree": [MAX_POLY_DEGREE],
+        "terms": [{"exponents": [MAX_POLY_DEGREE, 0], "coeff": "-" + widest},
+                  {"exponents": [0, MAX_POLY_DEGREE], "coeff": widest}]})
+    assert not cover_singular_at(top, ProductPoint.of([(1, 1)]))
+    assert poly_from_json_dict(_with_coeffs(-(10 ** MAX_COEFF_DIGITS - 1))) \
+        .terms == {(1, 0): 1 - 10 ** MAX_COEFF_DIGITS}
+    # 2^10 = MAX_POLY_TERMS monomials of multidegree (1, ..., 1)
+    n = 10
+    assert 2 ** n == MAX_POLY_TERMS
+    full = poly_from_json_dict({
+        "n": n, "multidegree": [1] * n,
+        "terms": [{"exponents": [e for bit in bits for e in (bit, 1 - bit)],
+                   "coeff": "1"} for bits in product((0, 1), repeat=n)]})
+    assert len(full.terms) == MAX_POLY_TERMS

@@ -22,7 +22,8 @@ from picardkit.fibration import (
     max_degree_bound,
     scan_conic_pairs,
 )
-from picardkit.lattice import DivisorClass, SurfaceModel, pairing
+from picardkit.lattice import (DivisorClass, SurfaceModel, canonical_class,
+                               pairing)
 
 DP7 = SurfaceModel.blowup_p2(7)
 
@@ -161,6 +162,26 @@ def test_finite_pairs_exist_exactly_for_ranks_5_7_8():
         assert (summary.finite_pair_count > 0) == (r in (5, 7, 8))
         if summary.finite_degrees:
             assert summary.finite_degrees[-1] <= max_degree_bound(r)
+
+
+def test_quartic_del_pezzo_has_exactly_the_five_conic_bundle_pairs():
+    # classical: on the blow-up of P^2 at 5 points the finite conic pairs
+    # are {H - E_i, 2H - sum_{j != i} E_j}, one per point, and each pair
+    # sums to the anticanonical class 3H - sum E_j
+    model = SurfaceModel.blowup_p2(5)
+    assert sum(entry.count for entry in classify_finite_pairs(5)) == 5
+    finite = {frozenset((c1, c2))
+              for c1, c2 in itertools.combinations(enumerate_conic(5), 2)
+              if analyze_pair(FibrationPair(model, c1, c2)).is_finite}
+    units = [tuple(int(j == i) for j in range(5)) for i in range(5)]
+    assert finite == {
+        frozenset((curve(model, 1, u),
+                   curve(model, 2, tuple(1 - m for m in u))))
+        for u in units}
+    minus_k = -canonical_class(model)
+    for c1, c2 in finite:
+        assert c1 + c2 == minus_k
+        assert pairing(c1, c2) == 2
 
 
 def test_classify_empty_for_excluded_ranks():

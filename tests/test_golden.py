@@ -94,6 +94,9 @@ GOLDEN_SHA256 = {
         "841da8921aef3cb02eaa95738be6d3f03dc5f814519e8f45b7f2c2cbd6a969de",
     "verify hodge-bound":
         "5aec953cb487b5dacf27a51f8805afa523fddac15eb4e7c2cd71300a2299d74a",
+    # the singularity test and its independent route through the partials
+    "verify branch-singular":
+        "c53374b4e872cca3d56ef46512465a255047f860b1e165854f00f0d0d35c43d7",
 }
 
 
