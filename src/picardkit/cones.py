@@ -269,9 +269,9 @@ def _dual_description(normals: Sequence[Sequence], dim: int
 
 class ConePoly:
     """A rational polyhedral cone, described by generators, facet normals,
-    or both.  Whichever description is missing is computed on demand and
-    cached; recomputation under concurrent first access is harmless since
-    the results are equal.
+    or both.  Whichever description is missing is computed on demand by the
+    double description and cached.  Membership is the facet-sign test; the
+    simplex route in_cone_lp(cone.rays(), x) is the independent check.
     """
 
     def __init__(self, ambient_dim: int,
@@ -342,13 +342,9 @@ class ConePoly:
                                              self.ambient_dim)
         return self._facets
 
-    def contains(self, x: Sequence, via: str = "facets") -> bool:
-        """Membership, by facet signs or by the simplex route."""
-        if via == "facets":
-            return all(_dot(x, n) >= 0 for n in self.facet_normals())
-        if via == "lp":
-            return in_cone_lp(self.rays(), x)
-        raise ValueError(f"unknown membership route {via!r}")
+    def contains(self, x: Sequence) -> bool:
+        """Membership, by the signs of x against the facet normals."""
+        return all(_dot(x, n) >= 0 for n in self.facet_normals())
 
     def span_rank(self) -> int:
         return len(_rref(self.rays()))
@@ -483,7 +479,7 @@ def surface_cone_report(model: SurfaceModel) -> ConeReport:
     # class, is already negative
     psef_in_nef = all(_dot(v, f) >= 0 for v in coords for f in nef_facets)
     equal = psef_in_nef and all(
-        psef.contains(r, via="facets") for r in nef.rays())
+        psef.contains(r) for r in nef.rays())
 
     # the Mori cone of every reported model has the psef generators (see
     # mori_cone); simplicial iff exactly dim of them are extremal, so the

@@ -39,8 +39,9 @@ is -1, its K-degree -1, and e.(c - e) = 1), so the contracted classes are
 the components of the reducible fibres (Manin, Cubic Forms, ch. IV;
 Dolgachev, Classical Algebraic Geometry, ch. 8).  contraction_table walks
 the exceptional pairs meeting once, once per rank, and records for each
-conic the bitmask of the classes it contracts; reducible fibres and the
-pair analysis in fibration read it instead of scanning the family.
+conic the bitmask of the classes it contracts.  It is the only route to
+that fact: reducible_fibers and the pair analysis in fibration read it, and
+a family passed to them must equal the table's own.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ EXCEPTIONAL = "exceptional"
 CONIC = "conic"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class OrbitSignature:
     """(degree, descending multiplicity multiset): the fingerprint of a
     class up to permutations of the blown-up points."""
@@ -157,18 +158,9 @@ def _mult_vectors(r: int, target_sum: int, target_sq: int):
     yield from rec(0, 0, 0)
 
 
+@cache
 def enumerate_exceptional(r: int) -> ClassFamily:
     """All classes with c^2 = c.K = -1 on BlowupP2(r), 0 <= r <= 8."""
-    return _exceptional(r)
-
-
-def enumerate_conic(r: int) -> ClassFamily:
-    """All classes with c^2 = 0, c.K = -2 on BlowupP2(r), 1 <= r <= 8."""
-    return _conic(r)
-
-
-@cache
-def _exceptional(r: int) -> ClassFamily:
     model = SurfaceModel.blowup_p2(r)
     members = []
     d = 0
@@ -184,7 +176,8 @@ def _exceptional(r: int) -> ClassFamily:
 
 
 @cache
-def _conic(r: int) -> ClassFamily:
+def enumerate_conic(r: int) -> ClassFamily:
+    """All classes with c^2 = 0, c.K = -2 on BlowupP2(r), 1 <= r <= 8."""
     if not 1 <= r <= 8:
         raise ValueError(f"conic enumeration needs 1 <= r <= 8, got {r}")
     model = SurfaceModel.blowup_p2(r)
@@ -214,7 +207,7 @@ def contraction_table(r: int
     exceptional pairs a.b = 1, each of which sets two bits on a + b, and
     shared by every caller as a read-only mapping.
     """
-    fam = _exceptional(r)
+    fam = enumerate_exceptional(r)
     coords = [e.coords for e in fam]
     # a.b = a_0 b_0 - sum a_i b_i as one dot product against the twisted a
     twisted = [(a[0],) + tuple(-v for v in a[1:]) for a in coords]
@@ -233,27 +226,19 @@ def reducible_fibers(c: DivisorClass,
     """All splittings c = A + B into two exceptional classes with A.B = 1.
 
     Each unordered pair is listed once, ordered by the lexicographically
-    smaller component.  On the shared family of enumerate_exceptional the
-    components come from the contraction table; a family built by hand is
-    scanned member by member.
+    smaller component.  The components are the classes c contracts, read
+    from the contraction table; fam must be the exceptional family of c's
+    model (enumerate_exceptional, or a family with the same members).
     """
     if not is_conic(c):
         raise ValueError(f"{c} is not a conic fibration class")
-    if fam.family_kind != EXCEPTIONAL:
-        raise ValueError("reducible_fibers needs the exceptional family")
-    if fam.model != c.model:
-        raise ValueError("family and class live in different models")
     table_fam, masks = contraction_table(c.model.size)
-    if fam is table_fam:
-        # each contracted a pairs with c - a; the fibre checks itself
-        pairs = ((a, c - a) for a in fam.selected(masks.get(c.coords, 0)))
-        fibers = [ReducibleFiber(c, (a, b)) for a, b in pairs
-                  if a.coords < b.coords]
-    else:
-        fibers = []
-        for a in fam:
-            b = c - a
-            if a.coords < b.coords and b in fam and pairing(a, b) == 1:
-                fibers.append(ReducibleFiber(c, (a, b)))
+    if fam.model != c.model or (fam is not table_fam and fam != table_fam):
+        raise ValueError("reducible_fibers needs the exceptional family of "
+                         "the class's model")
+    # each contracted a pairs with c - a; the fibre checks itself
+    pairs = ((a, c - a) for a in fam.selected(masks.get(c.coords, 0)))
+    fibers = [ReducibleFiber(c, (a, b)) for a, b in pairs
+              if a.coords < b.coords]
     fibers.sort(key=lambda f: f.components[0].coords)
     return fibers

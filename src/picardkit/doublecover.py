@@ -38,7 +38,7 @@ from fractions import Fraction
 from math import factorial, lcm, prod
 from typing import Mapping, Sequence
 
-COEFF_PATTERN = re.compile(r"^-?\d+(/\d+)?$")
+COEFF_PATTERN = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 # Bounds on a branch type.  At these sizes the anticanonical power has at
 # most a few hundred digits, so it prints at once.
@@ -341,7 +341,7 @@ def _expect_int(value, what: str, limit: int) -> int:
 def parse_rational(text: str, what: str = "coefficient") -> Fraction:
     """An exact rational written 'p' or 'p/q', each part at most
     MAX_COEFF_DIGITS digits and q nonzero."""
-    if not COEFF_PATTERN.match(text):
+    if not COEFF_PATTERN.fullmatch(text):
         raise ValueError(f"{what} {short_repr(text)} is not of the form "
                          f"'p' or 'p/q'")
     longest = max(len(part.lstrip("-")) for part in text.split("/"))

@@ -36,6 +36,7 @@ from .curves import (
     contraction_table,
     enumerate_conic,
     is_conic,
+    orbit_signature,
 )
 from .lattice import DivisorClass, SurfaceModel, canonical_class, pairing
 
@@ -96,24 +97,19 @@ def analyze_pair(pair: FibrationPair,
                  exceptional: ClassFamily | None = None) -> FinitenessReport:
     """Degree, commonly contracted exceptional classes, and finiteness.
 
-    Without a family, or with the shared one of enumerate_exceptional, the
-    contracted classes come from the contraction table; a family built by
-    hand is scanned for classes orthogonal to both conics.
+    The contracted classes come from the contraction table.  A family, if
+    given, must be the exceptional family of the pair's model
+    (enumerate_exceptional, or a family with the same members).
     """
     table_fam, masks = contraction_table(pair.model.size)
-    if exceptional is None:
-        exceptional = table_fam
-    elif exceptional.model != pair.model:
-        raise ValueError("exceptional family from a different model")
+    if exceptional is not None and (
+            exceptional.model != pair.model
+            or (exceptional is not table_fam and exceptional != table_fam)):
+        raise ValueError("analyze_pair needs the exceptional family of the "
+                         "pair's model")
     degree = pairing(pair.c1, pair.c2)
-    if exceptional is table_fam:
-        contracted = table_fam.selected(masks.get(pair.c1.coords, 0)
-                                        & masks.get(pair.c2.coords, 0))
-    else:
-        contracted = tuple(
-            e for e in exceptional
-            if pairing(e, pair.c1) == 0 and pairing(e, pair.c2) == 0
-        )
+    contracted = table_fam.selected(masks.get(pair.c1.coords, 0)
+                                    & masks.get(pair.c2.coords, 0))
     return FinitenessReport(
         degree=degree,
         common_contracted=contracted,
@@ -159,14 +155,13 @@ def _pair_scan(r: int) -> tuple[PairScanSummary, tuple[PairClassEntry, ...]]:
     _, masks = contraction_table(r)
     coords = [c.coords for c in fam]
     cmasks = [masks.get(c, 0) for c in coords]
-    # integer signature ids, in (degree, multiplicities) order
-    keys = [(c[0], tuple(sorted((-v for v in c[1:]), reverse=True)))
-            for c in coords]
-    unique = sorted(set(keys))
-    index = {k: i for i, k in enumerate(unique)}
+    # integer signature ids, in signature order
+    keys = [orbit_signature(c) for c in fam]
+    sigs = sorted(set(keys))
+    index = {k: i for i, k in enumerate(sigs)}
     sig_ids = [index[k] for k in keys]
-    orbit = [0] * len(unique)
-    rep = [-1] * len(unique)
+    orbit = [0] * len(sigs)
+    rep = [-1] * len(sigs)
     for i, s in enumerate(sig_ids):
         orbit[s] += 1
         if rep[s] < 0:
@@ -186,7 +181,6 @@ def _pair_scan(r: int) -> tuple[PairScanSummary, tuple[PairClassEntry, ...]]:
             if deg > 0 and not mx & my:
                 key = (s, t, deg) if s <= t else (t, s, deg)
                 counts[key] = counts.get(key, 0) + orbit[s]
-    sigs = [OrbitSignature(d, m) for d, m in unique]
     entries = tuple(
         PairClassEntry(signature_pair=(sigs[a], sigs[b]), degree=deg,
                        count=total // 2)

@@ -27,6 +27,12 @@ each step; the library carries the zero sets forward instead.
 exceptional family, with no table; ``finite_pair_groups`` classifies every
 unordered conic pair with it, one pair at a time.
 
+``weyl_orbit`` is the breadth-first orbit of a class under W(E_r), the
+group generated by the reflections s_a(x) = x + (x.a) a in the simple roots
+a_0 = H - E_1 - E_2 - E_3 (the Cremona reflection) and a_i = E_i - E_{i+1}.
+It shares no code with the enumerations or the contraction table: the
+orbits of E_r and of H - E_1 are the two families for r >= 3.
+
 ``fraction_cover_singular_at`` is the double cover's singularity test as
 it was written before the library switched to one integer pass: the
 polynomial evaluated in Fractions, then each of its 2n partial derivatives
@@ -236,6 +242,40 @@ def contracted_by_scan(exceptional, c1, c2=None):
     return tuple(e for e in exceptional
                  if _pair(e.coords, c1.coords) == 0
                  and (c2 is None or _pair(e.coords, c2.coords) == 0))
+
+
+def weyl_roots(r):
+    """The simple roots a_0, a_1, ..., a_{r-1} of W(E_r), 3 <= r <= 8, as
+    coordinate tuples in the basis (H, E_1, ..., E_r)."""
+    if not 3 <= r <= 8:
+        raise ValueError(f"W(E_r) roots need 3 <= r <= 8, got {r}")
+    cremona = (1, -1, -1, -1) + (0,) * (r - 3)
+    swaps = [tuple(1 if k == i else -1 if k == i + 1 else 0
+                   for k in range(r + 1)) for i in range(1, r)]
+    return [cremona] + swaps
+
+
+def reflect(x, root):
+    """s_root(x) = x + (x.root) root; root.root = -2."""
+    k = _pair(x, root)
+    return tuple(a + k * b for a, b in zip(x, root))
+
+
+def weyl_orbit(x, r):
+    """The W(E_r) orbit of the coordinate tuple x, as a set."""
+    roots = weyl_roots(r)
+    seen = {tuple(x)}
+    frontier = [tuple(x)]
+    while frontier:
+        nxt = []
+        for y in frontier:
+            for a in roots:
+                z = reflect(y, a)
+                if z not in seen:
+                    seen.add(z)
+                    nxt.append(z)
+        frontier = nxt
+    return seen
 
 
 def fibers_by_scan(exceptional, c):

@@ -283,6 +283,13 @@ def test_singular_oversized_or_broken_input_gets_one_line(capsys, tmp_path):
         assert words in line and len(line) < 120
 
 
+def test_singular_rejects_non_ascii_digits(capsys, tmp_path):
+    path = _write_branch(tmp_path)
+    line = _bad_input_line(capsys, ["singular", "--input", path,
+                                    "--at", "\u0660:1,0:1,0:1"])
+    assert "coordinate" in line
+
+
 def test_singular_scaled_point_gives_same_answer(capsys, tmp_path):
     path = _write_branch(tmp_path)
     code1, doc1, _ = _run_json(capsys, ["singular", "--input", path,

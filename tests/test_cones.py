@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import fraction_in_cone_lp, recomputed_dual_description
+from _oracles import (fraction_in_cone_lp, recomputed_dual_description,
+                      reflect, weyl_roots)
 from picardkit import cones
 from picardkit.cones import (
     ConePoly,
@@ -18,7 +19,7 @@ from picardkit.cones import (
     psef_generators,
     surface_cone_report,
 )
-from picardkit.curves import enumerate_exceptional
+from picardkit.curves import enumerate_conic, enumerate_exceptional
 from picardkit.lattice import SurfaceModel, canonical_class, pairing
 
 
@@ -55,7 +56,7 @@ def test_dual_of_zero_cone_is_everything():
     d = dual_cone(z)
     assert d.span_rank() == 3
     assert d.contains((1, -2, 5))
-    assert d.contains((0, 0, -9), via="lp")
+    assert in_cone_lp(d.rays(), (0, 0, -9))
 
 
 def test_dual_of_whole_plane_is_zero():
@@ -124,8 +125,8 @@ def test_halfplane_lineality():
     assert not is_simplicial(hp)
     assert hp.facet_normals() == ((0, 1),)
     assert not hp.contains((5, -3))
-    assert not hp.contains((5, -3), via="lp")
-    assert hp.contains((5, 3)) and hp.contains((5, 3), via="lp")
+    assert not in_cone_lp(hp.rays(), (5, -3))
+    assert hp.contains((5, 3)) and in_cone_lp(hp.rays(), (5, 3))
 
 
 def test_plane_of_lines_with_pointed_quotient():
@@ -154,15 +155,9 @@ def test_mori_cone_of_products_is_simplicial():
 def test_membership_accepts_rationals():
     c = ConePoly.from_generators([(1, 0), (1, 2)])
     x = (Fraction(3, 2), Fraction(1, 2))
-    assert c.contains(x) and c.contains(x, via="lp")
+    assert c.contains(x) and in_cone_lp(c.rays(), x)
     y = (Fraction(1, 3), Fraction(5, 3))
-    assert not c.contains(y) and not c.contains(y, via="lp")
-
-
-def test_unknown_membership_route_rejected():
-    c = ConePoly.from_generators([(1, 0)])
-    with pytest.raises(ValueError):
-        c.contains((1, 0), via="euclid")
+    assert not c.contains(y) and not in_cone_lp(c.rays(), y)
 
 
 def test_constructor_validation():
@@ -189,8 +184,7 @@ def test_nonnegative_combinations_are_members(data):
     x = tuple(sum(c * g[i] for c, g in zip(coeffs, gens)) for i in range(dim))
     cone = ConePoly.from_generators(gens, ambient_dim=dim)
     assert in_cone_lp(cone.rays(), x)
-    assert cone.contains(x, via="lp")
-    assert cone.contains(x, via="facets")
+    assert cone.contains(x)
 
 
 def _entry(data, fractional: bool):
@@ -246,8 +240,8 @@ def test_double_dual_returns_the_same_cone():
         dim = rng.randint(2, 5)
         c = _random_cone(rng, dim, rng.randint(2, 7))
         dd = dual_cone(dual_cone(c))
-        assert all(dd.contains(g, via="lp") for g in c.rays())
-        assert all(c.contains(r, via="lp") for r in dd.rays())
+        assert all(in_cone_lp(dd.rays(), g) for g in c.rays())
+        assert all(in_cone_lp(c.rays(), r) for r in dd.rays())
 
 
 def test_facet_and_lp_membership_agree():
@@ -262,7 +256,7 @@ def test_facet_and_lp_membership_agree():
                 coeffs = [rng.randint(0, 3) for _ in c.rays()]
                 x = tuple(sum(a * g[i] for a, g in zip(coeffs, c.rays()))
                           for i in range(dim))
-            assert c.contains(x, via="facets") == c.contains(x, via="lp")
+            assert c.contains(x) == in_cone_lp(c.rays(), x)
 
 
 def test_dd_rays_match_lp_extremal_rays_on_pointed_cones():
@@ -337,6 +331,32 @@ def test_psef_generator_tables():
     assert set(psef_generators(_bp(6))) == set(enumerate_exceptional(6))
     with pytest.raises(ValueError):
         psef_generators(_pp(3))
+
+
+def test_weyl_words_preserve_the_cone_report():
+    # W(E_r) preserves the pairing and K, so it permutes the psef
+    # generators and maps the nef cone onto itself, for every r >= 3
+    rng = random.Random(97)
+    for r in range(3, 9):
+        report = surface_cone_report(_bp(r))
+        rays = set(report.psef.rays())
+        conics = [c.coords for c in enumerate_conic(r)]
+        roots = weyl_roots(r)
+        for _ in range(10):
+            word = rng.choices(roots, k=rng.randint(1, 12))
+
+            def act(x):
+                for root in word:
+                    x = reflect(x, root)
+                return x
+
+            assert {act(g) for g in rays} == rays, r
+            # conic sums are nef; random vectors mostly are not
+            samples = [tuple(map(sum, zip(*rng.sample(conics, 2))))
+                       if len(conics) > 1 else conics[0],
+                       tuple(rng.randint(-3, 3) for _ in range(r + 1))]
+            for x in samples:
+                assert report.nef.contains(act(x)) == report.nef.contains(x)
 
 
 def test_report_rejects_larger_products():

@@ -29,6 +29,7 @@ from _oracles import (
     oracle_conic,
     oracle_exceptional,
     signature_histogram,
+    weyl_orbit,
 )
 
 # frozen from the oracle run before the primary enumerator existed
@@ -246,6 +247,23 @@ def test_class_family_contains_is_model_aware():
     assert e1_other_model not in fam
 
 
+def test_weyl_orbits_are_the_enumerated_families():
+    # a third route to both families: W(E_r) acts transitively on the
+    # exceptional classes and on the conic classes for r >= 3
+    for r in range(3, 9):
+        e_r = (0,) * r + (1,)
+        ruling = (1, -1) + (0,) * (r - 1)
+        exceptional = weyl_orbit(e_r, r)
+        conic = weyl_orbit(ruling, r)
+        assert exceptional == {c.coords for c in enumerate_exceptional(r)}
+        assert conic == {c.coords for c in enumerate_conic(r)}
+        assert exceptional == {(d,) + tuple(-v for v in m)
+                               for d, m in oracle_exceptional(r)}
+        assert conic == {(d,) + tuple(-v for v in m)
+                         for d, m in oracle_conic(r)}
+    assert (len(exceptional), len(conic)) == (240, 2160)
+
+
 # --- the contraction table against the direct scan ----------------------------
 
 def _fiber_coords(fibers):
@@ -286,14 +304,21 @@ def test_contraction_masks_are_the_orthogonal_exceptionals():
             assert len(chosen) == 2 * (r - 1)
 
 
-def test_hand_built_family_fibers_use_its_members_only():
+def test_reducible_fibers_accept_only_the_table_family():
     dp8 = SurfaceModel.blowup_p2(8)
     fam = enumerate_exceptional(8)
     quartic = DivisorClass.from_curve(dp8, 4, (0, 1, 1, 1, 1, 2, 2, 2))
     copy = ClassFamily(dp8, EXCEPTIONAL, fam.members)
+    assert copy is not fam
     assert reducible_fibers(quartic, copy) == reducible_fibers(quartic, fam)
+    assert _fiber_coords(reducible_fibers(quartic, copy)) \
+        == fibers_by_scan(fam, quartic)
     low = ClassFamily(dp8, EXCEPTIONAL,
                       tuple(e for e in fam if e.degree <= 2))
-    got = reducible_fibers(quartic, low)
-    assert _fiber_coords(got) == fibers_by_scan(low, quartic)
-    assert len(got) == 3  # the two-conic splittings
+    with pytest.raises(ValueError):
+        reducible_fibers(quartic, low)
+    with pytest.raises(ValueError):
+        reducible_fibers(quartic, enumerate_exceptional(7))
+    # the right members under another kind
+    with pytest.raises(ValueError):
+        reducible_fibers(quartic, ClassFamily(dp8, "conic", fam.members))

@@ -20,6 +20,7 @@ from picardkit.doublecover import (
     cover_singular_at,
     expected_picard_number,
     is_fano,
+    parse_rational,
     poly_from_json_dict,
 )
 from picardkit.lattice import DivisorClass, SurfaceModel, top_intersection
@@ -403,6 +404,16 @@ def test_json_accepts_negative_fractions():
     obj = {"n": 1, "multidegree": [1],
            "terms": [{"exponents": [0, 1], "coeff": "-3/7"}]}
     assert poly_from_json_dict(obj).terms == {(0, 1): Fraction(-3, 7)}
+
+
+@pytest.mark.parametrize("text", [
+    "\u0663/\u0664",  # Arabic-Indic digits 3/4
+    "\uff15",  # fullwidth 5
+    "5\n", "3/4\n", " 5", "5 ", "+5", "5/", "/5", "1/-2", "", "-",
+])
+def test_parse_rational_takes_only_ascii_p_or_p_over_q(text):
+    with pytest.raises(ValueError):
+        parse_rational(text)
 
 
 # --- size limits at the JSON boundary ------------------------------------------

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import contracted_by_scan, finite_pair_groups
+from _oracles import (contracted_by_scan, finite_pair_groups, reflect,
+                      weyl_roots)
 from picardkit.curves import (
     EXCEPTIONAL,
     ClassFamily,
@@ -316,16 +317,57 @@ def test_permuting_the_points_preserves_pair_facts(data):
             for f in fibers} == {frozenset(f.components) for f in moved}
 
 
-def test_hand_built_family_keeps_the_scan_answer():
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_weyl_words_preserve_pair_facts(data):
+    # W(E_r) preserves the pairing, K and both families, so it maps the
+    # classes a pencil contracts onto those of its image; the reflections
+    # come from the oracle, not from the library
+    r = data.draw(st.integers(3, 8))
+    model = SurfaceModel.blowup_p2(r)
+    fam = enumerate_exceptional(r)
+    conics = enumerate_conic(r)
+    roots = weyl_roots(r)
+    word = data.draw(st.lists(st.sampled_from(roots), max_size=12))
+
+    def act(c):
+        x = c.coords
+        for root in word:
+            x = reflect(x, root)
+        return DivisorClass(model, x)
+
+    i, j = data.draw(st.lists(st.integers(0, len(conics) - 1), min_size=2,
+                              max_size=2, unique=True))
+    c1, c2 = conics.members[i], conics.members[j]
+    w1, w2 = act(c1), act(c2)
+    assert w1 in conics and w2 in conics
+    before = analyze_pair(FibrationPair(model, c1, c2), fam)
+    after = analyze_pair(FibrationPair(model, w1, w2), fam)
+    assert (after.degree, after.is_finite) == (before.degree, before.is_finite)
+    assert {act(e) for e in before.common_contracted} \
+        == set(after.common_contracted)
+    for c, w in ((c1, w1), (c2, w2)):
+        fibers = reducible_fibers(c, fam)
+        moved = reducible_fibers(w, fam)
+        assert len(moved) == len(fibers) == r - 1
+        assert {frozenset(map(act, f.components)) for f in fibers} \
+            == {frozenset(f.components) for f in moved}
+
+
+def test_analyze_pair_accepts_only_the_table_family():
     fam = enumerate_exceptional(7)
-    rng = random.Random(5)
-    sub = ClassFamily(DP7, EXCEPTIONAL,
-                      tuple(e for e in fam if rng.random() < 0.5))
     copy = ClassFamily(DP7, EXCEPTIONAL, fam.members)
     conics = list(enumerate_conic(7))
     for c1, c2 in itertools.islice(itertools.combinations(conics, 2), 0, 3000, 13):
         pair = FibrationPair(DP7, c1, c2)
-        rep = analyze_pair(pair, sub)
-        assert rep.common_contracted == contracted_by_scan(sub, c1, c2)
-        assert rep.is_finite == (rep.degree > 0 and not rep.common_contracted)
-        assert analyze_pair(pair, copy) == analyze_pair(pair, fam)
+        rep = analyze_pair(pair, copy)
+        assert rep == analyze_pair(pair, fam) == analyze_pair(pair)
+        assert rep.common_contracted == contracted_by_scan(fam, c1, c2)
+    pair = FibrationPair(DP7, conics[0], conics[1])
+    rng = random.Random(5)
+    sub = ClassFamily(DP7, EXCEPTIONAL,
+                      tuple(e for e in fam if rng.random() < 0.5))
+    for wrong in (sub, enumerate_exceptional(6), enumerate_exceptional(8),
+                  enumerate_conic(7)):
+        with pytest.raises(ValueError):
+            analyze_pair(pair, wrong)

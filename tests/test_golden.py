@@ -94,6 +94,41 @@ GOLDEN_SHA256 = {
         "841da8921aef3cb02eaa95738be6d3f03dc5f814519e8f45b7f2c2cbd6a969de",
     "verify hodge-bound":
         "5aec953cb487b5dacf27a51f8805afa523fddac15eb4e7c2cd71300a2299d74a",
+    # both class families at every rank, which every other layer reads
+    "enumerate exceptional --rank 0":
+        "8a2c4af5bf4251e354b74deabad8fbda84e3e46c424e587ffe59c765a183781b",
+    "enumerate exceptional --rank 1":
+        "37a57b601d17bc8b71585a545696f955c6c62696d388be694644c79c6a208fa2",
+    "enumerate exceptional --rank 2":
+        "9d201d670d3a3eff6875ad038b05e0d2a5a03450f01940f5c631524dad96f7d3",
+    "enumerate exceptional --rank 3":
+        "578caf70480f5fc07761bec2b09144faffdef361a170589fb92bf7c25761f958",
+    "enumerate exceptional --rank 4":
+        "38f7be9030d8680b31453a12cf1ce4fcb5cbd4e13ca03ccb2a3f0879559d7127",
+    "enumerate exceptional --rank 5":
+        "b6693c301cbfa3e3cb651f684ddbb2809bd02795f8229399eaeb00719e424671",
+    "enumerate exceptional --rank 6":
+        "d793e2776fdd6989d9402e234da0b19aac08a0c9f683b9920c5f9370bfe89794",
+    "enumerate exceptional --rank 7":
+        "6f4d21fe3c1ef1d22f16bd042003962b17af3c153c9ff7a444abe85249d121f8",
+    "enumerate exceptional --rank 8":
+        "bcb87e42aa3da06ea90d4b0526c511c17204b86da022553910759be077765291",
+    "enumerate conic --rank 1":
+        "38f5c592f2654c5bb12cb746776bf4e1ff5f9f59c312dcd597c85da8e5c78704",
+    "enumerate conic --rank 2":
+        "96ee775c2f8b9ad8e2f178f69f06aad82553e0e2ed7f0929663a98691bf9cc00",
+    "enumerate conic --rank 3":
+        "a76397734f1e8b5c560897186491715bcff86388400b4850021d7d006ad626c8",
+    "enumerate conic --rank 4":
+        "62f7d86bb579fbb6ea68811aab0edc3475615d80392acf3e9dc9c33b4f62cc80",
+    "enumerate conic --rank 5":
+        "0911e3ed471744334d39f62144afd108c9b1fc4843342521abe4f87f465fd820",
+    "enumerate conic --rank 6":
+        "aaea074e020fe8657e66047904617c26d9b26a130a17710412ad1520fcecadca",
+    "enumerate conic --rank 7":
+        "cbfdc448a41fe2742aee16517e024aa8d1e8a0ed0cce5998fa828169d5b8dc41",
+    "enumerate conic --rank 8":
+        "90d3b1dd38fb2454dea762ce2c907650f16a2891780f82b804b374f8b33cdceb",
     # the singularity test and its independent route through the partials
     "verify branch-singular":
         "c53374b4e872cca3d56ef46512465a255047f860b1e165854f00f0d0d35c43d7",
