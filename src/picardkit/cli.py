@@ -9,6 +9,10 @@ Output is text by default; --format json emits a deterministic document
 produce byte-identical bytes.  Divisor classes appear as integer coordinate
 arrays together with a "basis" legend naming the coordinates.
 
+Integers on the command line, --rank and the entries of a branch type, are
+ASCII decimals with an optional minus sign (-?[0-9]+); anything else is a
+usage error that names the token.
+
 Exit codes: 0 on success (and for a verification that passed), 1 for a
 verification suite that failed, 2 for usage errors (bad flags, out-of-range
 ranks, malformed input files, an --out path that cannot be written), 3 for
@@ -20,6 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -56,22 +61,22 @@ from .fibration import (
 )
 from .lattice import DivisorClass, SurfaceModel, canonical_class, pairing
 
+INT_PATTERN = re.compile(r"-?[0-9]+")
+# no subcommand takes a rank above 8, the largest blow-up
+MAX_RANK = 8
 
-def _jsonify(value):
-    if isinstance(value, (bool, int, str)) or value is None:
-        return value
+
+def _fraction_str(value):
+    """json.dumps hook: a Fraction prints as its exact 'p' or 'p/q'."""
     if isinstance(value, Fraction):
         return str(value)
-    if isinstance(value, (list, tuple)):
-        return [_jsonify(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _jsonify(v) for k, v in value.items()}
     raise TypeError(f"cannot render {value!r}")
 
 
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
     if args.format == "json":
-        rendered = json.dumps(_jsonify(payload), indent=2, sort_keys=True) + "\n"
+        rendered = json.dumps(payload, indent=2, sort_keys=True,
+                              default=_fraction_str) + "\n"
     else:
         rendered = "\n".join(text_lines) + "\n"
     if args.out:
@@ -82,6 +87,19 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
             raise ValueError(f"cannot write {args.out}: {exc}") from None
     else:
         sys.stdout.write(rendered)
+
+
+def _parse_int(text: str, what: str, largest: int) -> int:
+    """An integer written in ASCII decimals, -?[0-9]+.  One with more digits
+    than largest is refused before int(), which refuses over 4300 digits;
+    the range itself is checked where the value is used."""
+    if not INT_PATTERN.fullmatch(text):
+        raise ValueError(f"{what} {short_repr(text)} is not an integer")
+    digits = len(text.lstrip("-").lstrip("0"))
+    if digits > len(str(largest)):
+        raise ValueError(f"{what} {short_repr(text)} has {digits} digits; "
+                         f"at most {largest} is supported")
+    return int(text)
 
 
 def _class_entry(c: DivisorClass) -> dict:
@@ -99,20 +117,20 @@ def _signature_entry(sig) -> dict:
 # --- enumerate ---------------------------------------------------------------
 
 def _cmd_enumerate(args) -> int:
-    model = SurfaceModel.blowup_p2(args.rank)
-    family = (enumerate_exceptional if args.kind == "exceptional"
-              else enumerate_conic)(args.rank)
-    members = list(family)
+    rank = _parse_int(args.rank, "rank", MAX_RANK)
+    model = SurfaceModel.blowup_p2(rank)
+    members = (enumerate_exceptional if args.kind == "exceptional"
+               else enumerate_conic)(rank)
     payload = {
         "command": "enumerate",
-        "params": {"kind": args.kind, "rank": args.rank},
+        "params": {"kind": args.kind, "rank": rank},
         "result": {
             "basis": list(model.basis_labels),
             "count": len(members),
             "classes": [_class_entry(c) for c in members],
         },
     }
-    lines = [f"{args.kind} classes on BlowupP2({args.rank}): {len(members)}"]
+    lines = [f"{args.kind} classes on BlowupP2({rank}): {len(members)}"]
     lines += [str(c) for c in members]
     _emit(args, payload, lines)
     return 0
@@ -121,17 +139,18 @@ def _cmd_enumerate(args) -> int:
 # --- pairs -------------------------------------------------------------------
 
 def _cmd_pairs(args) -> int:
-    summary = scan_conic_pairs(args.rank)
-    rows = classify_finite_pairs(args.rank)
+    rank = _parse_int(args.rank, "rank", MAX_RANK)
+    summary = scan_conic_pairs(rank)
+    rows = classify_finite_pairs(rank)
     payload = {
         "command": "pairs",
-        "params": {"rank": args.rank},
+        "params": {"rank": rank},
         "result": {
             "rank": summary.rank,
             "class_count": summary.class_count,
             "pair_count": summary.pair_count,
             "max_degree": summary.max_degree,
-            "degree_bound": max_degree_bound(args.rank),
+            "degree_bound": max_degree_bound(rank),
             "hodge_holds": summary.hodge_holds,
             "finite_pair_count": summary.finite_pair_count,
             "finite_degrees": list(summary.finite_degrees),
@@ -147,11 +166,11 @@ def _cmd_pairs(args) -> int:
         },
     }
     lines = [
-        f"conic pair scan on BlowupP2({args.rank})",
+        f"conic pair scan on BlowupP2({rank})",
         f"classes: {summary.class_count}",
         f"pairs: {summary.pair_count}",
         f"max degree: {summary.max_degree}",
-        f"degree bound: {max_degree_bound(args.rank)}",
+        f"degree bound: {max_degree_bound(rank)}",
         f"hodge bound holds: {'yes' if summary.hodge_holds else 'no'}",
         f"finite pairs: {summary.finite_pair_count}",
         "finite degrees: " + (",".join(map(str, summary.finite_degrees)) or "none"),
@@ -172,10 +191,11 @@ def _cmd_pairs(args) -> int:
 # --- cones -------------------------------------------------------------------
 
 def _cmd_cones(args) -> int:
+    rank = _parse_int(args.rank, "rank", MAX_RANK)
     if args.kind == "blowup":
-        model = SurfaceModel.blowup_p2(args.rank)
+        model = SurfaceModel.blowup_p2(rank)
     else:
-        model = SurfaceModel.product_p1(args.rank)
+        model = SurfaceModel.product_p1(rank)
     report = surface_cone_report(model)
     # None when kept lazy on purpose
     nef_gens = report.nef.rays() if report.nef.rays_materialized else None
@@ -192,7 +212,7 @@ def _cmd_cones(args) -> int:
     }
     payload = {
         "command": "cones",
-        "params": {"kind": args.kind, "rank": args.rank},
+        "params": {"kind": args.kind, "rank": rank},
         "result": result,
     }
     lines = [
@@ -218,24 +238,8 @@ def _cmd_cones(args) -> int:
 # --- cover -------------------------------------------------------------------
 
 def _parse_branch(text: str) -> list[int]:
-    width = len(str(MAX_BRANCH_ENTRY))
-    entries = []
-    for tok in text.split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
-        # bounded before int(), which refuses over 4300 digits
-        digits = tok.lstrip("+-").lstrip("0")
-        if len(digits) > width and digits.isdigit():
-            raise ValueError(f"branch-type entry {tok[:width + 1]}... has "
-                             f"{len(digits)} digits; entries are at most "
-                             f"{MAX_BRANCH_ENTRY}")
-        try:
-            entries.append(int(tok))
-        except ValueError:
-            raise ValueError(f"branch-type entry {short_repr(tok)} is not "
-                             f"an integer") from None
-    return entries
+    return [_parse_int(tok, "branch-type entry", MAX_BRANCH_ENTRY)
+            for tok in map(str.strip, text.split(",")) if tok]
 
 
 def _cmd_cover(args) -> int:
@@ -601,20 +605,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate",
                        help="list exceptional or conic classes on a blow-up")
     p.add_argument("kind", choices=["exceptional", "conic"])
-    p.add_argument("--rank", "-r", type=int, required=True,
+    p.add_argument("--rank", "-r", required=True,
                    help="number of blown-up points")
     _add_io_flags(p)
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("pairs",
                        help="scan and classify finite conic-class pairs")
-    p.add_argument("--rank", "-r", type=int, required=True)
+    p.add_argument("--rank", "-r", required=True)
     _add_io_flags(p)
     p.set_defaults(func=_cmd_pairs)
 
     p = sub.add_parser("cones", help="nef/psef/mori cone report for a model")
     p.add_argument("kind", choices=["blowup", "product"])
-    p.add_argument("--rank", "-r", type=int, required=True,
+    p.add_argument("--rank", "-r", required=True,
                    help="blown-up points, or number of line factors")
     _add_io_flags(p)
     p.set_defaults(func=_cmd_cones)

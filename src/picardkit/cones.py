@@ -22,7 +22,8 @@ floating point is used anywhere.
   is a nonnegative combination of given generators.  This is the second,
   independent route to containment next to the facet-sign test, and the
   two are required to agree.  One such LP decides whether a cone is
-  pointed.
+  pointed.  is_simplicial, the one route to simpliciality, runs it and
+  stops counting extremal rays at one past the dimension of the span.
 * Row reduction: one Fraction RREF helper gives ranks, lineality bases and
   coset representatives modulo the lineality space.
 
@@ -43,7 +44,8 @@ that nothing downstream needs.  The Mori cone of a blow-up model is
 identified with the psef cone (divisor and curve classes coincide on a
 surface); for ProductP1(n) it is the nonnegative orthant of curve classes.
 On every reported model that orthant has the psef generators too, so the
-report decides Mori simpliciality on the psef cone itself.
+report decides Mori simpliciality by is_simplicial on the psef cone
+itself, and psef inside nef by the nef cone's own facet test.
 """
 
 from __future__ import annotations
@@ -389,6 +391,13 @@ def _extremal(gens: Sequence[Vec]) -> Iterator[Vec]:
             yield g
 
 
+def _pointed(gens: Sequence[Vec]) -> bool:
+    """No line in the cone: 0 is no nonnegative combination of the
+    generators with coefficients summing to 1, which one LP settles."""
+    return not gens or not in_cone_lp([g + (1,) for g in gens],
+                                      (0,) * len(gens[0]) + (1,))
+
+
 def extremal_rays(c: ConePoly) -> list[Vec]:
     """A minimal generating set of primitive rays, sorted.
 
@@ -398,11 +407,7 @@ def extremal_rays(c: ConePoly) -> list[Vec]:
     in both signs plus the extremal rays of the pointed quotient.
     """
     gens = list(c.rays())
-    if not gens:
-        return []
-    # pointed exactly when 0 is no nonnegative combination of the
-    # generators with coefficients summing to 1: one LP settles it
-    if not in_cone_lp([g + (1,) for g in gens], (0,) * c.ambient_dim + (1,)):
+    if _pointed(gens):
         return sorted(_extremal(gens))
     lin_members = [g for g in gens if in_cone_lp(gens, _neg(g))]
     basis = _rref(lin_members)
@@ -418,9 +423,13 @@ def extremal_rays(c: ConePoly) -> list[Vec]:
 
 
 def is_simplicial(c: ConePoly) -> bool:
-    """True when the extremal ray count equals the dimension of the span."""
-    rays = extremal_rays(c)
-    return len(rays) == len(_rref(rays))
+    """Pointed, with as many extremal rays as the dimension of the span;
+    the count stops at one past the dimension."""
+    gens = list(c.rays())
+    if not _pointed(gens):
+        return False  # a cone with a line
+    dim = c.span_rank()
+    return len(list(islice(_extremal(gens), dim + 1))) == dim
 
 
 @dataclass(frozen=True)
@@ -441,7 +450,7 @@ def psef_generators(model: SurfaceModel) -> tuple[DivisorClass, ...]:
             return (DivisorClass(model, (1,)),)
         if r == 1:
             return (DivisorClass(model, (0, 1)), DivisorClass(model, (1, -1)))
-        return enumerate_exceptional(r).members
+        return enumerate_exceptional(r)
     if model.size == 2:
         return (DivisorClass(model, (1, 0)), DivisorClass(model, (0, 1)))
     raise ValueError(f"no cone report for {model}")
@@ -474,24 +483,16 @@ def surface_cone_report(model: SurfaceModel) -> ConeReport:
     if model.kind != "BlowupP2" or model.size <= 2:
         nef.rays()  # materialize: cheap here, huge for the larger blow-ups
 
-    # psef inside nef: every generator must pair >= 0 with every generator;
-    # on a blow-up with r >= 1 the first pair, the square of an exceptional
-    # class, is already negative
-    psef_in_nef = all(_dot(v, f) >= 0 for v in coords for f in nef_facets)
-    equal = psef_in_nef and all(
-        psef.contains(r) for r in nef.rays())
-
-    # the Mori cone of every reported model has the psef generators (see
-    # mori_cone); simplicial iff exactly dim of them are extremal, so the
-    # count stops at dim + 1
-    dim = psef.span_rank()
-    mori_simplicial = len(list(islice(_extremal(psef.rays()), dim + 1))) == dim
-
+    # psef inside nef, then nef inside psef; on a blow-up with r >= 1 the
+    # first psef generator, an exceptional class, is already outside nef
+    equal = (all(nef.contains(v) for v in coords)
+             and all(psef.contains(r) for r in nef.rays()))
     return ConeReport(
         model=model,
         nef=nef,
         psef=psef,
         equal=equal,
-        mori_simplicial=mori_simplicial,
+        # every reported Mori cone has the psef generators (see mori_cone)
+        mori_simplicial=is_simplicial(psef),
         picard_number=model.rank,
     )

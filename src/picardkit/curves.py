@@ -30,8 +30,10 @@ actual curve depends on the blown-up points being in general position,
 which has no lattice counterpart; the enumerations assume it.
 
 Output order is lexicographic on (d, multiplicity vector), so reports and
-JSON renderings are stable across runs.  Both families are built once per
-rank and shared: they are frozen, so every caller gets the same object.
+JSON renderings are stable across runs.  A family is a plain tuple of
+classes, built once per rank and shared, so every caller gets the same
+object; each class carries its model, so two families are equal exactly
+when they have the same model and members.
 
 Contraction: a conic fibration contracts an exceptional class e exactly
 when e.c = 0, and then c - e is exceptional too and meets e once (its square
@@ -39,24 +41,24 @@ is -1, its K-degree -1, and e.(c - e) = 1), so the contracted classes are
 the components of the reducible fibres (Manin, Cubic Forms, ch. IV;
 Dolgachev, Classical Algebraic Geometry, ch. 8).  contraction_table walks
 the exceptional pairs meeting once, once per rank, and records for each
-conic the bitmask of the classes it contracts.  It is the only route to
+conic the bitmask of the classes it contracts; selected(fam, mask) decodes
+such a mask into the family's members.  The table is the only route to
 that fact: reducible_fibers and the pair analysis in fibration read it, and
-a family passed to them must equal the table's own.
+a family passed to them must equal the table's own.  Both take BlowupP2
+models only: the rulings of P1 x P1 are conic classes too, but no table
+covers them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 from math import isqrt
 from operator import add, mul
 from types import MappingProxyType
-from typing import Iterator, Mapping
+from typing import Mapping
 
 from .lattice import DivisorClass, SurfaceModel, canonical_class, pairing
-
-EXCEPTIONAL = "exceptional"
-CONIC = "conic"
 
 
 @dataclass(frozen=True, order=True)
@@ -71,34 +73,16 @@ class OrbitSignature:
         return f"({self.degree}; {','.join(map(str, self.multiplicities))})"
 
 
-@dataclass(frozen=True)
-class ClassFamily:
-    model: SurfaceModel
-    family_kind: str
-    members: tuple[DivisorClass, ...]
-    _member_set: frozenset = field(repr=False, compare=False, default=None)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_member_set", frozenset(self.members))
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __iter__(self) -> Iterator[DivisorClass]:
-        return iter(self.members)
-
-    def __contains__(self, c: object) -> bool:
-        return c in self._member_set
-
-    def selected(self, mask: int) -> tuple[DivisorClass, ...]:
-        """The members whose bit is set in mask (bit i is member i), in
-        family order."""
-        out = []
-        while mask:
-            low = mask & -mask
-            out.append(self.members[low.bit_length() - 1])
-            mask ^= low
-        return tuple(out)
+def selected(fam: tuple[DivisorClass, ...],
+             mask: int) -> tuple[DivisorClass, ...]:
+    """The members of fam whose bit is set in mask (bit i is member i), in
+    family order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(fam[low.bit_length() - 1])
+        mask ^= low
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -159,7 +143,7 @@ def _mult_vectors(r: int, target_sum: int, target_sq: int):
 
 
 @cache
-def enumerate_exceptional(r: int) -> ClassFamily:
+def enumerate_exceptional(r: int) -> tuple[DivisorClass, ...]:
     """All classes with c^2 = c.K = -1 on BlowupP2(r), 0 <= r <= 8."""
     model = SurfaceModel.blowup_p2(r)
     members = []
@@ -172,11 +156,11 @@ def enumerate_exceptional(r: int) -> ClassFamily:
                     continue
             members.append(DivisorClass.from_curve(model, d, m))
         d += 1
-    return ClassFamily(model, EXCEPTIONAL, tuple(members))
+    return tuple(members)
 
 
 @cache
-def enumerate_conic(r: int) -> ClassFamily:
+def enumerate_conic(r: int) -> tuple[DivisorClass, ...]:
     """All classes with c^2 = 0, c.K = -2 on BlowupP2(r), 1 <= r <= 8."""
     if not 1 <= r <= 8:
         raise ValueError(f"conic enumeration needs 1 <= r <= 8, got {r}")
@@ -187,7 +171,7 @@ def enumerate_conic(r: int) -> ClassFamily:
         for m in _mult_vectors(r, 3 * d - 2, d * d):
             members.append(DivisorClass.from_curve(model, d, m))
         d += 1
-    return ClassFamily(model, CONIC, tuple(members))
+    return tuple(members)
 
 
 def orbit_signature(c: DivisorClass) -> OrbitSignature:
@@ -197,8 +181,8 @@ def orbit_signature(c: DivisorClass) -> OrbitSignature:
 
 
 @cache
-def contraction_table(r: int
-                      ) -> tuple[ClassFamily, Mapping[tuple[int, ...], int]]:
+def contraction_table(r: int) -> tuple[tuple[DivisorClass, ...],
+                                       Mapping[tuple[int, ...], int]]:
     """The exceptional family of BlowupP2(r) and, per conic class, the
     bitmask over that family of the exceptional classes it contracts.
 
@@ -222,22 +206,27 @@ def contraction_table(r: int
 
 
 def reducible_fibers(c: DivisorClass,
-                     fam: ClassFamily) -> list[ReducibleFiber]:
+                     fam: tuple[DivisorClass, ...]) -> list[ReducibleFiber]:
     """All splittings c = A + B into two exceptional classes with A.B = 1.
 
     Each unordered pair is listed once, ordered by the lexicographically
     smaller component.  The components are the classes c contracts, read
     from the contraction table; fam must be the exceptional family of c's
-    model (enumerate_exceptional, or a family with the same members).
+    model, a BlowupP2 (enumerate_exceptional, or a tuple with the same
+    members).
     """
+    if c.model.kind != "BlowupP2":
+        raise ValueError(f"reducible_fibers needs a BlowupP2 model, "
+                         f"got {c.model}")
     if not is_conic(c):
         raise ValueError(f"{c} is not a conic fibration class")
     table_fam, masks = contraction_table(c.model.size)
-    if fam.model != c.model or (fam is not table_fam and fam != table_fam):
+    # members carry their model, so this also tells the ranks apart
+    if fam is not table_fam and fam != table_fam:
         raise ValueError("reducible_fibers needs the exceptional family of "
                          "the class's model")
     # each contracted a pairs with c - a; the fibre checks itself
-    pairs = ((a, c - a) for a in fam.selected(masks.get(c.coords, 0)))
+    pairs = ((a, c - a) for a in selected(fam, masks.get(c.coords, 0)))
     fibers = [ReducibleFiber(c, (a, b)) for a, b in pairs
               if a.coords < b.coords]
     fibers.sort(key=lambda f: f.components[0].coords)

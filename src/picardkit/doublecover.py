@@ -153,6 +153,7 @@ class ProductPoint:
         return ProductPoint(self.n, tuple(pairs))
 
 
+@dataclass(frozen=True)
 class MultiHomogPoly:
     """Multihomogeneous polynomial on the n-fold product of lines.
 
@@ -162,16 +163,17 @@ class MultiHomogPoly:
     explicit multidegree label since its terms cannot determine one.
     """
 
-    __slots__ = ("n", "terms", "multidegree")
+    n: int
+    terms: Mapping[tuple[int, ...], object]
+    multidegree: Sequence[int] | None = None
 
-    def __init__(self, n: int,
-                 terms: Mapping[tuple[int, ...], object],
-                 multidegree: Sequence[int] | None = None) -> None:
+    def __post_init__(self) -> None:
+        n = self.n
         if n < 1:
             raise ValueError("need at least one factor")
         clean: dict[tuple[int, ...], Fraction] = {}
         degree: tuple[int, ...] | None = None
-        for exps, coeff in terms.items():
+        for exps, coeff in self.terms.items():
             exps = tuple(exps)
             if len(exps) != 2 * n:
                 raise ValueError(f"exponent tuple {exps} must have length {2 * n}")
@@ -190,6 +192,7 @@ class MultiHomogPoly:
             if coeff:
                 clean[exps] = clean.get(exps, Fraction(0)) + coeff
         clean = {e: c for e, c in clean.items() if c}
+        multidegree = self.multidegree
         if multidegree is not None:
             multidegree = tuple(multidegree)
             if len(multidegree) != n or any(
@@ -201,19 +204,9 @@ class MultiHomogPoly:
                     f"terms have multidegree {degree}, not {multidegree}")
         elif degree is None:
             raise ValueError("the zero polynomial needs an explicit multidegree")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "terms", dict(clean))
+        object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "multidegree",
                            multidegree if multidegree is not None else degree)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MultiHomogPoly is immutable")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, MultiHomogPoly):
-            return NotImplemented
-        return (self.n, self.terms, self.multidegree) == \
-            (other.n, other.terms, other.multidegree)
 
     def __repr__(self) -> str:
         return (f"MultiHomogPoly(n={self.n}, multidegree={self.multidegree}, "

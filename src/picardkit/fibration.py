@@ -9,7 +9,9 @@ and a common irreducible fiber would force degree 0, which is reported
 separately through the degree field.
 
 The signature-(1, r) index bound 2 K^2 (c1.c2) <= (K.c1 + K.c2)^2 caps the
-degree at 8 / K^2 for conic pairs (the right side is 16).
+degree at 8 / K^2 for conic pairs (the right side is 16); max_degree_bound
+is that cap, and the pair scan checks its maximum degree against it.
+Pairs live on BlowupP2 models only (see curves).
 
 Which exceptional classes a conic contracts comes from the per-rank
 contraction table of curves (one int bitmask per conic), so the classes
@@ -31,12 +33,12 @@ from functools import cache
 from operator import mul
 
 from .curves import (
-    ClassFamily,
     OrbitSignature,
     contraction_table,
     enumerate_conic,
     is_conic,
     orbit_signature,
+    selected,
 )
 from .lattice import DivisorClass, SurfaceModel, canonical_class, pairing
 
@@ -48,6 +50,9 @@ class FibrationPair:
     c2: DivisorClass
 
     def __post_init__(self) -> None:
+        if self.model.kind != "BlowupP2":
+            raise ValueError(f"fibration pairs need a BlowupP2 model, "
+                             f"got {self.model}")
         for c in (self.c1, self.c2):
             if c.model != self.model:
                 raise ValueError(f"{c} does not live in {self.model}")
@@ -94,22 +99,23 @@ class PairScanSummary:
 
 
 def analyze_pair(pair: FibrationPair,
-                 exceptional: ClassFamily | None = None) -> FinitenessReport:
+                 exceptional: tuple[DivisorClass, ...] | None = None
+                 ) -> FinitenessReport:
     """Degree, commonly contracted exceptional classes, and finiteness.
 
     The contracted classes come from the contraction table.  A family, if
     given, must be the exceptional family of the pair's model
-    (enumerate_exceptional, or a family with the same members).
+    (enumerate_exceptional, or a tuple with the same members).
     """
     table_fam, masks = contraction_table(pair.model.size)
-    if exceptional is not None and (
-            exceptional.model != pair.model
-            or (exceptional is not table_fam and exceptional != table_fam)):
+    # members carry their model, so this also tells the ranks apart
+    if (exceptional is not None and exceptional is not table_fam
+            and exceptional != table_fam):
         raise ValueError("analyze_pair needs the exceptional family of the "
                          "pair's model")
     degree = pairing(pair.c1, pair.c2)
-    contracted = table_fam.selected(masks.get(pair.c1.coords, 0)
-                                    & masks.get(pair.c2.coords, 0))
+    contracted = selected(table_fam, masks.get(pair.c1.coords, 0)
+                          & masks.get(pair.c2.coords, 0))
     return FinitenessReport(
         degree=degree,
         common_contracted=contracted,
@@ -190,7 +196,7 @@ def _pair_scan(r: int) -> tuple[PairScanSummary, tuple[PairClassEntry, ...]]:
         class_count=n,
         pair_count=n * (n - 1) // 2,
         max_degree=max_degree,
-        hodge_holds=2 * (9 - r) * max_degree <= 16,
+        hodge_holds=max_degree <= max_degree_bound(r),
         finite_pair_count=sum(e.count for e in entries),
         finite_degrees=tuple(sorted({e.degree for e in entries})),
     )

@@ -290,6 +290,59 @@ def test_singular_rejects_non_ascii_digits(capsys, tmp_path):
     assert "coordinate" in line
 
 
+# --- integers on the command line ---------------------------------------------
+
+@pytest.mark.parametrize("text", [
+    "1_0", "0_2", "+1", "\u0661", "\u0662", "\uff15", "1\n", " 1", "",
+    "-", "--1", "1.0", "0x1", "1e3", "\u00b2",
+])
+def test_parse_int_takes_ascii_decimals_only(text):
+    with pytest.raises(ValueError, match="not an integer"):
+        cli._parse_int(text, "entry", 1000)
+
+
+@pytest.mark.parametrize("text, value", [
+    ("0", 0), ("007", 7), ("-3", -3), ("-0", 0), ("1000", 1000),
+    ("0001000", 1000),
+])
+def test_parse_int_reads_ascii_decimals(text, value):
+    assert cli._parse_int(text, "entry", 1000) == value
+
+
+def test_parse_int_counts_digits_before_converting():
+    with pytest.raises(ValueError, match="5000 digits"):
+        cli._parse_int("9" * 5000, "entry", 1000)
+    with pytest.raises(ValueError, match="5 digits"):
+        cli._parse_int("-10000", "entry", 1000)
+
+
+@pytest.mark.parametrize("argv, token", [
+    (["cover", "1_0"], "'1_0'"),
+    (["cover", "\u0661,\u0661"], "'\u0661'"),
+    (["cover", "+1"], "'+1'"),
+    (["cover", "1,2\u2080"], "'2\u2080'"),
+    (["enumerate", "conic", "--rank", "\u0662"], "'\u0662'"),
+    (["enumerate", "conic", "--rank", "0_2"], "'0_2'"),
+    (["enumerate", "exceptional", "-r", "\uff15"], "'\uff15'"),
+    (["pairs", "--rank", "+5"], "'+5'"),
+    (["cones", "blowup", "--rank", "x"], "'x'"),
+    (["cones", "product", "--rank", "9" * 5000], "5000 digits"),
+])
+def test_cli_integers_are_ascii_decimals(capsys, argv, token):
+    line = _bad_input_line(capsys, argv)
+    assert token in line and len(line) < 100
+
+
+@pytest.mark.parametrize("argv, words", [
+    (["enumerate", "conic", "--rank", "-1"], "0 <= r <= 8, got -1"),
+    (["pairs", "--rank", "-3"], "1 <= r <= 8, got -3"),
+    (["cones", "product", "--rank", "-1"], "n >= 1, got -1"),
+    (["cover", "1,-1"], "-1 is not a nonnegative int"),
+])
+def test_cli_negative_integers_keep_their_range_messages(capsys, argv, words):
+    assert words in _bad_input_line(capsys, argv)
+
+
 def test_singular_scaled_point_gives_same_answer(capsys, tmp_path):
     path = _write_branch(tmp_path)
     code1, doc1, _ = _run_json(capsys, ["singular", "--input", path,

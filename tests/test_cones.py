@@ -114,9 +114,55 @@ def test_pointedness_lp_agrees_with_lineality_search():
         dim = rng.randint(2, 5)
         c = _random_cone(rng, dim, rng.randint(1, dim + 3))
         gens = c.rays()
-        pointed = not in_cone_lp([g + (1,) for g in gens], (0,) * dim + (1,))
-        assert pointed == (not any(fraction_in_cone_lp(gens, tuple(-a for a in g))
-                                   for g in gens))
+        assert cones._pointed(gens) == (
+            not any(fraction_in_cone_lp(gens, tuple(-a for a in g))
+                    for g in gens))
+
+
+def test_is_simplicial_stops_counting_past_the_dimension(monkeypatch):
+    # one pointedness LP, then extremality LPs until dim + 1 = 9 rays are
+    # found among the 56 generators
+    calls = []
+
+    def counted(generators, x):
+        calls.append(x)
+        return in_cone_lp(generators, x)
+
+    cone = mori_cone(_bp(7))
+    cone.rays()
+    monkeypatch.setattr(cones, "in_cone_lp", counted)
+    assert not is_simplicial(cone)
+    assert len(calls) == 1 + 9
+
+
+def _simplicial_by_full_route(c):
+    rays = extremal_rays(c)
+    return len(rays) == len(cones._rref(rays))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_is_simplicial_matches_the_full_route(data):
+    # pointed cones (last coordinate positive), cones with a line (a
+    # generator and its negative), unrestricted ones, and the zero cone
+    # (no generators, or only zero vectors)
+    dim = data.draw(st.integers(1, 4))
+    gens = data.draw(st.lists(
+        st.tuples(*[st.integers(-3, 3)] * dim), max_size=dim + 3))
+    shape = data.draw(st.sampled_from(["pointed", "line", "free"]))
+    if shape == "pointed":
+        gens = [g[:-1] + (abs(g[-1]) + 1,) for g in gens]
+    elif shape == "line" and gens:
+        gens.append(tuple(-a for a in gens[0]))
+    c = ConePoly.from_generators(gens, ambient_dim=dim)
+    assert is_simplicial(c) == _simplicial_by_full_route(c)
+
+
+def test_zero_cone_is_simplicial():
+    for gens in ([], [(0, 0, 0)]):
+        c = ConePoly.from_generators(gens, ambient_dim=3)
+        assert c.rays() == ()
+        assert is_simplicial(c) and _simplicial_by_full_route(c)
 
 
 def test_halfplane_lineality():
@@ -314,8 +360,9 @@ def test_mori_simplicial_iff_small_rank():
         rep = surface_cone_report(_bp(r))
         assert rep.mori_simplicial is (r <= 2)
         if r <= 6:
-            # the report's capped count against the full route on mori_cone
-            assert rep.mori_simplicial is is_simplicial(mori_cone(_bp(r)))
+            # the report against every extremal ray of mori_cone
+            assert rep.mori_simplicial is _simplicial_by_full_route(
+                mori_cone(_bp(r)))
 
 
 def test_anticanonical_positive_on_effective_generators():

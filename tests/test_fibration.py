@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -8,8 +9,6 @@ from hypothesis import strategies as st
 from _oracles import (contracted_by_scan, finite_pair_groups, reflect,
                       weyl_roots)
 from picardkit.curves import (
-    EXCEPTIONAL,
-    ClassFamily,
     enumerate_conic,
     enumerate_exceptional,
     orbit_signature,
@@ -43,6 +42,11 @@ def test_pair_validation():
     other = SurfaceModel.blowup_p2(5)
     with pytest.raises(ValueError):
         FibrationPair(other, ruling, curve(DP7, 1, (0, 1)))
+    # the rulings of P1 x P1 are conic classes, but no pencil table covers
+    # them
+    pp = SurfaceModel.product_p1(2)
+    with pytest.raises(ValueError, match=r"ProductP1\(2\)"):
+        FibrationPair(pp, DivisorClass(pp, (1, 0)), DivisorClass(pp, (0, 1)))
 
 
 def test_analyze_pair_two_rulings_not_finite():
@@ -285,6 +289,46 @@ def test_classify_matches_unweighted_pair_loop():
             default=0)
 
 
+def test_rank8_partner_counts_depend_only_on_the_orbit_signature():
+    # the orbit-weighted scan assumes that every class of one signature has
+    # the same finite-partner counts, keyed by (partner signature, degree);
+    # check it on two further members of each of the 15 rank-8 orbits, with
+    # the contracted sets from the direct scan rather than the table
+    conics = enumerate_conic(8)
+    fam = enumerate_exceptional(8)
+    contracted = [set(contracted_by_scan(fam, c)) for c in conics]
+    sigs = [orbit_signature(c) for c in conics]
+
+    def partner_counts(i):
+        counts = Counter()
+        for j, c in enumerate(conics):
+            degree = pairing(conics[i], c)
+            if j != i and degree > 0 and not contracted[i] & contracted[j]:
+                counts[sigs[j], degree] += 1
+        return counts
+
+    orbits = {}
+    for i, sig in enumerate(sigs):
+        orbits.setdefault(sig, []).append(i)
+    assert len(orbits) == 15
+    rng = random.Random(2160)
+    reps = {}
+    for sig, members in orbits.items():
+        reps[sig] = partner_counts(members[0])
+        for i in rng.sample(members[1:], 2):
+            assert partner_counts(i) == reps[sig], (sig, conics[i])
+    # weighted by orbit size, the representatives' counts are the
+    # classification, each unordered pair counted once from each end
+    weighted = Counter()
+    for sig, counts in reps.items():
+        for (other, degree), n in counts.items():
+            weighted[min(sig, other), max(sig, other), degree] += \
+                n * len(orbits[sig])
+    assert {(*e.signature_pair, e.degree): e.count
+            for e in classify_finite_pairs(8)} \
+        == {key: n // 2 for key, n in weighted.items()}
+
+
 def _permuted(c, perm):
     return DivisorClass(c.model,
                         (c.coords[0],) + tuple(c.coords[1 + i] for i in perm))
@@ -302,7 +346,7 @@ def test_permuting_the_points_preserves_pair_facts(data):
     perm = data.draw(st.permutations(range(r)))
     i, j = data.draw(st.lists(st.integers(0, len(conics) - 1), min_size=2,
                               max_size=2, unique=True))
-    c1, c2 = conics.members[i], conics.members[j]
+    c1, c2 = conics[i], conics[j]
     p1, p2 = _permuted(c1, perm), _permuted(c2, perm)
     assert p1 in conics and p2 in conics
     before = analyze_pair(FibrationPair(model, c1, c2), fam)
@@ -338,7 +382,7 @@ def test_weyl_words_preserve_pair_facts(data):
 
     i, j = data.draw(st.lists(st.integers(0, len(conics) - 1), min_size=2,
                               max_size=2, unique=True))
-    c1, c2 = conics.members[i], conics.members[j]
+    c1, c2 = conics[i], conics[j]
     w1, w2 = act(c1), act(c2)
     assert w1 in conics and w2 in conics
     before = analyze_pair(FibrationPair(model, c1, c2), fam)
@@ -356,7 +400,7 @@ def test_weyl_words_preserve_pair_facts(data):
 
 def test_analyze_pair_accepts_only_the_table_family():
     fam = enumerate_exceptional(7)
-    copy = ClassFamily(DP7, EXCEPTIONAL, fam.members)
+    copy = tuple(list(fam))
     conics = list(enumerate_conic(7))
     for c1, c2 in itertools.islice(itertools.combinations(conics, 2), 0, 3000, 13):
         pair = FibrationPair(DP7, c1, c2)
@@ -365,8 +409,7 @@ def test_analyze_pair_accepts_only_the_table_family():
         assert rep.common_contracted == contracted_by_scan(fam, c1, c2)
     pair = FibrationPair(DP7, conics[0], conics[1])
     rng = random.Random(5)
-    sub = ClassFamily(DP7, EXCEPTIONAL,
-                      tuple(e for e in fam if rng.random() < 0.5))
+    sub = tuple(e for e in fam if rng.random() < 0.5)
     for wrong in (sub, enumerate_exceptional(6), enumerate_exceptional(8),
                   enumerate_conic(7)):
         with pytest.raises(ValueError):

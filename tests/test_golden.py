@@ -6,6 +6,7 @@ alters a document on purpose must say so and refreeze the digest.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -140,3 +141,36 @@ def test_json_output_matches_frozen_digest(capsys, command):
     assert main(command.split() + ["--format", "json"]) == 0
     out = capsys.readouterr().out.encode()
     assert hashlib.sha256(out).hexdigest() == GOLDEN_SHA256[command]
+
+
+# the singularity test on one fixture branch polynomial, at a point built
+# singular and at a smooth point; the file is read from a relative path so
+# that params.input is the same wherever the test runs
+BRANCH_POLY = {
+    "n": 3,
+    "multidegree": [2, 2, 2],
+    "terms": [
+        {"exponents": [2, 0, 2, 0, 0, 2], "coeff": "1"},
+        {"exponents": [0, 2, 0, 2, 2, 0], "coeff": "1"},
+        {"exponents": [1, 1, 0, 2, 1, 1], "coeff": "1"},
+        {"exponents": [0, 2, 1, 1, 1, 1], "coeff": "1"},
+    ],
+}
+
+SINGULAR_SHA256 = {
+    "0:1,0:1,0:1":
+        "98bed72704e04b89c23c889e60180eb5d3fcaac85ca05acb0d899bf92dbbe56e",
+    "1:0,0:1,1:1":
+        "e73a16fe8e80b9e8a25bd2e4d1cebdbe38f9d0c79b067302071e4f0061bd824f",
+}
+
+
+@pytest.mark.parametrize("at", sorted(SINGULAR_SHA256))
+def test_singular_output_matches_frozen_digest(capsys, monkeypatch, tmp_path,
+                                               at):
+    (tmp_path / "branch.json").write_text(json.dumps(BRANCH_POLY))
+    monkeypatch.chdir(tmp_path)
+    assert main(["singular", "--input", "branch.json", "--at", at,
+                 "--format", "json"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == SINGULAR_SHA256[at]
