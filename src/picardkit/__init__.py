@@ -5,7 +5,6 @@ of products of projective lines."""
 from .lattice import (
     DivisorClass,
     SurfaceModel,
-    adjunction_genus,
     canonical_class,
     pairing,
     top_intersection,
@@ -16,7 +15,6 @@ __version__ = "0.1.0"
 __all__ = [
     "DivisorClass",
     "SurfaceModel",
-    "adjunction_genus",
     "canonical_class",
     "pairing",
     "top_intersection",

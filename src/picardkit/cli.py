@@ -26,7 +26,6 @@ import json
 import random
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 from typing import Callable, Sequence
@@ -59,7 +58,8 @@ from .fibration import (
     max_degree_bound,
     scan_conic_pairs,
 )
-from .lattice import DivisorClass, SurfaceModel, canonical_class, pairing
+from .lattice import (BLOWUP, DivisorClass, SurfaceModel, canonical_class,
+                      pairing)
 
 INT_PATTERN = re.compile(r"-?[0-9]+")
 # no subcommand takes a rank above 8, the largest blow-up
@@ -73,8 +73,11 @@ def _fraction_str(value):
     raise TypeError(f"cannot render {value!r}")
 
 
-def _emit(args, payload: dict, text_lines: list[str]) -> None:
+def _emit(args, params: dict, result: dict, text_lines: list[str]) -> None:
+    """Print, or write to --out, the text or the JSON document of args."""
     if args.format == "json":
+        payload = {"command": args.command, "params": params,
+                   "result": result}
         rendered = json.dumps(payload, indent=2, sort_keys=True,
                               default=_fraction_str) + "\n"
     else:
@@ -121,18 +124,14 @@ def _cmd_enumerate(args) -> int:
     model = SurfaceModel.blowup_p2(rank)
     members = (enumerate_exceptional if args.kind == "exceptional"
                else enumerate_conic)(rank)
-    payload = {
-        "command": "enumerate",
-        "params": {"kind": args.kind, "rank": rank},
-        "result": {
-            "basis": list(model.basis_labels),
-            "count": len(members),
-            "classes": [_class_entry(c) for c in members],
-        },
+    result = {
+        "basis": list(model.basis_labels),
+        "count": len(members),
+        "classes": [_class_entry(c) for c in members],
     }
-    lines = [f"{args.kind} classes on BlowupP2({rank}): {len(members)}"]
+    lines = [f"{args.kind} classes on {model}: {len(members)}"]
     lines += [str(c) for c in members]
-    _emit(args, payload, lines)
+    _emit(args, {"kind": args.kind, "rank": rank}, result, lines)
     return 0
 
 
@@ -142,31 +141,27 @@ def _cmd_pairs(args) -> int:
     rank = _parse_int(args.rank, "rank", MAX_RANK)
     summary = scan_conic_pairs(rank)
     rows = classify_finite_pairs(rank)
-    payload = {
-        "command": "pairs",
-        "params": {"rank": rank},
-        "result": {
-            "rank": summary.rank,
-            "class_count": summary.class_count,
-            "pair_count": summary.pair_count,
-            "max_degree": summary.max_degree,
-            "degree_bound": max_degree_bound(rank),
-            "hodge_holds": summary.hodge_holds,
-            "finite_pair_count": summary.finite_pair_count,
-            "finite_degrees": list(summary.finite_degrees),
-            "classification": [
-                {
-                    "first": _signature_entry(row.signature_pair[0]),
-                    "second": _signature_entry(row.signature_pair[1]),
-                    "degree": row.degree,
-                    "count": row.count,
-                }
-                for row in rows
-            ],
-        },
+    result = {
+        "rank": summary.rank,
+        "class_count": summary.class_count,
+        "pair_count": summary.pair_count,
+        "max_degree": summary.max_degree,
+        "degree_bound": max_degree_bound(rank),
+        "hodge_holds": summary.hodge_holds,
+        "finite_pair_count": summary.finite_pair_count,
+        "finite_degrees": list(summary.finite_degrees),
+        "classification": [
+            {
+                "first": _signature_entry(row.signature_pair[0]),
+                "second": _signature_entry(row.signature_pair[1]),
+                "degree": row.degree,
+                "count": row.count,
+            }
+            for row in rows
+        ],
     }
     lines = [
-        f"conic pair scan on BlowupP2({rank})",
+        f"conic pair scan on {BLOWUP}({rank})",
         f"classes: {summary.class_count}",
         f"pairs: {summary.pair_count}",
         f"max degree: {summary.max_degree}",
@@ -184,7 +179,7 @@ def _cmd_pairs(args) -> int:
         ]
     else:
         lines.append("no finite pairs")
-    _emit(args, payload, lines)
+    _emit(args, {"rank": rank}, result, lines)
     return 0
 
 
@@ -210,13 +205,8 @@ def _cmd_cones(args) -> int:
         "nef_generators": (sorted(list(g) for g in nef_gens)
                            if nef_gens is not None else None),
     }
-    payload = {
-        "command": "cones",
-        "params": {"kind": args.kind, "rank": rank},
-        "result": result,
-    }
     lines = [
-        f"cone report for {model.kind}({model.size})",
+        f"cone report for {model}",
         f"picard number: {report.picard_number}",
         f"nef equals psef: {'yes' if report.equal else 'no'}",
         f"mori cone simplicial: {'yes' if report.mori_simplicial else 'no'}",
@@ -231,7 +221,7 @@ def _cmd_cones(args) -> int:
                                  for g in sorted(nef_gens)))
     else:
         lines.append("nef generators: not materialized at this rank")
-    _emit(args, payload, lines)
+    _emit(args, {"kind": args.kind, "rank": rank}, result, lines)
     return 0
 
 
@@ -247,17 +237,13 @@ def _cmd_cover(args) -> int:
     rho = expected_picard_number(spec)
     fano = is_fano(spec)
     power = anticanonical_power(spec)
-    payload = {
-        "command": "cover",
-        "params": {"branch_type": list(spec.branch_type)},
-        "result": {
-            "n": spec.n,
-            "branch_type": list(spec.branch_type),
-            "branch_divisor_type": [2 * d for d in spec.branch_type],
-            "is_fano": fano,
-            "anticanonical_power": power,
-            "expected_picard_number": rho,
-        },
+    result = {
+        "n": spec.n,
+        "branch_type": list(spec.branch_type),
+        "branch_divisor_type": [2 * d for d in spec.branch_type],
+        "is_fano": fano,
+        "anticanonical_power": power,
+        "expected_picard_number": rho,
     }
     lines = [
         f"double cover of the product of {spec.n} lines, "
@@ -267,7 +253,7 @@ def _cmd_cover(args) -> int:
         f"anticanonical power: {power}",
         f"expected picard number: {rho if rho is not None else 'not determined'}",
     ]
-    _emit(args, payload, lines)
+    _emit(args, {"branch_type": list(spec.branch_type)}, result, lines)
     return 0
 
 
@@ -306,44 +292,27 @@ def _cmd_singular(args) -> int:
     poly = _load_poly(args.input)
     point = _parse_point(args.at)
     singular = cover_singular_at(poly, point)  # ValueError off the branch
-    payload = {
-        "command": "singular",
-        "params": {"input": args.input, "at": args.at},
-        "result": {
-            "point": [[str(a), str(b)] for a, b in point.pairs],
-            "multidegree": list(poly.multidegree),
-            "singular": singular,
-        },
+    result = {
+        "point": [[str(a), str(b)] for a, b in point.pairs],
+        "multidegree": list(poly.multidegree),
+        "singular": singular,
     }
     rendered_pt = " x ".join(f"({a}:{b})" for a, b in point.pairs)
     lines = [
         f"point {rendered_pt} lies on the branch divisor",
         f"cover singular above the point: {'yes' if singular else 'no'}",
     ]
-    _emit(args, payload, lines)
+    _emit(args, {"input": args.input, "at": args.at}, result, lines)
     return 0
 
 
 # --- verify ------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class VerificationReport:
-    lemma_id: str
-    passed: bool
-    details: tuple[dict, ...]
-
-
-def _report(lemma_id: str, details: list[dict]) -> VerificationReport:
-    details = sorted(details, key=lambda d: d["case"])
-    passed = all(d["expected"] == d["got"] for d in details)
-    return VerificationReport(lemma_id, passed, tuple(details))
-
-
 def _detail(case: str, expected, got) -> dict:
     return {"case": case, "expected": expected, "got": got}
 
 
-def _suite_deg2_pairs() -> VerificationReport:
+def _suite_deg2_pairs() -> list[dict]:
     # ruling analysis on the blow-up at 7 points: partners of c1 = H - E1
     model = SurfaceModel.blowup_p2(7)
     c1 = DivisorClass.from_curve(model, 1, [1])
@@ -397,10 +366,10 @@ def _suite_deg2_pairs() -> VerificationReport:
         details.append(_detail(case, True,
                                (not rep.is_finite)
                                and named in rep.common_contracted))
-    return _report("deg2-pairs", details)
+    return details
 
 
-def _suite_quadric_target() -> VerificationReport:
+def _suite_quadric_target() -> list[dict]:
     details = []
     summaries = {r: scan_conic_pairs(r) for r in range(1, 9)}
     for r, summary in summaries.items():
@@ -409,10 +378,10 @@ def _suite_quadric_target() -> VerificationReport:
     details.append(_detail("rank 5 finite degrees", [2],
                            list(summaries[5].finite_degrees)))
     details.append(_detail("rank 5 degree bound", 2, max_degree_bound(5)))
-    return _report("quadric-target", details)
+    return details
 
 
-def _suite_hodge_bound() -> VerificationReport:
+def _suite_hodge_bound() -> list[dict]:
     details = []
     for r in range(1, 9):
         summary = scan_conic_pairs(r)
@@ -421,35 +390,35 @@ def _suite_hodge_bound() -> VerificationReport:
         finite_max = max(summary.finite_degrees, default=0)
         details.append(_detail(f"rank {r} finite degrees within bound", True,
                                finite_max <= max_degree_bound(r)))
-    return _report("hodge-bound", details)
+    return details
 
 
-def _suite_cone_dp() -> VerificationReport:
+def _suite_cone_dp() -> list[dict]:
     details = []
-    models = [(f"BlowupP2({r})", SurfaceModel.blowup_p2(r), r == 0)
-              for r in range(9)]
-    models.append(("ProductP1(2)", SurfaceModel.product_p1(2), True))
-    for name, model, want_equal in models:
+    models = [SurfaceModel.blowup_p2(r) for r in range(9)]
+    for model in models + [SurfaceModel.product_p1(2)]:
         report = surface_cone_report(model)
-        details.append(_detail(f"nef equals psef on {name}", want_equal,
-                               report.equal))
-        if model.kind != "BlowupP2" or model.size == 0:
+        # nef equals psef on P^2 and P1 x P1 only
+        plane_or_quadric = model.kind != BLOWUP or model.size == 0
+        details.append(_detail(f"nef equals psef on {model}",
+                               plane_or_quadric, report.equal))
+        if plane_or_quadric:
             continue  # the checks below are for BlowupP2(1..8)
         mk = -canonical_class(model)
         details.append(_detail(
-            f"{name} -K pairs positively with every psef generator",
+            f"{model} -K pairs positively with every psef generator",
             True,
             all(pairing(mk, DivisorClass(model, g)) > 0
                 for g in report.psef.rays())))
         e1 = tuple(1 if i == 1 else 0 for i in range(model.rank))
         details.append(_detail(
-            f"{name} E1 lies in psef but not in nef", True,
+            f"{model} E1 lies in psef but not in nef", True,
             in_cone_lp(report.psef.rays(), e1)
             and not report.nef.contains(e1)))
-    return _report("cone-dp", details)
+    return details
 
 
-def _suite_double_cover_k() -> VerificationReport:
+def _suite_double_cover_k() -> list[dict]:
     details = [
         _detail("surface cover of type (2,2)", 4,
                 anticanonical_power(DoubleCoverSpec.of([1, 1]))),
@@ -469,7 +438,7 @@ def _suite_double_cover_k() -> VerificationReport:
     details.append(_detail(
         "fano iff positive anticanonical power on {0,1,2}^n, n <= 5", True,
         agree))
-    return _report("double-cover-k", details)
+    return details
 
 
 _BRANCH_FIXTURE = {
@@ -480,7 +449,7 @@ _BRANCH_FIXTURE = {
 }
 
 
-def _suite_branch_singular() -> VerificationReport:
+def _suite_branch_singular() -> list[dict]:
     poly = MultiHomogPoly(3, _BRANCH_FIXTURE)
     marked = ProductPoint.of([(0, 1), (0, 1), (0, 1)])
     partials = [poly.partial_derivative(v) for v in range(6)]
@@ -522,10 +491,10 @@ def _suite_branch_singular() -> VerificationReport:
                 ok = False
     details.append(_detail(
         "gradient rescaling law on 50 random points", True, ok))
-    return _report("branch-singular", details)
+    return details
 
 
-def _suite_fiber_counts() -> VerificationReport:
+def _suite_fiber_counts() -> list[dict]:
     details = []
     for r in range(1, 9):
         family = enumerate_exceptional(r)
@@ -552,10 +521,10 @@ def _suite_fiber_counts() -> VerificationReport:
     ]
     details.append(_detail("quartic pencil fiber decompositions",
                            sorted(expected_pairs), got))
-    return _report("fiber-counts", details)
+    return details
 
 
-_SUITES: dict[str, Callable[[], VerificationReport]] = {
+_SUITES: dict[str, Callable[[], list[dict]]] = {
     "deg2-pairs": _suite_deg2_pairs,
     "quadric-target": _suite_quadric_target,
     "hodge-bound": _suite_hodge_bound,
@@ -567,23 +536,17 @@ _SUITES: dict[str, Callable[[], VerificationReport]] = {
 
 
 def _cmd_verify(args) -> int:
-    report = _SUITES[args.lemma_id]()
-    payload = {
-        "command": "verify",
-        "params": {"lemma_id": report.lemma_id},
-        "result": {
-            "lemma_id": report.lemma_id,
-            "passed": report.passed,
-            "details": list(report.details),
-        },
-    }
-    lines = [f"{report.lemma_id}: {'PASS' if report.passed else 'FAIL'}"]
-    for d in report.details:
+    lemma_id = args.lemma_id
+    details = sorted(_SUITES[lemma_id](), key=lambda d: d["case"])
+    passed = all(d["expected"] == d["got"] for d in details)
+    lines = [f"{lemma_id}: {'PASS' if passed else 'FAIL'}"]
+    for d in details:
         mark = "ok" if d["expected"] == d["got"] else "MISMATCH"
         lines.append(f"  [{mark}] {d['case']}: expected {d['expected']}, "
                      f"got {d['got']}")
-    _emit(args, payload, lines)
-    return 0 if report.passed else 1
+    result = {"lemma_id": lemma_id, "passed": passed, "details": details}
+    _emit(args, {"lemma_id": lemma_id}, result, lines)
+    return 0 if passed else 1
 
 
 # --- parser ------------------------------------------------------------------

@@ -37,12 +37,13 @@ Surface reports: the effective generators are classical and hard-coded
 (basis classes H or E_i plus all exceptional classes, two rulings on
 P1 x P1), then sanity-checked by pairing against -K, which must be strictly
 positive on every generator.  The nef cone is stored by its facet normals,
-the psef generators pushed through the intersection form; its generator
-description is only materialized for the tiny models, because the nef cone
-of a blow-up at many points has a combinatorially huge set of extremal rays
-that nothing downstream needs.  The Mori cone of a blow-up model is
-identified with the psef cone (divisor and curve classes coincide on a
-surface); for ProductP1(n) it is the nonnegative orthant of curve classes.
+the psef generators pushed through the intersection form with
+lattice.pairing_vector; its generator description is only materialized for
+the tiny models, because the nef cone of a blow-up at many points has a
+combinatorially huge set of extremal rays that nothing downstream needs.
+The Mori cone of a blow-up model is identified with the psef cone (divisor
+and curve classes coincide on a surface); for ProductP1(n) it is the
+nonnegative orthant of curve classes.
 On every reported model that orthant has the psef generators too, so the
 report decides Mori simpliciality by is_simplicial on the psef cone
 itself, and psef inside nef by the nef cone's own facet test.
@@ -58,7 +59,8 @@ from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 from .curves import enumerate_exceptional
-from .lattice import DivisorClass, SurfaceModel, canonical_class, pairing
+from .lattice import (BLOWUP, DivisorClass, SurfaceModel, canonical_class,
+                      pairing, pairing_vector)
 
 Vec = tuple[int, ...]
 
@@ -352,35 +354,16 @@ class ConePoly:
         return len(_rref(self.rays()))
 
 
-def dual_cone(c: ConePoly, form: Sequence[Sequence] | None = None) -> ConePoly:
-    """The cone {x : form(x, g) >= 0 for every generator g of c}.
+def dual_cone(c: ConePoly) -> ConePoly:
+    """The cone {x : <x, g> >= 0 for every generator g of c}.
 
-    With form omitted the standard dot product is used; otherwise form is a
-    symmetric integer matrix (for the lattice models, see lattice_form).
     The result carries materialized generators (and its defining normals).
+    A dual under the intersection form is the dual of the generators pushed
+    through lattice.pairing_vector.
     """
-    gens = c.rays()
-    if form is None:
-        normals = list(gens)
-    else:
-        normals = [tuple(_dot(row, g) for row in form) for g in gens]
-        # symmetric form: form(x, g) = <x, form @ g>
-    dual = ConePoly.from_facets(normals, c.ambient_dim)
+    dual = ConePoly.from_facets(c.rays(), c.ambient_dim)
     dual.rays()  # materialize the generator description now
     return dual
-
-
-def lattice_form(model: SurfaceModel) -> tuple[Vec, ...]:
-    """Matrix of the intersection pairing in the model basis."""
-    n = model.rank
-    if model.kind == "BlowupP2":
-        return tuple(
-            tuple((1 if i == 0 else -1) if i == j else 0 for j in range(n))
-            for i in range(n)
-        )
-    if model.size == 2:
-        return ((0, 1), (1, 0))
-    raise ValueError(f"no bilinear pairing on {model}")
 
 
 def _extremal(gens: Sequence[Vec]) -> Iterator[Vec]:
@@ -444,7 +427,7 @@ class ConeReport:
 
 def psef_generators(model: SurfaceModel) -> tuple[DivisorClass, ...]:
     """Classical generator table for the pseudo-effective cone."""
-    if model.kind == "BlowupP2":
+    if model.kind == BLOWUP:
         r = model.size
         if r == 0:
             return (DivisorClass(model, (1,)),)
@@ -456,17 +439,6 @@ def psef_generators(model: SurfaceModel) -> tuple[DivisorClass, ...]:
     raise ValueError(f"no cone report for {model}")
 
 
-def mori_cone(model: SurfaceModel) -> ConePoly:
-    """Cone of curve classes: the psef cone on a blow-up surface, the
-    nonnegative orthant on ProductP1(n)."""
-    if model.kind == "BlowupP2":
-        return ConePoly.from_generators(
-            [c.coords for c in psef_generators(model)], model.rank)
-    n = model.size
-    basis = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    return ConePoly.from_generators(basis, n)
-
-
 def surface_cone_report(model: SurfaceModel) -> ConeReport:
     """Nef/psef comparison for BlowupP2(r), 0 <= r <= 8, or ProductP1(2)."""
     gens = psef_generators(model)  # raises for unsupported models
@@ -476,11 +448,10 @@ def surface_cone_report(model: SurfaceModel) -> ConeReport:
             raise RuntimeError(
                 f"psef generator table corrupt: -K.{g} not positive")
     coords = [g.coords for g in gens]
-    form = lattice_form(model)
-    nef_facets = [tuple(_dot(row, v) for row in form) for v in coords]
     psef = ConePoly.from_generators(coords, model.rank)
-    nef = ConePoly.from_facets(nef_facets, model.rank)
-    if model.kind != "BlowupP2" or model.size <= 2:
+    nef = ConePoly.from_facets([pairing_vector(model, v) for v in coords],
+                               model.rank)
+    if model.kind != BLOWUP or model.size <= 2:
         nef.rays()  # materialize: cheap here, huge for the larger blow-ups
 
     # psef inside nef, then nef inside psef; on a blow-up with r >= 1 the
@@ -492,7 +463,7 @@ def surface_cone_report(model: SurfaceModel) -> ConeReport:
         nef=nef,
         psef=psef,
         equal=equal,
-        # every reported Mori cone has the psef generators (see mori_cone)
+        # on every reported model the Mori cone has the psef generators
         mori_simplicial=is_simplicial(psef),
         picard_number=model.rank,
     )

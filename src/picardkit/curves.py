@@ -58,7 +58,8 @@ from operator import add, mul
 from types import MappingProxyType
 from typing import Mapping
 
-from .lattice import DivisorClass, SurfaceModel, canonical_class, pairing
+from .lattice import (BLOWUP, DivisorClass, SurfaceModel, canonical_class,
+                      pairing, pairing_vector)
 
 
 @dataclass(frozen=True, order=True)
@@ -98,11 +99,6 @@ class ReducibleFiber:
             raise ValueError("components do not sum to the fiber class")
         if pairing(a, a) != -1 or pairing(b, b) != -1 or pairing(a, b) != 1:
             raise ValueError("components are not exceptional classes meeting once")
-
-
-def is_exceptional(c: DivisorClass) -> bool:
-    k = canonical_class(c.model)
-    return pairing(c, c) == -1 and pairing(c, k) == -1
 
 
 def is_conic(c: DivisorClass) -> bool:
@@ -193,8 +189,8 @@ def contraction_table(r: int) -> tuple[tuple[DivisorClass, ...],
     """
     fam = enumerate_exceptional(r)
     coords = [e.coords for e in fam]
-    # a.b = a_0 b_0 - sum a_i b_i as one dot product against the twisted a
-    twisted = [(a[0],) + tuple(-v for v in a[1:]) for a in coords]
+    # a.b as one dot product of a's pairing vector with b
+    twisted = [pairing_vector(e.model, e.coords) for e in fam]
     masks: dict[tuple[int, ...], int] = {}
     for i, (a, ta) in enumerate(zip(coords, twisted)):
         for j in range(i + 1, len(coords)):
@@ -215,7 +211,7 @@ def reducible_fibers(c: DivisorClass,
     model, a BlowupP2 (enumerate_exceptional, or a tuple with the same
     members).
     """
-    if c.model.kind != "BlowupP2":
+    if c.model.kind != BLOWUP:
         raise ValueError(f"reducible_fibers needs a BlowupP2 model, "
                          f"got {c.model}")
     if not is_conic(c):

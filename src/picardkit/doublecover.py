@@ -10,9 +10,10 @@ each at most MAX_BRANCH_ENTRY.
 Branch divisors themselves are multihomogeneous polynomials with rational
 coefficients.  A polynomial in n coordinate pairs keeps its exponent
 vectors flat: entry 2k is the first variable of factor k, entry 2k+1 the
-second.  Whether the cover is singular above a branch point is decided by
-the Jacobian criterion: for a point on the divisor, all 2n partials must
-vanish.
+second.  A polynomial is a frozen value: its terms are a read-only
+mapping, and equal polynomials hash equal.  Whether the cover is singular
+above a branch point is decided by the Jacobian criterion: for a point on
+the divisor, all 2n partials must vanish.
 
 Only whether the value and the partials vanish matters, and scaling does
 not change that: scaling coordinate pair k by lam != 0 multiplies p and
@@ -36,6 +37,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm, prod
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 COEFF_PATTERN = re.compile(r"-?[0-9]+(/[0-9]+)?")
@@ -158,9 +160,10 @@ class MultiHomogPoly:
     """Multihomogeneous polynomial on the n-fold product of lines.
 
     terms maps flat exponent tuples of length 2n to nonzero Fraction
-    coefficients.  Every term must have the same degree in each factor;
-    that common tuple is the multidegree.  The zero polynomial carries an
-    explicit multidegree label since its terms cannot determine one.
+    coefficients, through a read-only view.  Every term must have the same
+    degree in each factor; that common tuple is the multidegree.  The zero
+    polynomial carries an explicit multidegree label since its terms cannot
+    determine one.
     """
 
     n: int
@@ -204,7 +207,7 @@ class MultiHomogPoly:
                     f"terms have multidegree {degree}, not {multidegree}")
         elif degree is None:
             raise ValueError("the zero polynomial needs an explicit multidegree")
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "terms", MappingProxyType(clean))
         object.__setattr__(self, "multidegree",
                            multidegree if multidegree is not None else degree)
 
@@ -212,8 +215,10 @@ class MultiHomogPoly:
         return (f"MultiHomogPoly(n={self.n}, multidegree={self.multidegree}, "
                 f"{len(self.terms)} terms)")
 
-    def is_zero(self) -> bool:
-        return not self.terms
+    def __hash__(self) -> int:
+        # a read-only mapping view has no hash of its own
+        return hash((self.n, self.multidegree,
+                     frozenset(self.terms.items())))
 
     def evaluate(self, point) -> Fraction:
         if not isinstance(point, ProductPoint):

@@ -40,7 +40,8 @@ from .curves import (
     orbit_signature,
     selected,
 )
-from .lattice import DivisorClass, SurfaceModel, canonical_class, pairing
+from .lattice import (BLOWUP, DivisorClass, SurfaceModel, canonical_class,
+                      pairing, pairing_vector)
 
 
 @dataclass(frozen=True)
@@ -50,7 +51,7 @@ class FibrationPair:
     c2: DivisorClass
 
     def __post_init__(self) -> None:
-        if self.model.kind != "BlowupP2":
+        if self.model.kind != BLOWUP:
             raise ValueError(f"fibration pairs need a BlowupP2 model, "
                              f"got {self.model}")
         for c in (self.c1, self.c2):
@@ -127,7 +128,7 @@ def hodge_bound(model: SurfaceModel, c1: DivisorClass,
                 c2: DivisorClass) -> HodgeBound:
     """Index-theorem inequality 2 K^2 (c1.c2) <= (K.c1 + K.c2)^2 for
     square-zero classes."""
-    if model.kind != "BlowupP2":
+    if model.kind != BLOWUP:
         raise ValueError("hodge_bound needs a BlowupP2 model")
     for c in (c1, c2):
         if c.model != model:
@@ -175,8 +176,7 @@ def _pair_scan(r: int) -> tuple[PairScanSummary, tuple[PairClassEntry, ...]]:
     counts: dict[tuple[int, int, int], int] = {}
     max_degree = 0
     for s, x in enumerate(rep):
-        cx = coords[x]
-        twisted = (cx[0],) + tuple(-v for v in cx[1:])
+        twisted = pairing_vector(fam[x].model, coords[x])
         mx = cmasks[x]
         for y, (cy, my, t) in enumerate(zip(coords, cmasks, sig_ids)):
             if y == x:

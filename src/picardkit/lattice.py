@@ -10,6 +10,10 @@ Two kinds of model are supported:
   form is defined; n = 2 additionally carries the hyperbolic surface pairing
   H_1.H_2 = 1, H_i^2 = 0.
 
+The intersection form lives here alone: pairing evaluates it on two
+classes, and pairing_vector turns one class into the vector that the form
+dots against, which is how the cone and pair-scan layers read it.
+
 All coordinates are Python integers, so arithmetic never overflows silently;
 there is no fixed-width fast path anywhere in this module.
 """
@@ -17,7 +21,6 @@ there is no fixed-width fast path anywhere in this module.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import prod
 from operator import mul
 from typing import Iterable, Sequence
@@ -160,6 +163,18 @@ def canonical_class(model: SurfaceModel) -> DivisorClass:
     return DivisorClass(model, (-2,) * model.size)
 
 
+def pairing_vector(model: SurfaceModel,
+                   coords: Sequence[int]) -> tuple[int, ...]:
+    """The form applied to the class c with these coordinates: the vector
+    v with pairing(c, x) == sum(v_i * x_i) for every class x of the model.
+    pairing keeps its own inline formula, being the hot path."""
+    if model.kind == BLOWUP:
+        return (coords[0],) + tuple(-v for v in coords[1:])
+    if model.size == 2:
+        return (coords[1], coords[0])
+    raise ValueError(f"pairing is undefined on {model}; use top_intersection")
+
+
 def pairing(a: DivisorClass, b: DivisorClass) -> int:
     """Intersection number of two classes on a surface model.
 
@@ -178,18 +193,6 @@ def pairing(a: DivisorClass, b: DivisorClass) -> int:
     raise ValueError(
         f"pairing is undefined on {model}; use top_intersection"
     )
-
-
-def adjunction_genus(c: DivisorClass) -> Fraction:
-    """Arithmetic genus (c^2 + c.K)/2 + 1 from the adjunction formula.
-
-    The result may be negative or non-integral for classes that are not
-    curve classes; interpreting that is the caller's business.
-    """
-    if c.model.kind != BLOWUP:
-        raise ValueError("adjunction_genus needs a BlowupP2 model")
-    k = canonical_class(c.model)
-    return Fraction(pairing(c, c) + pairing(c, k), 2) + 1
 
 
 # Largest matrix _permanent accepts: 2^20 Gray-code steps take a few seconds.

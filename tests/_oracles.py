@@ -37,11 +37,19 @@ orbits of E_r and of H - E_1 are the two families for r >= 3.
 it was written before the library switched to one integer pass: the
 polynomial evaluated in Fractions, then each of its 2n partial derivatives
 built and evaluated in turn.
+
+``adjunction_genus``, ``is_exceptional`` and ``mori_cone`` are routes that
+only the tests call, so they live here rather than in the package: the
+genus (c^2 + c.K)/2 + 1, the equations c^2 = c.K = -1, and the cone of
+curve classes built from the package's psef generator table.
 """
 
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, isqrt
+
+from picardkit.cones import ConePoly, psef_generators
+from picardkit.lattice import BLOWUP, canonical_class, pairing
 
 
 def _multisets(k, hi, lo, total, sq_total):
@@ -315,6 +323,34 @@ def fraction_cover_singular_at(poly, point):
         raise ValueError("point does not lie on the branch divisor")
     return all(poly.partial_derivative(v).evaluate(point) == 0
                for v in range(2 * poly.n))
+
+
+def adjunction_genus(c):
+    """Arithmetic genus (c^2 + c.K)/2 + 1 from the adjunction formula.
+
+    The result may be negative or non-integral for classes that are not
+    curve classes; interpreting that is the caller's business.
+    """
+    if c.model.kind != BLOWUP:
+        raise ValueError("adjunction_genus needs a BlowupP2 model")
+    k = canonical_class(c.model)
+    return Fraction(pairing(c, c) + pairing(c, k), 2) + 1
+
+
+def is_exceptional(c):
+    k = canonical_class(c.model)
+    return pairing(c, c) == -1 and pairing(c, k) == -1
+
+
+def mori_cone(model):
+    """Cone of curve classes: the psef cone on a blow-up surface, the
+    nonnegative orthant on ProductP1(n)."""
+    if model.kind == BLOWUP:
+        return ConePoly.from_generators(
+            [c.coords for c in psef_generators(model)], model.rank)
+    n = model.size
+    basis = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
+    return ConePoly.from_generators(basis, n)
 
 
 if __name__ == "__main__":

@@ -377,7 +377,7 @@ def test_verify_json_report_shape(capsys):
 def test_verify_failure_exits_one(capsys, monkeypatch):
     monkeypatch.setitem(
         cli._SUITES, "hodge-bound",
-        lambda: cli._report("hodge-bound", [cli._detail("forced", 1, 2)]))
+        lambda: [cli._detail("forced", 1, 2)])
     assert main(["verify", "hodge-bound"]) == 1
     out = capsys.readouterr().out
     assert out.splitlines()[0] == "hodge-bound: FAIL"

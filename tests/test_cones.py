@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import (fraction_in_cone_lp, recomputed_dual_description,
-                      reflect, weyl_roots)
+from _oracles import (fraction_in_cone_lp, mori_cone,
+                      recomputed_dual_description, reflect, weyl_roots)
 from picardkit import cones
 from picardkit.cones import (
     ConePoly,
@@ -14,13 +14,12 @@ from picardkit.cones import (
     extremal_rays,
     in_cone_lp,
     is_simplicial,
-    lattice_form,
-    mori_cone,
     psef_generators,
     surface_cone_report,
 )
 from picardkit.curves import enumerate_conic, enumerate_exceptional
-from picardkit.lattice import SurfaceModel, canonical_class, pairing
+from picardkit.lattice import (SurfaceModel, canonical_class, pairing,
+                               pairing_vector)
 
 
 def _bp(r: int) -> SurfaceModel:
@@ -38,16 +37,21 @@ def test_orthant_is_self_dual():
     assert sorted(dual_cone(c).rays()) == [(0, 1), (1, 0)]
 
 
+def _form_dual(model, gens):
+    """The dual of a cone under the intersection form: the dual of its
+    generators pushed through pairing_vector."""
+    return dual_cone(ConePoly.from_generators(
+        [pairing_vector(model, g) for g in gens], model.rank))
+
+
 def test_dual_of_effective_cone_on_one_blowup():
     # generators E1 and H - E1, dualized by the intersection form
-    c = ConePoly.from_generators([(0, 1), (1, -1)])
-    d = dual_cone(c, lattice_form(_bp(1)))
+    d = _form_dual(_bp(1), [(0, 1), (1, -1)])
     assert sorted(d.rays()) == [(1, -1), (1, 0)]
 
 
 def test_rulings_self_dual_under_hyperbolic_form():
-    c = ConePoly.from_generators([(1, 0), (0, 1)])
-    d = dual_cone(c, lattice_form(_pp(2)))
+    d = _form_dual(_pp(2), [(1, 0), (0, 1)])
     assert sorted(d.rays()) == [(0, 1), (1, 0)]
 
 

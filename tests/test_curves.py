@@ -9,7 +9,6 @@ from picardkit.curves import (
     enumerate_conic,
     enumerate_exceptional,
     is_conic,
-    is_exceptional,
     orbit_signature,
     reducible_fibers,
     selected,
@@ -17,14 +16,15 @@ from picardkit.curves import (
 from picardkit.lattice import (
     DivisorClass,
     SurfaceModel,
-    adjunction_genus,
     canonical_class,
     pairing,
 )
 
 from _oracles import (
+    adjunction_genus,
     contracted_by_scan,
     fibers_by_scan,
+    is_exceptional,
     oracle_conic,
     oracle_exceptional,
     signature_histogram,

@@ -136,12 +136,31 @@ def test_multidegree_inferred_and_checked():
     with pytest.raises(ValueError):
         MultiHomogPoly(2, {})  # zero polynomial needs a declared multidegree
     zero = MultiHomogPoly(2, {}, multidegree=(1, 1))
-    assert zero.is_zero() and zero.multidegree == (1, 1)
+    assert not zero.terms and zero.multidegree == (1, 1)
 
 
 def test_float_coefficients_rejected():
     with pytest.raises(ValueError):
         MultiHomogPoly(1, {(1, 0): 0.5})
+
+
+def test_terms_are_read_only():
+    pt = ProductPoint.of([(1, 2), (1, 1), (3, 1)])
+    before = BRANCH.evaluate(pt)
+    with pytest.raises(TypeError):
+        BRANCH.terms[(2, 0, 2, 0, 0, 2)] = 5
+    assert BRANCH.evaluate(pt) == before
+
+
+def test_equal_polynomials_hash_equal():
+    a = MultiHomogPoly(1, {(2, 0): 1, (0, 2): Fraction(1, 2)})
+    # other insertion order, an unreduced coefficient, a zero term
+    b = MultiHomogPoly(1, {(1, 1): 0, (0, 2): Fraction(2, 4), (2, 0): 1})
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b, MultiHomogPoly(1, {(2, 0): 1})}) == 2
+    zero = MultiHomogPoly(1, {}, multidegree=(2,))
+    assert zero != MultiHomogPoly(1, {}, multidegree=(1,))
+    assert hash(zero) == hash(MultiHomogPoly(1, {}, multidegree=(2,)))
 
 
 def test_partial_derivative_basics():
@@ -151,7 +170,7 @@ def test_partial_derivative_basics():
     assert d.multidegree == (1, 2)
     # variable of factor degree zero: derivative is the zero polynomial
     q = MultiHomogPoly(1, {(2, 0): 1})
-    assert q.partial_derivative(1).is_zero()
+    assert not q.partial_derivative(1).terms
     with pytest.raises(ValueError):
         p.partial_derivative(4)
 

@@ -1,8 +1,10 @@
 """Source hygiene of the package, read with the standard ast module.
 
-Two rules over every module of picardkit: each imported name is used (a
-name listed in __all__ counts as used), and no module imports another
-module's private name (one that starts with a single underscore).
+Three rules over every module of picardkit: each imported name is used (a
+name listed in __all__ counts as used), no module imports another module's
+private name (one that starts with a single underscore), and every public
+top-level function or class serves the package or the benchmark.  A route
+that only the tests call belongs in tests/_oracles.py.
 """
 
 import ast
@@ -11,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import picardkit
+from test_bench_api import USED
 
 SOURCES = sorted(Path(picardkit.__file__).parent.glob("*.py"))
 
@@ -70,6 +73,32 @@ def _private_imports(tree):
             if a.name.startswith("_") and not a.name.startswith("__")]
 
 
+def _public_defs(tree):
+    """Names of the public top-level functions and classes."""
+    return [node.name for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")]
+
+
+def _referenced(tree):
+    """Every name read as an ast Name, or as the attribute of an
+    Attribute."""
+    return ({n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+            | {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)})
+
+
+def _unserved(sources, bench_used):
+    """(module, name) for each public definition that no module but
+    __init__ references and the benchmark does not use."""
+    trees = {p.stem: _tree(p) for p in sources}
+    referenced = set().union(*(_referenced(t) for stem, t in trees.items()
+                               if stem != "__init__"))
+    return [(stem, name) for stem, tree in sorted(trees.items())
+            for name in _public_defs(tree)
+            if name not in referenced
+            and (f"picardkit.{stem}", name) not in bench_used]
+
+
 def test_every_module_is_checked():
     names = {p.stem for p in SOURCES}
     assert {"cli", "cones", "curves", "fibration", "lattice"} <= names
@@ -88,6 +117,23 @@ def test_every_imported_name_is_used(path):
 def test_no_private_name_crosses_modules(path):
     crossing = _private_imports(_tree(path))
     assert not crossing, f"{path.name} imports private names {crossing}"
+
+
+def test_every_public_definition_serves_the_package_or_the_benchmark():
+    unserved = _unserved(SOURCES, set(USED))
+    assert not unserved, (f"only tests call {unserved}; move them to "
+                          f"tests/_oracles.py")
+
+
+def test_the_unserved_check_sees_a_test_only_route(tmp_path):
+    (tmp_path / "a.py").write_text("def used(): pass\n"
+                                   "def benched(): pass\n"
+                                   "def test_only(): pass\n"
+                                   "class _Private: pass\n")
+    (tmp_path / "b.py").write_text("from . import a\na.used()\n")
+    (tmp_path / "__init__.py").write_text("from .a import test_only\n")
+    assert _unserved(sorted(tmp_path.glob("*.py")),
+                     {("picardkit.a", "benched")}) == [("a", "test_only")]
 
 
 def test_the_checks_see_what_they_look_for():

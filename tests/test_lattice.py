@@ -5,13 +5,14 @@ from math import prod
 import pytest
 from hypothesis import given, strategies as st
 
+from _oracles import adjunction_genus
 from picardkit.lattice import (
     MAX_PERMANENT_SIZE,
     DivisorClass,
     SurfaceModel,
-    adjunction_genus,
     canonical_class,
     pairing,
+    pairing_vector,
     top_intersection,
 )
 
@@ -167,6 +168,28 @@ def test_pairing_symmetric_bilinear(xa, xb, xc, s, t):
     a, b, c = cls(DP7, *xa), cls(DP7, *xb), cls(DP7, *xc)
     assert pairing(a, b) == pairing(b, a)
     assert pairing(s * a + t * b, c) == s * pairing(a, c) + t * pairing(b, c)
+
+
+# every model with a surface pairing: BlowupP2(0..8) and ProductP1(2)
+surface_models = st.one_of(st.integers(0, 8).map(SurfaceModel.blowup_p2),
+                           st.just(SurfaceModel.product_p1(2)))
+
+
+@given(surface_models, st.data())
+def test_pairing_vector_dots_to_pairing(model, data):
+    vec = st.tuples(*[st.integers(-9, 9)] * model.rank)
+    a, b = cls(model, *data.draw(vec)), cls(model, *data.draw(vec))
+    assert (sum(u * v for u, v in zip(pairing_vector(model, a.coords),
+                                      b.coords))
+            == pairing(a, b))
+
+
+def test_pairing_vector_examples_and_errors():
+    assert pairing_vector(DP7, (3, 0, -1, -1, -1, -1, -1, -2)) == \
+        (3, 0, 1, 1, 1, 1, 1, 2)
+    assert pairing_vector(SurfaceModel.product_p1(2), (1, 2)) == (2, 1)
+    with pytest.raises(ValueError, match="use top_intersection"):
+        pairing_vector(SurfaceModel.product_p1(3), (1, 0, 0))
 
 
 @given(st.integers(1, 5), st.data())
