@@ -88,7 +88,15 @@ def selected(fam: tuple[DivisorClass, ...],
 
 @dataclass(frozen=True)
 class ReducibleFiber:
-    """A conic-class decomposition into two exceptional components."""
+    """A conic-class decomposition into two exceptional components.
+
+    A fibre built by a caller is checked: a + b = total, a^2 = b^2 = -1
+    and a.b = 1.  reducible_fibers builds its fibres through _from_table
+    without that check, because the contraction table fixed all three
+    when it set the bits of total (each bit is a family member a with
+    a.(total - a) = 1); the Tier-1 tests check every fibre of every conic
+    class at r = 1..8 against these equations and a direct scan.
+    """
 
     total: DivisorClass
     components: tuple[DivisorClass, DivisorClass]
@@ -99,6 +107,15 @@ class ReducibleFiber:
             raise ValueError("components do not sum to the fiber class")
         if pairing(a, a) != -1 or pairing(b, b) != -1 or pairing(a, b) != 1:
             raise ValueError("components are not exceptional classes meeting once")
+
+    @classmethod
+    def _from_table(cls, total: DivisorClass, a: DivisorClass,
+                    b: DivisorClass) -> "ReducibleFiber":
+        """The fibre a + b of total, read from the contraction table."""
+        fiber = object.__new__(cls)
+        object.__setattr__(fiber, "total", total)
+        object.__setattr__(fiber, "components", (a, b))
+        return fiber
 
 
 def is_conic(c: DivisorClass) -> bool:
@@ -221,9 +238,10 @@ def reducible_fibers(c: DivisorClass,
     if fam is not table_fam and fam != table_fam:
         raise ValueError("reducible_fibers needs the exceptional family of "
                          "the class's model")
-    # each contracted a pairs with c - a; the fibre checks itself
+    # each contracted a pairs with c - a, a member meeting it once: the
+    # table fixed the fibre equations, and the Tier-1 tests check them
     pairs = ((a, c - a) for a in selected(fam, masks.get(c.coords, 0)))
-    fibers = [ReducibleFiber(c, (a, b)) for a, b in pairs
+    fibers = [ReducibleFiber._from_table(c, a, b) for a, b in pairs
               if a.coords < b.coords]
     fibers.sort(key=lambda f: f.components[0].coords)
     return fibers

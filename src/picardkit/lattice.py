@@ -16,17 +16,32 @@ dots against, which is how the cone and pair-scan layers read it.
 
 All coordinates are Python integers, so arithmetic never overflows silently;
 there is no fixed-width fast path anywhere in this module.
+
+Values are checked where they enter.  SurfaceModel(...) takes an exact int
+size, and DivisorClass(...) takes exact int coordinates, as many as the
+model's rank.  The sum, difference, negation and integer multiple of
+checked classes are built without a second check: an int plus, minus or
+times an int is again an exact int, and two classes of one model have
+that model's length, so the result is valid by construction.  pairing and
+the arithmetic still refuse a non-class or a class of another model.
+canonical_class is built once per model and shared.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import prod
-from operator import mul
+from operator import add, mul, neg, sub
 from typing import Iterable, Sequence
 
 BLOWUP = "BlowupP2"
 PRODUCT = "ProductP1"
+
+
+def _exact_ints(values: Iterable[object]) -> bool:
+    # exactly int: bool is a subclass, and (True, False) would print as H
+    return {int}.issuperset(map(type, values))
 
 
 @dataclass(frozen=True)
@@ -37,6 +52,8 @@ class SurfaceModel:
     size: int
 
     def __post_init__(self) -> None:
+        if not _exact_ints((self.size,)):
+            raise ValueError(f"model size must be an integer, got {self.size!r}")
         if self.kind == BLOWUP:
             if not 0 <= self.size <= 8:
                 raise ValueError(f"BlowupP2 needs 0 <= r <= 8, got {self.size}")
@@ -81,8 +98,7 @@ class DivisorClass:
 
     def __post_init__(self) -> None:
         coords = tuple(self.coords)
-        # exactly int: bool is a subclass, and (True, False) would print as H
-        if not {int}.issuperset(map(type, coords)):
+        if not _exact_ints(coords):
             raise ValueError("divisor class coordinates must be integers")
         if len(coords) != self.model.rank:
             raise ValueError(
@@ -90,6 +106,16 @@ class DivisorClass:
                 f"got {len(coords)}"
             )
         object.__setattr__(self, "coords", coords)
+
+    @classmethod
+    def _derived(cls, model: SurfaceModel,
+                 coords: tuple[int, ...]) -> "DivisorClass":
+        """A class computed from checked classes of model: exact int
+        coordinates of the model's length, so __post_init__ is skipped."""
+        c = object.__new__(cls)
+        object.__setattr__(c, "model", model)
+        object.__setattr__(c, "coords", coords)
+        return c
 
     @staticmethod
     def from_curve(model: SurfaceModel, degree: int,
@@ -116,6 +142,8 @@ class DivisorClass:
         return tuple(-c for c in self.coords[1:])
 
     def _same_model(self, other: "DivisorClass") -> None:
+        if other.__class__ is DivisorClass and other.model == self.model:
+            return
         if not isinstance(other, DivisorClass):
             raise TypeError(f"expected DivisorClass, got {type(other).__name__}")
         if other.model != self.model:
@@ -125,21 +153,25 @@ class DivisorClass:
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
         self._same_model(other)
-        return DivisorClass(self.model,
-                            tuple(a + b for a, b in zip(self.coords, other.coords)))
+        return DivisorClass._derived(
+            self.model, tuple(map(add, self.coords, other.coords)))
 
     def __sub__(self, other: "DivisorClass") -> "DivisorClass":
         self._same_model(other)
-        return DivisorClass(self.model,
-                            tuple(a - b for a, b in zip(self.coords, other.coords)))
+        return DivisorClass._derived(
+            self.model, tuple(map(sub, self.coords, other.coords)))
 
     def __neg__(self) -> "DivisorClass":
-        return DivisorClass(self.model, tuple(-a for a in self.coords))
+        return DivisorClass._derived(self.model, tuple(map(neg, self.coords)))
 
     def __mul__(self, scalar: int) -> "DivisorClass":
         if not isinstance(scalar, int):
             return NotImplemented
-        return DivisorClass(self.model, tuple(scalar * a for a in self.coords))
+        coords = tuple(scalar * a for a in self.coords)
+        if scalar.__class__ is not int:
+            # an int subclass may override *, so its products are checked
+            return DivisorClass(self.model, coords)
+        return DivisorClass._derived(self.model, coords)
 
     __rmul__ = __mul__
 
@@ -156,8 +188,12 @@ class DivisorClass:
         return " ".join(parts) if parts else "0"
 
 
+@lru_cache(maxsize=64)
 def canonical_class(model: SurfaceModel) -> DivisorClass:
-    """K = -3H + sum E_i on blow-ups, sum (-2) H_i on products."""
+    """K = -3H + sum E_i on blow-ups, sum (-2) H_i on products.
+
+    Built once per model and shared; the bound only matters for callers
+    that sweep many ProductP1 sizes."""
     if model.kind == BLOWUP:
         return DivisorClass(model, (-3,) + (1,) * model.size)
     return DivisorClass(model, (-2,) * model.size)

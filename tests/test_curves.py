@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from picardkit.curves import (
     OrbitSignature,
+    ReducibleFiber,
     contraction_table,
     enumerate_conic,
     enumerate_exceptional,
@@ -280,17 +281,46 @@ def test_families_are_built_once_per_rank():
 
 
 def test_reducible_fibers_match_direct_scan():
-    rng = random.Random(4)
+    # reducible_fibers builds its fibres from the contraction table without
+    # the ReducibleFiber check, so this test is that check, once, on every
+    # fibre of every conic class at r = 1..8: 16074 fibres
+    seen = 0
     for r in range(1, 9):
         fam = enumerate_exceptional(r)
-        conics = list(enumerate_conic(r))
-        if r >= 7:
-            conics = rng.sample(conics, 60)
-        for c in conics:
+        for c in enumerate_conic(r):
             fibers = reducible_fibers(c, fam)
+            for f in fibers:
+                a, b = f.components
+                assert f.total is c
+                assert tuple(x + y for x, y in zip(a.coords, b.coords)) \
+                    == c.coords
+                assert pairing(a, a) == pairing(b, b) == -1
+                assert pairing(a, b) == 1
+                assert a.coords < b.coords
             assert _fiber_coords(fibers) == fibers_by_scan(fam, c)
             assert [f.components[0].coords for f in fibers] == sorted(
                 f.components[0].coords for f in fibers)
+            seen += len(fibers)
+    assert seen == sum((r - 1) * CONIC_COUNTS[r] for r in range(1, 9)) \
+        == 16074
+
+
+def test_caller_built_fibers_are_checked():
+    dp2 = SurfaceModel.blowup_p2(2)
+    e1 = DivisorClass(dp2, (0, 1, 0))
+    e2 = DivisorClass(dp2, (0, 0, 1))
+    line = DivisorClass.from_curve(dp2, 1, (1, 1))
+    ruling = DivisorClass.from_curve(dp2, 1, (1,))
+    assert ReducibleFiber(ruling, (e2, line)).components == (e2, line)
+    with pytest.raises(ValueError, match="do not sum"):
+        ReducibleFiber(ruling, (e1, e2))
+    # H + (-E1) is H - E1, but H^2 = 1: not exceptional
+    h = DivisorClass(dp2, (1, 0, 0))
+    with pytest.raises(ValueError, match="not exceptional"):
+        ReducibleFiber(ruling, (h, ruling - h))
+    # E1 + E2 sums, both are exceptional, but they do not meet
+    with pytest.raises(ValueError, match="meeting once"):
+        ReducibleFiber(e1 + e2, (e1, e2))
 
 
 def test_contraction_masks_are_the_orthogonal_exceptionals():

@@ -1,10 +1,13 @@
 """Source hygiene of the package, read with the standard ast module.
 
-Three rules over every module of picardkit: each imported name is used (a
+Four rules over every module of picardkit: each imported name is used (a
 name listed in __all__ counts as used), no module imports another module's
-private name (one that starts with a single underscore), and every public
-top-level function or class serves the package or the benchmark.  A route
-that only the tests call belongs in tests/_oracles.py.
+private name (one that starts with a single underscore), no module reads a
+private attribute that only another module defines (x._name, other than on
+self or cls), and every public top-level function or class serves the
+package or the benchmark.  A route that only the tests call belongs in
+tests/_oracles.py.  The attribute rule keeps trusted constructors such as
+DivisorClass._derived, which skip validation, inside their own modules.
 """
 
 import ast
@@ -64,13 +67,48 @@ def _used(tree):
     return used
 
 
+def _is_private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
 def _private_imports(tree):
     """(module, name) for every relative import of a single-underscore
     name."""
     return [(node.module, a.name) for node in ast.walk(tree)
             if isinstance(node, ast.ImportFrom) and node.level > 0
-            for a in node.names
-            if a.name.startswith("_") and not a.name.startswith("__")]
+            for a in node.names if _is_private(a.name)]
+
+
+def _private_definitions(tree):
+    """Private names a module binds: functions, methods and classes,
+    assigned names and assigned attributes."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif (isinstance(node, ast.Attribute)
+              and isinstance(node.ctx, ast.Store)):
+            names.add(node.attr)
+    return {n for n in names if _is_private(n)}
+
+
+def _foreign_private_reads(sources):
+    """(module, attribute) for each x._name a module reads, x not self or
+    cls, where _name is defined by another module and not by this one."""
+    trees = {p.stem: _tree(p) for p in sources}
+    defined = {stem: _private_definitions(t) for stem, t in trees.items()}
+    out = []
+    for stem, tree in sorted(trees.items()):
+        foreign = set().union(*(d for other, d in defined.items()
+                                if other != stem)) - defined[stem]
+        out += [(stem, node.attr) for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and node.attr in foreign
+                and not (isinstance(node.value, ast.Name)
+                         and node.value.id in ("self", "cls"))]
+    return out
 
 
 def _public_defs(tree):
@@ -117,6 +155,24 @@ def test_every_imported_name_is_used(path):
 def test_no_private_name_crosses_modules(path):
     crossing = _private_imports(_tree(path))
     assert not crossing, f"{path.name} imports private names {crossing}"
+
+
+def test_no_module_reads_another_modules_private_attributes():
+    crossing = _foreign_private_reads(SOURCES)
+    assert not crossing, f"private attributes read across modules: {crossing}"
+
+
+def test_the_private_attribute_check_sees_a_trusted_constructor(tmp_path):
+    # curves building a class through lattice's unchecked constructor
+    package = Path(picardkit.__file__).parent
+    for name in ("lattice.py", "curves.py"):
+        (tmp_path / name).write_text((package / name).read_text())
+    assert _foreign_private_reads(sorted(tmp_path.glob("*.py"))) == []
+    with open(tmp_path / "curves.py", "a") as f:
+        f.write("\n\ndef doubled(c):\n"
+                "    return DivisorClass._derived(c.model, c.coords * 2)\n")
+    assert _foreign_private_reads(sorted(tmp_path.glob("*.py"))) \
+        == [("curves", "_derived")]
 
 
 def test_every_public_definition_serves_the_package_or_the_benchmark():

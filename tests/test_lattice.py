@@ -35,6 +35,22 @@ def test_model_validation():
     assert SurfaceModel.blowup_p2(2).basis_labels == ("H", "E1", "E2")
 
 
+@pytest.mark.parametrize("size", [True, 2.0, Fraction(2), "2", None])
+def test_model_size_must_be_an_exact_int(size):
+    # True == 1 and hash(True) == hash(1): such a model would share the
+    # canonical class cache with BlowupP2(1) and print as BlowupP2(True)
+    for kind in ("BlowupP2", "ProductP1"):
+        with pytest.raises(ValueError, match="must be an integer"):
+            SurfaceModel(kind, size)
+
+
+def test_canonical_class_is_built_once_per_model():
+    k1 = canonical_class(SurfaceModel.blowup_p2(1))
+    assert canonical_class(SurfaceModel("BlowupP2", 1)) is k1
+    assert str(k1.model) == "BlowupP2(1)"
+    assert canonical_class(SurfaceModel.product_p1(1)) is not k1
+
+
 def test_divisor_class_validation():
     with pytest.raises(ValueError):
         cls(DP7, 1, 2)  # wrong length
@@ -49,6 +65,22 @@ def test_cross_model_classes_never_equal():
     b = cls(SurfaceModel.product_p1(2), 1, 0)
     assert a != b
     assert a == cls(SurfaceModel.blowup_p2(1), 1, 0)
+
+
+def test_arithmetic_refuses_other_models_and_non_classes():
+    a = cls(SurfaceModel.blowup_p2(1), 1, 0)
+    other = (cls(SurfaceModel.blowup_p2(2), 1, 0, 0),
+             cls(SurfaceModel.product_p1(2), 1, 0))
+    for b in other:
+        with pytest.raises(ValueError, match="different models"):
+            a + b
+        with pytest.raises(ValueError, match="different models"):
+            a - b
+    for b in ((1, 0), 1, None):
+        with pytest.raises(TypeError, match="expected DivisorClass"):
+            a + b
+        with pytest.raises(TypeError, match="expected DivisorClass"):
+            a - b
 
 
 def test_from_curve_and_multiplicities_roundtrip():
@@ -168,6 +200,46 @@ def test_pairing_symmetric_bilinear(xa, xb, xc, s, t):
     a, b, c = cls(DP7, *xa), cls(DP7, *xb), cls(DP7, *xc)
     assert pairing(a, b) == pairing(b, a)
     assert pairing(s * a + t * b, c) == s * pairing(a, c) + t * pairing(b, c)
+
+
+models = st.one_of(st.integers(0, 8).map(SurfaceModel.blowup_p2),
+                  st.integers(1, 4).map(SurfaceModel.product_p1))
+
+
+def _checked(c):
+    """c rebuilt through the validating constructor, which raises unless
+    its coordinates are exact ints of the model's length."""
+    assert type(c) is DivisorClass
+    return DivisorClass(c.model, c.coords)
+
+
+@given(models, st.integers(), st.data())
+def test_derived_classes_are_valid_classes(model, k, data):
+    vec = st.tuples(*[st.integers()] * model.rank)
+    a, b = cls(model, *data.draw(vec)), cls(model, *data.draw(vec))
+    for got, coords in (
+            (a + b, [x + y for x, y in zip(a.coords, b.coords)]),
+            (a - b, [x - y for x, y in zip(a.coords, b.coords)]),
+            (-a, [-x for x in a.coords]),
+            (k * a, [k * x for x in a.coords]),
+            (a * k, [k * x for x in a.coords])):
+        assert _checked(got) == got == cls(model, *coords)
+        assert hash(got) == hash(cls(model, *coords))
+
+
+def test_multiple_by_an_int_subclass_is_checked():
+    class Halved(int):
+        def __mul__(self, other):
+            if type(other) is not int:
+                return NotImplemented
+            return Fraction(int(self) * other, 2)
+
+    a = cls(DP7, *range(8))
+    assert a * 2 == cls(DP7, *range(0, 16, 2))
+    with pytest.raises(ValueError, match="must be integers"):
+        a * Halved(3)
+    with pytest.raises(ValueError, match="must be integers"):
+        Halved(3) * a
 
 
 # every model with a surface pairing: BlowupP2(0..8) and ProductP1(2)
