@@ -35,8 +35,9 @@ a positive leading coordinate.
 
 Surface reports: the effective generators are classical and hard-coded
 (basis classes H or E_i plus all exceptional classes, two rulings on
-P1 x P1), then sanity-checked by pairing against -K, which must be strictly
-positive on every generator.  The nef cone is stored by its facet normals,
+P1 x P1), then sanity-checked by their canonical degree: -K.g, read off
+the coordinates by lattice.canonical_degree, must be strictly positive on
+every generator.  The nef cone is stored by its facet normals,
 the psef generators pushed through the intersection form with
 lattice.pairing_vector; its generator description is only materialized for
 the tiny models, because the nef cone of a blow-up at many points has a
@@ -59,8 +60,8 @@ from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 from .curves import enumerate_exceptional
-from .lattice import (BLOWUP, DivisorClass, SurfaceModel, canonical_class,
-                      pairing, pairing_vector)
+from .lattice import (BLOWUP, DivisorClass, SurfaceModel, canonical_degree,
+                      pairing_vector)
 
 Vec = tuple[int, ...]
 
@@ -442,9 +443,8 @@ def psef_generators(model: SurfaceModel) -> tuple[DivisorClass, ...]:
 def surface_cone_report(model: SurfaceModel) -> ConeReport:
     """Nef/psef comparison for BlowupP2(r), 0 <= r <= 8, or ProductP1(2)."""
     gens = psef_generators(model)  # raises for unsupported models
-    minus_k = -canonical_class(model)
     for g in gens:
-        if pairing(minus_k, g) <= 0:
+        if canonical_degree(g) >= 0:
             raise RuntimeError(
                 f"psef generator table corrupt: -K.{g} not positive")
     coords = [g.coords for g in gens]

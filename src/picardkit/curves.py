@@ -44,7 +44,10 @@ the exceptional pairs meeting once, once per rank, and records for each
 conic the bitmask of the classes it contracts; selected(fam, mask) decodes
 such a mask into the family's members.  The table is the only route to
 that fact: reducible_fibers and the pair analysis in fibration read it, and
-a family passed to them must equal the table's own.  Both take BlowupP2
+a family passed to them must equal the table's own.  reducible_fibers
+finds the partner c - a of each contracted a by its coordinates, in a
+per-rank map from coordinates to family index, and returns that family
+member: no class is built by subtraction.  Both take BlowupP2
 models only: the rulings of P1 x P1 are conic classes too, but no table
 covers them.
 """
@@ -54,11 +57,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from math import isqrt
-from operator import add, mul
+from operator import add, mul, sub
 from types import MappingProxyType
 from typing import Mapping
 
-from .lattice import (BLOWUP, DivisorClass, SurfaceModel, canonical_class,
+from .lattice import (BLOWUP, DivisorClass, SurfaceModel, canonical_degree,
                       pairing, pairing_vector)
 
 
@@ -119,8 +122,7 @@ class ReducibleFiber:
 
 
 def is_conic(c: DivisorClass) -> bool:
-    k = canonical_class(c.model)
-    return pairing(c, c) == 0 and pairing(c, k) == -2
+    return canonical_degree(c) == -2 and pairing(c, c) == 0
 
 
 def _mult_vectors(r: int, target_sum: int, target_sq: int):
@@ -189,8 +191,11 @@ def enumerate_conic(r: int) -> tuple[DivisorClass, ...]:
 
 def orbit_signature(c: DivisorClass) -> OrbitSignature:
     """Degree plus the sorted multiplicity multiset of a blow-up class."""
-    return OrbitSignature(c.degree,
-                          tuple(sorted(c.multiplicities(), reverse=True)))
+    if c.model.kind != BLOWUP:
+        raise ValueError("multiplicities only make sense on BlowupP2")
+    coords = c.coords
+    # ascending E-coordinates are descending multiplicities, negated
+    return OrbitSignature(coords[0], tuple(-v for v in sorted(coords[1:])))
 
 
 @cache
@@ -218,6 +223,14 @@ def contraction_table(r: int) -> tuple[tuple[DivisorClass, ...],
     return fam, MappingProxyType(masks)
 
 
+@cache
+def _exceptional_index(r: int) -> Mapping[tuple[int, ...], int]:
+    """Each member of contraction_table(r)'s exceptional family, by
+    coordinates, to its place in that family."""
+    fam, _ = contraction_table(r)
+    return MappingProxyType({e.coords: i for i, e in enumerate(fam)})
+
+
 def reducible_fibers(c: DivisorClass,
                      fam: tuple[DivisorClass, ...]) -> list[ReducibleFiber]:
     """All splittings c = A + B into two exceptional classes with A.B = 1.
@@ -238,10 +251,15 @@ def reducible_fibers(c: DivisorClass,
     if fam is not table_fam and fam != table_fam:
         raise ValueError("reducible_fibers needs the exceptional family of "
                          "the class's model")
-    # each contracted a pairs with c - a, a member meeting it once: the
-    # table fixed the fibre equations, and the Tier-1 tests check them
-    pairs = ((a, c - a) for a in selected(fam, masks.get(c.coords, 0)))
-    fibers = [ReducibleFiber._from_table(c, a, b) for a, b in pairs
-              if a.coords < b.coords]
+    # each contracted a pairs with the member c - a, found by its
+    # coordinates: the table fixed the fibre equations, and the Tier-1
+    # tests check them
+    index = _exceptional_index(c.model.size)
+    total = c.coords
+    fibers = []
+    for a in selected(fam, masks.get(total, 0)):
+        b = tuple(map(sub, total, a.coords))
+        if a.coords < b:
+            fibers.append(ReducibleFiber._from_table(c, a, fam[index[b]]))
     fibers.sort(key=lambda f: f.components[0].coords)
     return fibers

@@ -41,7 +41,7 @@ from .curves import (
     selected,
 )
 from .lattice import (BLOWUP, DivisorClass, SurfaceModel, canonical_class,
-                      pairing, pairing_vector)
+                      canonical_degree, pairing, pairing_vector)
 
 
 @dataclass(frozen=True)
@@ -135,9 +135,8 @@ def hodge_bound(model: SurfaceModel, c1: DivisorClass,
             raise ValueError(f"{c} does not live in {model}")
         if pairing(c, c) != 0:
             raise ValueError(f"{c} is not square-zero")
-    k = canonical_class(model)
-    lhs = 2 * pairing(k, k) * pairing(c1, c2)
-    rhs = (pairing(k, c1) + pairing(k, c2)) ** 2
+    lhs = 2 * canonical_degree(canonical_class(model)) * pairing(c1, c2)
+    rhs = (canonical_degree(c1) + canonical_degree(c2)) ** 2
     return HodgeBound(lhs=lhs, rhs=rhs, holds=lhs <= rhs)
 
 

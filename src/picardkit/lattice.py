@@ -12,7 +12,12 @@ Two kinds of model are supported:
 
 The intersection form lives here alone: pairing evaluates it on two
 classes, and pairing_vector turns one class into the vector that the form
-dots against, which is how the cone and pair-scan layers read it.
+dots against, which is how the cone and pair-scan layers read it.  On
+BlowupP2 pairing takes one pass over both coordinate tuples, as
+2 a_0 b_0 - sum_i a_i b_i (the sum over every coordinate, H included), so
+no slice is built per call.  canonical_degree(c) is the one home for K.c:
+it reads the degree off c's coordinates (-2 c_0 - sum c_i on BlowupP2,
+-2 sum c_i on ProductP1(2)) without building K or pairing against it.
 
 All coordinates are Python integers, so arithmetic never overflows silently;
 there is no fixed-width fast path anywhere in this module.
@@ -199,6 +204,10 @@ def canonical_class(model: SurfaceModel) -> DivisorClass:
     return DivisorClass(model, (-2,) * model.size)
 
 
+def _no_form(model: SurfaceModel) -> ValueError:
+    return ValueError(f"pairing is undefined on {model}; use top_intersection")
+
+
 def pairing_vector(model: SurfaceModel,
                    coords: Sequence[int]) -> tuple[int, ...]:
     """The form applied to the class c with these coordinates: the vector
@@ -208,27 +217,41 @@ def pairing_vector(model: SurfaceModel,
         return (coords[0],) + tuple(-v for v in coords[1:])
     if model.size == 2:
         return (coords[1], coords[0])
-    raise ValueError(f"pairing is undefined on {model}; use top_intersection")
+    raise _no_form(model)
 
 
 def pairing(a: DivisorClass, b: DivisorClass) -> int:
     """Intersection number of two classes on a surface model.
 
     On BlowupP2(r) this is the signature-(1, r) form
-    a_0 b_0 - sum_{i>=1} a_i b_i.  On ProductP1(2) the hyperbolic form
+    a_0 b_0 - sum_{i>=1} a_i b_i, taken in one pass as
+    2 a_0 b_0 - sum_{i>=0} a_i b_i.  On ProductP1(2) the hyperbolic form
     a_0 b_1 + a_1 b_0 is provided as a convenience; higher products have no
     meaningful bilinear form and must go through top_intersection.
     """
     a._same_model(b)
+    x, y = a.coords, b.coords
     model = a.model
     if model.kind == BLOWUP:
-        return a.coords[0] * b.coords[0] - sum(
-            map(mul, a.coords[1:], b.coords[1:]))
+        return 2 * x[0] * y[0] - sum(map(mul, x, y))
     if model.size == 2:
-        return a.coords[0] * b.coords[1] + a.coords[1] * b.coords[0]
-    raise ValueError(
-        f"pairing is undefined on {model}; use top_intersection"
-    )
+        return x[0] * y[1] + x[1] * y[0]
+    raise _no_form(model)
+
+
+def canonical_degree(c: DivisorClass) -> int:
+    """K.c, read off c's coordinates: -2 c_0 - sum_{i>=0} c_i on BlowupP2
+    (K = -3H + sum E_i), -2 (c_0 + c_1) on ProductP1(2).  Equal to
+    pairing(canonical_class(c.model), c), and undefined where pairing is."""
+    if not isinstance(c, DivisorClass):
+        raise TypeError(f"expected DivisorClass, got {type(c).__name__}")
+    x = c.coords
+    model = c.model
+    if model.kind == BLOWUP:
+        return -2 * x[0] - sum(x)
+    if model.size == 2:
+        return -2 * (x[0] + x[1])
+    raise _no_form(model)
 
 
 # Largest matrix _permanent accepts: 2^20 Gray-code steps take a few seconds.

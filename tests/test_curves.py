@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -150,6 +151,35 @@ def test_orbit_signature_examples():
     assert orbit_signature(ruling) == OrbitSignature(1, (1, 0, 0, 0, 0, 0, 0))
     quintic = DivisorClass.from_curve(dp7, 5, (2, 2, 2, 2, 2, 2, 1))
     assert orbit_signature(quintic) == OrbitSignature(5, (2, 2, 2, 2, 2, 2, 1))
+
+
+def test_orbit_signature_matches_multiplicities_route():
+    for r in range(1, 9):
+        for c in enumerate_exceptional(r) + enumerate_conic(r):
+            assert orbit_signature(c) == OrbitSignature(
+                c.degree, tuple(sorted(c.multiplicities(), reverse=True)))
+
+
+def test_orbit_signature_refuses_products():
+    with pytest.raises(ValueError, match="BlowupP2"):
+        orbit_signature(DivisorClass(SurfaceModel.product_p1(2), (1, 0)))
+
+
+def test_is_conic_matches_pairing_route():
+    models = [SurfaceModel.blowup_p2(r) for r in range(7)]
+    models.append(SurfaceModel.product_p1(2))
+    conics = 0
+    for model in models:
+        k = canonical_class(model)
+        for coords in itertools.product(range(-2, 3), repeat=model.rank):
+            c = DivisorClass(model, coords)
+            want = pairing(c, c) == 0 and pairing(c, k) == -2
+            assert is_conic(c) == want
+            conics += want
+    # the rank <= 6 conics of degree <= 2 and the two rulings of P1 x P1
+    assert conics == sum(
+        sum(1 for c in enumerate_conic(r) if c.degree <= 2)
+        for r in range(1, 7)) + 2
 
 
 @given(st.data())

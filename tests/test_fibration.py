@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 
 from _oracles import (contracted_by_scan, finite_pair_groups, reflect,
                       weyl_roots)
+from picardkit import curves, fibration, lattice
 from picardkit.curves import (
     enumerate_conic,
     enumerate_exceptional,
+    is_conic,
     orbit_signature,
     reducible_fibers,
 )
@@ -114,6 +116,47 @@ def test_hodge_bound_domain_errors():
     e1 = DivisorClass(DP7, (0, 1, 0, 0, 0, 0, 0, 0))
     with pytest.raises(ValueError):
         hodge_bound(DP7, e1, e1)  # not square-zero
+
+
+def test_hodge_bound_on_square_zero_classes_that_are_not_conics():
+    # K.c is -4, -6 and -8 here, where every conic has K.c = -2
+    for r in range(2, 9):
+        model = SurfaceModel.blowup_p2(r)
+        k = canonical_class(model)
+        classes = [curve(model, 2, (2,)), curve(model, 3, (0, 3)),
+                   curve(model, 5, (3, 4))]
+        for c1, c2 in itertools.product(classes, repeat=2):
+            hb = hodge_bound(model, c1, c2)
+            assert hb.lhs == 2 * pairing(k, k) * pairing(c1, c2)
+            assert hb.rhs == (pairing(k, c1) + pairing(k, c2)) ** 2
+            assert hb.holds == (hb.lhs <= hb.rhs)
+
+
+@pytest.fixture
+def pairing_calls(monkeypatch):
+    """Count every pairing call made through lattice, curves or fibration."""
+    calls = []
+
+    def counted(a, b):
+        calls.append((a, b))
+        return pairing(a, b)
+
+    for module in (lattice, curves, fibration):
+        monkeypatch.setattr(module, "pairing", counted)
+    return calls
+
+
+def test_hodge_bound_and_is_conic_pairing_counts(pairing_calls):
+    ruling = curve(DP7, 1, (1,))
+    quintic = curve(DP7, 5, (1, 2, 2, 2, 2, 2, 2))
+    hodge_bound(DP7, ruling, quintic)
+    assert len(pairing_calls) == 3
+    pairing_calls.clear()
+    assert is_conic(quintic)
+    assert len(pairing_calls) == 1
+    pairing_calls.clear()
+    assert not is_conic(curve(DP7, 2, (2,)))
+    assert len(pairing_calls) <= 1
 
 
 def test_max_degree_bound():

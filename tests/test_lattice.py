@@ -11,6 +11,7 @@ from picardkit.lattice import (
     DivisorClass,
     SurfaceModel,
     canonical_class,
+    canonical_degree,
     pairing,
     pairing_vector,
     top_intersection,
@@ -254,6 +255,22 @@ def test_pairing_vector_dots_to_pairing(model, data):
     assert (sum(u * v for u, v in zip(pairing_vector(model, a.coords),
                                       b.coords))
             == pairing(a, b))
+
+
+@given(surface_models, st.data())
+def test_canonical_degree_is_k_dot_c(model, data):
+    c = cls(model, *data.draw(st.tuples(*[st.integers(-9, 9)] * model.rank)))
+    assert canonical_degree(c) == pairing(canonical_class(model), c)
+
+
+def test_canonical_degree_examples_and_errors():
+    assert canonical_degree(canonical_class(DP7)) == 2
+    assert canonical_degree(DivisorClass.from_curve(DP7, 1, (1,))) == -2
+    assert canonical_degree(cls(SurfaceModel.product_p1(2), 1, 0)) == -2
+    with pytest.raises(ValueError, match="use top_intersection"):
+        canonical_degree(cls(SurfaceModel.product_p1(3), 1, 0, 0))
+    with pytest.raises(TypeError):
+        canonical_degree((1, 0))
 
 
 def test_pairing_vector_examples_and_errors():
