@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import (fraction_in_cone_lp, mori_cone,
-                      recomputed_dual_description, reflect, weyl_roots)
+from _oracles import (fraction_in_cone_lp, mori_cone, oracle_conic,
+                      recomputed_dual_description, reflect, weyl_orbit,
+                      weyl_roots)
 from picardkit import cones
 from picardkit.cones import (
     ConePoly,
@@ -68,6 +69,46 @@ def test_dual_of_whole_plane_is_zero():
     assert plane.facet_normals() == ()
     assert plane.contains((3, -7))
     assert dual_cone(plane).rays() == ()
+
+
+def test_dual_rays_are_the_facet_normals_of_a_generator_built_cone(
+        monkeypatch):
+    # one double description serves the facets of c and the rays of its dual
+    runs = []
+    run = cones._dual_description
+
+    def counted(normals, dim):
+        runs.append(normals)
+        return run(normals, dim)
+
+    c = ConePoly.from_generators([(1, 0, 2), (1, 3, -1), (2, -1, 1),
+                                  (1, 1, 1), (3, 0, -2)])
+    monkeypatch.setattr(cones, "_dual_description", counted)
+    facets = c.facet_normals()
+    dual = dual_cone(c)
+    assert dual.rays() == facets
+    assert dual.facet_normals() == c.rays()
+    assert len(runs) == 1
+
+
+def test_dual_of_a_facet_built_cone_drops_redundant_facets():
+    # given facets may be redundant, so the dual of a cone built from them
+    # is the minimal description of its rays, not the facets as given
+    rng = random.Random(1996)
+    for _ in range(40):
+        dim = rng.randint(2, 5)
+        facets = [tuple(rng.randint(-3, 3) for _ in range(dim))
+                  for _ in range(rng.randint(dim, dim + 3))]
+        facets = [f for f in facets if any(f)]
+        # a positive sum of two facets is redundant
+        f, g = rng.sample(facets, 2)
+        facets.append(tuple(2 * a + b for a, b in zip(f, g)))
+        c = ConePoly.from_facets(facets, dim)
+        want = recomputed_dual_description(
+            recomputed_dual_description(facets, dim), dim)
+        assert dual_cone(c).rays() == want
+    orthant = ConePoly.from_facets([(1, 0), (0, 1), (1, 1)])
+    assert dual_cone(orthant).rays() == ((0, 1), (1, 0))
 
 
 # --- extremal rays and simpliciality ---------------------------------------
@@ -219,6 +260,21 @@ def test_constructor_validation():
         ConePoly.from_generators([(1, 0), (1, 0, 0)])
 
 
+@pytest.mark.parametrize("entry", [0.5, "1/2", True],
+                         ids=["float", "str", "bool"])
+def test_cone_entries_must_be_int_or_fraction(entry):
+    # a float would enter as its binary expansion, a string would be
+    # parsed, and True would count as 1; each is refused where it enters
+    with pytest.raises(TypeError, match="int or Fraction"):
+        ConePoly.from_generators([(entry, 1), (1, 0)])
+    with pytest.raises(TypeError, match="int or Fraction"):
+        ConePoly.from_facets([(1, 0), (1, entry)])
+    with pytest.raises(TypeError, match="int or Fraction"):
+        in_cone_lp([(entry, 1)], (1, 2))
+    with pytest.raises(TypeError, match="int or Fraction"):
+        in_cone_lp([(1, 1)], (entry, 2))
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_nonnegative_combinations_are_members(data):
@@ -266,10 +322,24 @@ def test_integer_simplex_matches_fraction_simplex(data):
 @given(st.data())
 def test_carried_zero_sets_match_recomputed_zero_sets(data):
     # the double description with zero sets carried forward against the
-    # same algorithm recomputing them from scratch at every halfspace
-    dim = data.draw(st.integers(2, 6))
+    # same algorithm recomputing them from scratch at every halfspace;
+    # vectors spanning a proper subspace, and vectors next to their
+    # negatives, keep lineality alive to the last halfspace
+    dim = data.draw(st.integers(2, 8))
     vecs = data.draw(st.lists(
         st.tuples(*[st.integers(-3, 3)] * dim), min_size=1, max_size=dim + 5))
+    shape = data.draw(st.sampled_from(["free", "low rank", "lines"]))
+    if shape == "low rank":
+        span = vecs[:data.draw(st.integers(1, dim - 1))]
+        vecs = [tuple(sum(c * v[k] for c, v in zip(coeffs, span))
+                      for k in range(dim))
+                for coeffs in data.draw(st.lists(
+                    st.lists(st.integers(-2, 2), min_size=len(span),
+                             max_size=len(span)),
+                    min_size=1, max_size=dim + 5))]
+    elif shape == "lines":
+        vecs += [tuple(-a for a in v)
+                 for v in vecs[:data.draw(st.integers(1, len(vecs)))]]
     want = recomputed_dual_description(vecs, dim)
     assert ConePoly.from_facets(vecs, ambient_dim=dim).rays() == want
     assert ConePoly.from_generators(vecs, ambient_dim=dim).facet_normals() \
@@ -413,6 +483,30 @@ def test_weyl_words_preserve_the_cone_report():
 def test_report_rejects_larger_products():
     with pytest.raises(ValueError):
         surface_cone_report(_pp(4))
+
+
+def _classical_nef_rays(r):
+    # the conic classes and the W(E_r) orbit of H (Dolgachev, Classical
+    # Algebraic Geometry, ch. 8), from routes that share no code with the
+    # double description
+    conics = {(d,) + tuple(-m for m in ms) for d, ms in oracle_conic(r)}
+    return tuple(sorted(conics | weyl_orbit((1,) + (0,) * r, r)))
+
+
+@pytest.mark.parametrize("r, count", [(3, 5), (4, 10), (5, 26), (6, 99),
+                                      (7, 702)])
+def test_nef_rays_are_conics_and_the_orbit_of_h(r, count):
+    rays = surface_cone_report(_bp(r)).nef.rays()
+    assert len(rays) == count
+    assert rays == _classical_nef_rays(r)
+
+
+@pytest.mark.slow
+def test_nef_rays_at_eight_points_are_conics_and_the_orbit_of_h():
+    # 2160 conic classes and 17280 classes in the orbit of H
+    rays = surface_cone_report(_bp(8)).nef.rays()
+    assert len(rays) == 19440
+    assert rays == _classical_nef_rays(8)
 
 
 def test_nef_description_stays_lazy_for_large_rank():
