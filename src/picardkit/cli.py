@@ -66,20 +66,12 @@ INT_PATTERN = re.compile(r"-?[0-9]+")
 MAX_RANK = 8
 
 
-def _fraction_str(value):
-    """json.dumps hook: a Fraction prints as its exact 'p' or 'p/q'."""
-    if isinstance(value, Fraction):
-        return str(value)
-    raise TypeError(f"cannot render {value!r}")
-
-
 def _emit(args, params: dict, result: dict, text_lines: list[str]) -> None:
     """Print, or write to --out, the text or the JSON document of args."""
     if args.format == "json":
         payload = {"command": args.command, "params": params,
                    "result": result}
-        rendered = json.dumps(payload, indent=2, sort_keys=True,
-                              default=_fraction_str) + "\n"
+        rendered = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     else:
         rendered = "\n".join(text_lines) + "\n"
     if args.out:

@@ -57,6 +57,11 @@ MAX_COEFF_DIGITS = 50
 _COEFF_BOUND = 10 ** MAX_COEFF_DIGITS
 
 
+def _is_int(x) -> bool:
+    """An exact int: bool is an int subclass but is refused."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class DoubleCoverSpec:
     """Branch type of a double cover of the n-fold product of lines.
@@ -77,7 +82,7 @@ class DoubleCoverSpec:
         if len(self.branch_type) != self.n:
             raise ValueError("one branch-type entry per factor required")
         for d in self.branch_type:
-            if not isinstance(d, int) or isinstance(d, bool) or d < 0:
+            if not _is_int(d) or d < 0:
                 raise ValueError(f"branch-type entry {d!r} is not a nonnegative int")
             if d > MAX_BRANCH_ENTRY:
                 raise ValueError(f"branch-type entry {d} exceeds "
@@ -180,8 +185,7 @@ class MultiHomogPoly:
             exps = tuple(exps)
             if len(exps) != 2 * n:
                 raise ValueError(f"exponent tuple {exps} must have length {2 * n}")
-            if any(not isinstance(e, int) or isinstance(e, bool) or e < 0
-                   for e in exps):
+            if any(not _is_int(e) or e < 0 for e in exps):
                 raise ValueError(f"exponents must be nonnegative ints: {exps}")
             if isinstance(coeff, float):
                 raise ValueError("float coefficients are not accepted")
@@ -199,8 +203,7 @@ class MultiHomogPoly:
         if multidegree is not None:
             multidegree = tuple(multidegree)
             if len(multidegree) != n or any(
-                    not isinstance(d, int) or isinstance(d, bool) or d < 0
-                    for d in multidegree):
+                    not _is_int(d) or d < 0 for d in multidegree):
                 raise ValueError(f"bad multidegree {multidegree}")
             if degree is not None and degree != multidegree:
                 raise ValueError(
@@ -220,9 +223,9 @@ class MultiHomogPoly:
         return hash((self.n, self.multidegree,
                      frozenset(self.terms.items())))
 
-    def evaluate(self, point) -> Fraction:
-        if not isinstance(point, ProductPoint):
-            point = ProductPoint.of(point)
+    def evaluate(self, point: ProductPoint) -> Fraction:
+        """The exact value at a ProductPoint (ProductPoint.of reads raw
+        pairs)."""
         if point.n != self.n:
             raise ValueError(f"point has {point.n} factors, expected {self.n}")
         vals = point.flat()
@@ -293,7 +296,7 @@ def _value_and_gradient(poly: MultiHomogPoly, point: ProductPoint
     return value, grad
 
 
-def cover_singular_at(poly: MultiHomogPoly, point) -> bool:
+def cover_singular_at(poly: MultiHomogPoly, point: ProductPoint) -> bool:
     """Is the double cover branched along {poly = 0} singular above point?
 
     The point must lie on the branch divisor (the cover is smooth above
@@ -308,9 +311,8 @@ def cover_singular_at(poly: MultiHomogPoly, point) -> bool:
     coefficients put over one common denominator, and one integer pass
     over the terms gives the value and the whole gradient together.
     evaluate and partial_derivative stay the independent Fraction route.
+    Like evaluate, it takes a ProductPoint only.
     """
-    if not isinstance(point, ProductPoint):
-        point = ProductPoint.of(point)
     if point.n != poly.n:
         raise ValueError(f"point has {point.n} factors, expected {poly.n}")
     value, grad = _value_and_gradient(poly, point)
@@ -329,7 +331,7 @@ def short_repr(raw) -> str:
 
 
 def _expect_int(value, what: str, limit: int) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
+    if not _is_int(value):
         raise ValueError(f"{what} must be an integer, got {short_repr(value)}")
     if not 0 <= value <= limit:
         raise ValueError(f"{what} {short_repr(value)} is not in 0..{limit}")
@@ -356,7 +358,7 @@ def parse_rational(text: str, what: str = "coefficient") -> Fraction:
 def _parse_coeff(raw) -> Fraction:
     if isinstance(raw, str):
         return parse_rational(raw)
-    if not isinstance(raw, int) or isinstance(raw, bool):
+    if not _is_int(raw):
         raise ValueError(f"coefficient {short_repr(raw)} must be an exact "
                          f"int or a fraction string")
     if abs(raw) >= _COEFF_BOUND:

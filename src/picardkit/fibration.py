@@ -40,8 +40,8 @@ from .curves import (
     orbit_signature,
     selected,
 )
-from .lattice import (BLOWUP, DivisorClass, SurfaceModel, canonical_class,
-                      canonical_degree, pairing, pairing_vector)
+from .lattice import (BLOWUP, DivisorClass, SurfaceModel, canonical_degree,
+                      pairing, pairing_vector)
 
 
 @dataclass(frozen=True)
@@ -127,7 +127,7 @@ def analyze_pair(pair: FibrationPair,
 def hodge_bound(model: SurfaceModel, c1: DivisorClass,
                 c2: DivisorClass) -> HodgeBound:
     """Index-theorem inequality 2 K^2 (c1.c2) <= (K.c1 + K.c2)^2 for
-    square-zero classes."""
+    square-zero classes, with K^2 = 9 - r on BlowupP2(r)."""
     if model.kind != BLOWUP:
         raise ValueError("hodge_bound needs a BlowupP2 model")
     for c in (c1, c2):
@@ -135,7 +135,7 @@ def hodge_bound(model: SurfaceModel, c1: DivisorClass,
             raise ValueError(f"{c} does not live in {model}")
         if pairing(c, c) != 0:
             raise ValueError(f"{c} is not square-zero")
-    lhs = 2 * canonical_degree(canonical_class(model)) * pairing(c1, c2)
+    lhs = 2 * (9 - model.size) * pairing(c1, c2)
     rhs = (canonical_degree(c1) + canonical_degree(c2)) ** 2
     return HodgeBound(lhs=lhs, rhs=rhs, holds=lhs <= rhs)
 

@@ -25,17 +25,13 @@ there is no fixed-width fast path anywhere in this module.
 Values are checked where they enter.  SurfaceModel(...) takes an exact int
 size, and DivisorClass(...) takes exact int coordinates, as many as the
 model's rank.  The sum, difference, negation and integer multiple of
-checked classes are built without a second check: an int plus, minus or
-times an int is again an exact int, and two classes of one model have
-that model's length, so the result is valid by construction.  pairing and
-the arithmetic still refuse a non-class or a class of another model.
-canonical_class is built once per model and shared.
+classes go through that same constructor, and pairing and the arithmetic
+refuse a non-class or a class of another model.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import prod
 from operator import add, mul, neg, sub
 from typing import Iterable, Sequence
@@ -112,16 +108,6 @@ class DivisorClass:
             )
         object.__setattr__(self, "coords", coords)
 
-    @classmethod
-    def _derived(cls, model: SurfaceModel,
-                 coords: tuple[int, ...]) -> "DivisorClass":
-        """A class computed from checked classes of model: exact int
-        coordinates of the model's length, so __post_init__ is skipped."""
-        c = object.__new__(cls)
-        object.__setattr__(c, "model", model)
-        object.__setattr__(c, "coords", coords)
-        return c
-
     @staticmethod
     def from_curve(model: SurfaceModel, degree: int,
                    mults: Sequence[int] = ()) -> "DivisorClass":
@@ -158,25 +144,21 @@ class DivisorClass:
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
         self._same_model(other)
-        return DivisorClass._derived(
-            self.model, tuple(map(add, self.coords, other.coords)))
+        return DivisorClass(self.model,
+                            tuple(map(add, self.coords, other.coords)))
 
     def __sub__(self, other: "DivisorClass") -> "DivisorClass":
         self._same_model(other)
-        return DivisorClass._derived(
-            self.model, tuple(map(sub, self.coords, other.coords)))
+        return DivisorClass(self.model,
+                            tuple(map(sub, self.coords, other.coords)))
 
     def __neg__(self) -> "DivisorClass":
-        return DivisorClass._derived(self.model, tuple(map(neg, self.coords)))
+        return DivisorClass(self.model, tuple(map(neg, self.coords)))
 
     def __mul__(self, scalar: int) -> "DivisorClass":
         if not isinstance(scalar, int):
             return NotImplemented
-        coords = tuple(scalar * a for a in self.coords)
-        if scalar.__class__ is not int:
-            # an int subclass may override *, so its products are checked
-            return DivisorClass(self.model, coords)
-        return DivisorClass._derived(self.model, coords)
+        return DivisorClass(self.model, tuple(scalar * a for a in self.coords))
 
     __rmul__ = __mul__
 
@@ -193,12 +175,9 @@ class DivisorClass:
         return " ".join(parts) if parts else "0"
 
 
-@lru_cache(maxsize=64)
 def canonical_class(model: SurfaceModel) -> DivisorClass:
-    """K = -3H + sum E_i on blow-ups, sum (-2) H_i on products.
-
-    Built once per model and shared; the bound only matters for callers
-    that sweep many ProductP1 sizes."""
+    """K = -3H + sum E_i on blow-ups, sum (-2) H_i on products.  For K.c
+    alone, canonical_degree(c) builds no K."""
     if model.kind == BLOWUP:
         return DivisorClass(model, (-3,) + (1,) * model.size)
     return DivisorClass(model, (-2,) * model.size)

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -394,6 +395,19 @@ def test_internal_fault_exits_three(capsys, monkeypatch):
     assert captured.out == ""
     assert captured.err == ("picardkit: internal error: ZeroDivisionError: "
                             "integer division or modulo by zero\n")
+
+
+def test_a_fraction_in_a_json_result_is_an_internal_fault(capsys, monkeypatch):
+    # results hold only ints, bools, strs and lists; a Fraction is a bug
+    monkeypatch.setitem(
+        cli._SUITES, "hodge-bound",
+        lambda: [cli._detail("forced", 1, Fraction(1, 2))])
+    assert main(["verify", "hodge-bound", "--format", "json"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("picardkit: internal error: TypeError: ")
+    assert "Traceback" not in captured.err
 
 
 def test_verify_unknown_id_is_usage_error(capsys):

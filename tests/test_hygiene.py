@@ -7,7 +7,7 @@ private attribute that only another module defines (x._name, other than on
 self or cls), and every public top-level function or class serves the
 package or the benchmark.  A route that only the tests call belongs in
 tests/_oracles.py.  The attribute rule keeps trusted constructors such as
-DivisorClass._derived, which skip validation, inside their own modules.
+ReducibleFiber._from_table, which skip validation, inside their own modules.
 """
 
 import ast
@@ -163,16 +163,16 @@ def test_no_module_reads_another_modules_private_attributes():
 
 
 def test_the_private_attribute_check_sees_a_trusted_constructor(tmp_path):
-    # curves building a class through lattice's unchecked constructor
+    # fibration building a fibre through curves' unchecked constructor
     package = Path(picardkit.__file__).parent
-    for name in ("lattice.py", "curves.py"):
+    for name in ("curves.py", "fibration.py"):
         (tmp_path / name).write_text((package / name).read_text())
     assert _foreign_private_reads(sorted(tmp_path.glob("*.py"))) == []
-    with open(tmp_path / "curves.py", "a") as f:
-        f.write("\n\ndef doubled(c):\n"
-                "    return DivisorClass._derived(c.model, c.coords * 2)\n")
+    with open(tmp_path / "fibration.py", "a") as f:
+        f.write("\n\ndef split(c, a, b):\n"
+                "    return ReducibleFiber._from_table(c, a, b)\n")
     assert _foreign_private_reads(sorted(tmp_path.glob("*.py"))) \
-        == [("curves", "_derived")]
+        == [("fibration", "_from_table")]
 
 
 def test_every_public_definition_serves_the_package_or_the_benchmark():
