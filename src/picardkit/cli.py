@@ -184,8 +184,7 @@ def _cmd_cones(args) -> int:
     else:
         model = SurfaceModel.product_p1(rank)
     report = surface_cone_report(model)
-    # None when kept lazy on purpose
-    nef_gens = report.nef.rays() if report.nef.rays_materialized else None
+    nef_gens = report.nef_generators  # None at the larger ranks
     result = {
         "model": {"kind": model.kind, "size": model.size},
         "basis": list(model.basis_labels),
@@ -207,12 +206,9 @@ def _cmd_cones(args) -> int:
         "nef facet normals: "
         + ", ".join(str(tuple(n)) for n in sorted(report.nef.facet_normals())),
     ]
-    if nef_gens is not None:
-        lines.append("nef generators: "
-                     + ", ".join(str(DivisorClass(model, g))
-                                 for g in sorted(nef_gens)))
-    else:
-        lines.append("nef generators: not materialized at this rank")
+    lines.append("nef generators: " + (
+        "not materialized at this rank" if nef_gens is None
+        else ", ".join(str(DivisorClass(model, g)) for g in sorted(nef_gens))))
     _emit(args, {"kind": args.kind, "rank": rank}, result, lines)
     return 0
 

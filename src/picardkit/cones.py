@@ -46,11 +46,11 @@ P1 x P1), then sanity-checked by their canonical degree: -K.g, read off
 the coordinates by lattice.canonical_degree, must be strictly positive on
 every generator.  The nef cone is stored by its facet normals,
 the psef generators pushed through the intersection form with
-lattice.pairing_vector.  The report materializes its generators only for
-the tiny models (r <= 2); nef.rays() builds them on request.  For
-3 <= r <= 8 they are the conic classes plus the W(E_r) orbit of H: 702
-rays at r = 7 in about 0.02 s, and 19440 at r = 8 in about 3 s (2 cores,
-Python 3.11).
+lattice.pairing_vector.  report.nef_generators lists the nef rays for
+the tiny models (P1 x P1, r <= 2) and is None above; it alone decides what
+the JSON shows, and nef.rays() builds them on request.  For 3 <= r <= 8 they
+are the conic classes plus the W(E_r) orbit of H: 702 rays at r = 7 in
+about 0.02 s, and 19440 at r = 8 in about 3 s (2 cores, Python 3.11).
 The Mori cone of a blow-up model is identified with the psef cone (divisor
 and curve classes coincide on a surface); for ProductP1(n) it is the
 nonnegative orthant of curve classes.
@@ -231,23 +231,18 @@ def _dual_description(normals: Sequence[Vec], dim: int) -> tuple[Vec, ...]:
     lineality: list[Vec] = [
         tuple(1 if j == i else 0 for j in range(dim)) for i in range(dim)
     ]
-    # Each ray sits in a slot, and the slots of dropped rays are reused.
-    # zsets[s] is the bitmask of the processed halfspaces that the ray in
-    # slot s lies on; tight[k] is the bitmask of the slots on halfspace k.
+    # Slots are append-only: a dropped ray leaves None, and live, the
+    # bitmask of the slots holding a ray, masks it out.  zsets[s]: the
+    # processed halfspaces slot s lies on; tight[k]: the slots on k.
     rays: list[Vec | None] = []
     zsets: list[int] = []
     tight: list[int] = []
-    free: list[int] = []
     live = 0
 
     def place(ray: Vec, zset: int) -> int:
-        if free:
-            s = free.pop()
-            rays[s], zsets[s] = ray, zset
-        else:
-            s = len(rays)
-            rays.append(ray)
-            zsets.append(zset)
+        s = len(rays)
+        rays.append(ray)
+        zsets.append(zset)
         sb = 1 << s
         while zset:
             low = zset & -zset
@@ -308,14 +303,9 @@ def _dual_description(normals: Sequence[Vec], dim: int) -> tuple[Vec, ...]:
                     vi = vals[i]
                     fresh.append((_primitive([vi * y - vj * x for x, y
                                               in zip(rays[i], rj)]), common))
-        dropped = 0
         for j in neg:
             rays[j] = None
-            dropped |= 1 << j
-        free.extend(neg)
-        keep = ~dropped
-        live &= keep
-        tight = [t & keep for t in tight]
+            live ^= 1 << j
         on_h = 0
         for s, v in enumerate(vals):
             if v == 0 and rays[s] is not None:
@@ -385,11 +375,6 @@ class ConePoly:
                 raise ValueError("ambient_dim required without facet data")
             ambient_dim = len(facets[0])
         return cls(ambient_dim, facets=facets)
-
-    @property
-    def rays_materialized(self) -> bool:
-        """Whether the generator description is known without running DD."""
-        return self._generators is not None
 
     def rays(self) -> tuple[Vec, ...]:
         """Generators; computed from the facet description if absent."""
@@ -492,6 +477,7 @@ class ConeReport:
     model: SurfaceModel
     nef: ConePoly
     psef: ConePoly
+    nef_generators: tuple[Vec, ...] | None  # None unless cheap to list
     equal: bool
     mori_simplicial: bool
     picard_number: int
@@ -522,8 +508,7 @@ def surface_cone_report(model: SurfaceModel) -> ConeReport:
     psef = ConePoly.from_generators(coords, model.rank)
     nef = ConePoly.from_facets([pairing_vector(model, v) for v in coords],
                                model.rank)
-    if model.kind != BLOWUP or model.size <= 2:
-        nef.rays()  # materialize: cheap here, huge for the larger blow-ups
+    small = model.kind != BLOWUP or model.size <= 2  # few nef rays
 
     # psef inside nef, then nef inside psef; on a blow-up with r >= 1 the
     # first psef generator, an exceptional class, is already outside nef
@@ -533,6 +518,7 @@ def surface_cone_report(model: SurfaceModel) -> ConeReport:
         model=model,
         nef=nef,
         psef=psef,
+        nef_generators=nef.rays() if small else None,
         equal=equal,
         # on every reported model the Mori cone has the psef generators
         mori_simplicial=is_simplicial(psef),

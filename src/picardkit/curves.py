@@ -45,11 +45,12 @@ conic the bitmask of the classes it contracts; selected(fam, mask) decodes
 such a mask into the family's members.  The table is the only route to
 that fact: reducible_fibers and the pair analysis in fibration read it, and
 a family passed to them must equal the table's own.  reducible_fibers
-finds the partner c - a of each contracted a by its coordinates, in a
-per-rank map from coordinates to family index, and returns that family
-member: no class is built by subtraction.  Both take BlowupP2
-models only: the rulings of P1 x P1 are conic classes too, but no table
-covers them.
+finds the partner b = c - a of each contracted a among the members c
+contracts (b.c = b.a + b^2 = 0): x -> c - x reverses the lexicographic
+order, so in coordinate order the i-th pairs with the i-th from the end.
+There is no per-rank index, and no class is built by subtraction.  Both
+take BlowupP2 models only: the rulings of P1 x P1 are conic classes too,
+but no table covers them.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from math import isqrt
-from operator import add, mul, sub
+from operator import add, attrgetter, mul
 from types import MappingProxyType
 from typing import Mapping
 
@@ -223,14 +224,6 @@ def contraction_table(r: int) -> tuple[tuple[DivisorClass, ...],
     return fam, MappingProxyType(masks)
 
 
-@cache
-def _exceptional_index(r: int) -> Mapping[tuple[int, ...], int]:
-    """Each member of contraction_table(r)'s exceptional family, by
-    coordinates, to its place in that family."""
-    fam, _ = contraction_table(r)
-    return MappingProxyType({e.coords: i for i, e in enumerate(fam)})
-
-
 def reducible_fibers(c: DivisorClass,
                      fam: tuple[DivisorClass, ...]) -> list[ReducibleFiber]:
     """All splittings c = A + B into two exceptional classes with A.B = 1.
@@ -251,15 +244,11 @@ def reducible_fibers(c: DivisorClass,
     if fam is not table_fam and fam != table_fam:
         raise ValueError("reducible_fibers needs the exceptional family of "
                          "the class's model")
-    # each contracted a pairs with the member c - a, found by its
-    # coordinates: the table fixed the fibre equations, and the Tier-1
-    # tests check them
-    index = _exceptional_index(c.model.size)
-    total = c.coords
-    fibers = []
-    for a in selected(fam, masks.get(total, 0)):
-        b = tuple(map(sub, total, a.coords))
-        if a.coords < b:
-            fibers.append(ReducibleFiber._from_table(c, a, fam[index[b]]))
-    fibers.sort(key=lambda f: f.components[0].coords)
-    return fibers
+    # partners pair off from the two ends of the coordinate order (see the
+    # module docstring); the table fixed the fibre equations, and the
+    # Tier-1 tests check them
+    contracted = sorted(selected(fam, masks.get(c.coords, 0)),
+                        key=attrgetter("coords"))
+    n = len(contracted)
+    return [ReducibleFiber._from_table(c, contracted[i], contracted[n - 1 - i])
+            for i in range(n // 2)]

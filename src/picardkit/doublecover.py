@@ -25,7 +25,8 @@ terms; evaluate and partial_derivative are the Fraction route, which the
 verify suite and the tests keep as an independent check.
 
 Coefficients arrive as integers or exact fraction strings; floats are
-rejected at the JSON boundary so no rounding can enter.  That boundary
+rejected at the JSON boundary so no rounding can enter, and MultiHomogPoly
+and ProductPoint take exact ints and Fractions only.  That boundary
 also bounds the input's size: MAX_FACTORS factors, total degree
 MAX_POLY_DEGREE, MAX_POLY_TERMS term entries, and MAX_COEFF_DIGITS digits
 for each numerator and denominator.
@@ -60,6 +61,13 @@ _COEFF_BOUND = 10 ** MAX_COEFF_DIGITS
 def _is_int(x) -> bool:
     """An exact int: bool is an int subclass but is refused."""
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _exact(x, what: str) -> Fraction:
+    """x as a Fraction: only an exact int or a Fraction is accepted."""
+    if not (_is_int(x) or isinstance(x, Fraction)):
+        raise ValueError(f"{type(x).__name__} {what}s are not accepted")
+    return Fraction(x)
 
 
 @dataclass(frozen=True)
@@ -137,7 +145,7 @@ class ProductPoint:
         for pair in self.pairs:
             if len(pair) != 2:
                 raise ValueError(f"coordinate pair {pair!r} must have length 2")
-            a, b = Fraction(pair[0]), Fraction(pair[1])
+            a, b = _exact(pair[0], "coordinate"), _exact(pair[1], "coordinate")
             if a == 0 and b == 0:
                 raise ValueError("a coordinate pair cannot be (0, 0)")
             clean.append((a, b))
@@ -151,7 +159,10 @@ class ProductPoint:
         return tuple(v for pair in self.pairs for v in pair)
 
     def scaled(self, factor: int, lam) -> "ProductPoint":
-        lam = Fraction(lam)
+        """The same point with pair factor (0 <= factor < n) times lam."""
+        if not (_is_int(factor) and 0 <= factor < self.n):
+            raise ValueError(f"factor {factor!r} is not in 0..{self.n - 1}")
+        lam = _exact(lam, "scaling factor")
         if lam == 0:
             raise ValueError("scaling factor must be nonzero")
         pairs = list(self.pairs)
@@ -187,9 +198,7 @@ class MultiHomogPoly:
                 raise ValueError(f"exponent tuple {exps} must have length {2 * n}")
             if any(not _is_int(e) or e < 0 for e in exps):
                 raise ValueError(f"exponents must be nonnegative ints: {exps}")
-            if isinstance(coeff, float):
-                raise ValueError("float coefficients are not accepted")
-            coeff = Fraction(coeff)
+            coeff = _exact(coeff, "coefficient")
             this = tuple(exps[2 * k] + exps[2 * k + 1] for k in range(n))
             if degree is None:
                 degree = this

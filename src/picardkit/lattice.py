@@ -133,8 +133,6 @@ class DivisorClass:
         return tuple(-c for c in self.coords[1:])
 
     def _same_model(self, other: "DivisorClass") -> None:
-        if other.__class__ is DivisorClass and other.model == self.model:
-            return
         if not isinstance(other, DivisorClass):
             raise TypeError(f"expected DivisorClass, got {type(other).__name__}")
         if other.model != self.model:

@@ -409,7 +409,7 @@ def test_report_one_blowup():
     rep = surface_cone_report(_bp(1))
     assert not rep.equal
     assert rep.mori_simplicial
-    assert rep.nef.rays_materialized
+    assert sorted(rep.nef_generators) == [(1, -1), (1, 0)]
     assert sorted(rep.nef.rays()) == [(1, -1), (1, 0)]
     assert sorted(rep.psef.rays()) == [(0, 1), (1, -1)]
 
@@ -511,9 +511,32 @@ def test_nef_rays_at_eight_points_are_conics_and_the_orbit_of_h():
 
 def test_nef_description_stays_lazy_for_large_rank():
     rep = surface_cone_report(_bp(7))
-    assert not rep.nef.rays_materialized
+    assert rep.nef_generators is None
     # membership still works through the facet description
     h = (1, 0, 0, 0, 0, 0, 0, 0)
     assert rep.nef.contains(h)
     e1 = (0, 1, 0, 0, 0, 0, 0, 0)
     assert not rep.nef.contains(e1)
+
+
+def test_the_report_alone_decides_which_nef_generators_are_listed(
+        monkeypatch):
+    runs = []
+    run = cones._dual_description
+
+    def counted(normals, dim):
+        runs.append(dim)
+        return run(normals, dim)
+
+    monkeypatch.setattr(cones, "_dual_description", counted)
+    for model in [_bp(r) for r in range(9)] + [_pp(2)]:
+        runs.clear()
+        rep = surface_cone_report(model)
+        large = model.kind == "BlowupP2" and model.size >= 3
+        assert (rep.nef_generators is None) == large
+        if large:
+            # no double description ran, and a later one changes nothing
+            assert runs == []
+            if model.size <= 7:
+                rep.nef.rays()
+                assert runs and rep.nef_generators is None

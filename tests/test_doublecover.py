@@ -193,6 +193,42 @@ def test_point_validation():
     assert pt.scaled(1, Fraction(1, 2)).pairs[1] == (Fraction(3, 2), 2)
 
 
+# inexact or non-numeric values, each refused with its type named
+INEXACT = [(0.1, "float"), ("1/2", "str"), (True, "bool"), (None, "NoneType")]
+
+
+@pytest.mark.parametrize("value, kind", INEXACT)
+def test_point_coordinates_must_be_exact(value, kind):
+    for pair in [(value, 1), (1, value)]:
+        with pytest.raises(ValueError, match=f"^{kind} coordinates are not"):
+            ProductPoint.of([(0, 1), pair])
+    assert ProductPoint.of([(Fraction(1, 2), -3)]).pairs == \
+        ((Fraction(1, 2), -3),)
+
+
+@pytest.mark.parametrize("value, kind", INEXACT)
+def test_scaling_factor_must_be_exact(value, kind):
+    pt = ProductPoint.of([(1, 2), (3, 4)])
+    with pytest.raises(ValueError, match=f"^{kind} scaling factors are not"):
+        pt.scaled(0, value)
+    assert pt.scaled(0, -2).pairs[0] == (-2, -4)
+
+
+@pytest.mark.parametrize("factor", [-1, 2, 5, True, 1.0, "0"])
+def test_scaled_checks_the_factor_index(factor):
+    pt = ProductPoint.of([(1, 2), (3, 4)])
+    with pytest.raises(ValueError, match=r"is not in 0\.\.1"):
+        pt.scaled(factor, 2)
+
+
+@pytest.mark.parametrize("value, kind", INEXACT)
+def test_coefficients_must_be_exact(value, kind):
+    with pytest.raises(ValueError, match=f"^{kind} coefficients are not"):
+        MultiHomogPoly(1, {(1, 0): 1, (0, 1): value})
+    assert MultiHomogPoly(1, {(1, 0): -2, (0, 1): Fraction(1, 3)}).terms \
+        == {(1, 0): -2, (0, 1): Fraction(1, 3)}
+
+
 # --- singularity of the cover --------------------------------------------------
 
 def test_branch_example_is_singular_at_the_marked_point():

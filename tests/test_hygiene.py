@@ -5,8 +5,10 @@ name listed in __all__ counts as used), no module imports another module's
 private name (one that starts with a single underscore), no module reads a
 private attribute that only another module defines (x._name, other than on
 self or cls), and every public top-level function or class serves the
-package or the benchmark.  A route that only the tests call belongs in
-tests/_oracles.py.  The attribute rule keeps trusted constructors such as
+package or the benchmark, as does every public method or property of a
+package class, read as an attribute somewhere in the package or in bench/.
+A route that only the tests call belongs in tests/_oracles.py.  The
+attribute rule keeps trusted constructors such as
 ReducibleFiber._from_table, which skip validation, inside their own modules.
 """
 
@@ -16,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import picardkit
-from test_bench_api import USED
+from test_bench_api import BENCH, USED
 
 SOURCES = sorted(Path(picardkit.__file__).parent.glob("*.py"))
 
@@ -137,6 +139,29 @@ def _unserved(sources, bench_used):
             and (f"picardkit.{stem}", name) not in bench_used]
 
 
+def _public_methods(tree):
+    """(class, name) for the public methods and properties of the
+    top-level classes."""
+    return [(node.name, item.name) for node in tree.body
+            if isinstance(node, ast.ClassDef)
+            for item in node.body
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not item.name.startswith("_")]
+
+
+def _unserved_methods(sources, bench_sources, bench_used):
+    """(module, "Class.name") for each public method or property that no
+    file of the package or the benchmark reads as an attribute, and that
+    no benchmark table wraps by name."""
+    read = {n.attr for path in [*sources, *bench_sources]
+            for n in ast.walk(_tree(path)) if isinstance(n, ast.Attribute)
+            and isinstance(n.ctx, ast.Load)}
+    return [(p.stem, f"{cls}.{name}") for p in sources
+            for cls, name in _public_methods(_tree(p))
+            if name not in read
+            and (f"picardkit.{p.stem}", f"{cls}.{name}") not in bench_used]
+
+
 def test_every_module_is_checked():
     names = {p.stem for p in SOURCES}
     assert {"cli", "cones", "curves", "fibration", "lattice"} <= names
@@ -190,6 +215,31 @@ def test_the_unserved_check_sees_a_test_only_route(tmp_path):
     (tmp_path / "__init__.py").write_text("from .a import test_only\n")
     assert _unserved(sorted(tmp_path.glob("*.py")),
                      {("picardkit.a", "benched")}) == [("a", "test_only")]
+
+
+def test_every_public_method_serves_the_package_or_the_benchmark():
+    unserved = _unserved_methods(SOURCES, sorted(BENCH.glob("*.py")),
+                                 set(USED))
+    assert not unserved, (f"only tests read {unserved}; move them to "
+                          f"tests/_oracles.py")
+
+
+def test_the_unserved_method_check_sees_a_test_only_method(tmp_path):
+    (tmp_path / "a.py").write_text("class Cone:\n"
+                                   "    def used(self): pass\n"
+                                   "    def benched(self): pass\n"
+                                   "    def wrapped(self): pass\n"
+                                   "    @property\n"
+                                   "    def test_only(self): pass\n"
+                                   "    def _private(self): pass\n")
+    (tmp_path / "b.py").write_text("from .a import Cone\nCone().used()\n")
+    bench = tmp_path / "bench"
+    bench.mkdir()
+    (bench / "w.py").write_text("def op(c):\n    return c.benched()\n")
+    assert _unserved_methods(sorted(tmp_path.glob("*.py")),
+                             sorted(bench.glob("*.py")),
+                             {("picardkit.a", "Cone.wrapped")}) \
+        == [("a", "Cone.test_only")]
 
 
 def test_the_checks_see_what_they_look_for():
