@@ -2,9 +2,9 @@
 
 Everything here runs over exact arithmetic.  Vector entries must be int or
 Fraction: ConePoly and in_cone_lp raise TypeError for anything else (float,
-str, bool), so no floating point enters.  The double description and the
-simplex work on integers only; Fraction inputs are scaled to integers on
-entry, and the row reduction is the one place that keeps Fractions.
+str, bool), so no floating point enters.  The double description, the
+simplex and the row reduction work on integers only; Fraction inputs are
+scaled to integers on entry.
 
 * Double description: a cone given by halfspace normals is converted to
   generators by Motzkin-style incremental refinement.  Lineality is carried
@@ -25,14 +25,15 @@ entry, and the row reduction is the one place that keeps Fractions.
   once: the one result is its facet normals and the generators of its dual
   cone.
 * Membership and extremality: a phase-I simplex with Bland's rule, pivoting
-  over the integers with one common denominator, decides whether a vector
-  is a nonnegative combination of given generators.  This is the second,
-  independent route to containment next to the facet-sign test, and the
-  two are required to agree.  One such LP decides whether a cone is
-  pointed.  is_simplicial, the one route to simpliciality, runs it and
-  stops counting extremal rays at one past the dimension of the span.
-* Row reduction: one Fraction RREF helper gives ranks, lineality bases and
-  coset representatives modulo the lineality space.
+  over the integers with one common denominator and no artificial
+  columns, decides whether a vector is a nonnegative combination of given
+  generators.  This is the second, independent route to containment next
+  to the facet-sign test, and the two are required to agree.  One such LP
+  decides whether a cone is pointed.  is_simplicial, the one route to
+  simpliciality, runs it and stops counting extremal rays at one past the
+  dimension of the span.
+* Row reduction: one RREF helper over primitive integer rows gives ranks,
+  lineality bases and coset representatives modulo the lineality space.
 
 Normalization: rays and facet normals are scaled to primitive integer
 vectors (denominators cleared, gcd divided out) with orientation preserved;
@@ -63,7 +64,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Iterator, Sequence
@@ -122,34 +123,39 @@ def _canon_line(ints: Sequence[int]) -> Vec:
     return p
 
 
-def _reduce(vec: Sequence, basis: list[tuple[int, list[Fraction]]]
-            ) -> list[Fraction]:
-    """vec with its pivot columns cleared against a _rref basis: the
-    canonical coset representative modulo the span of the basis."""
-    row = [Fraction(v) for v in vec]
+def _reduce(vec: Sequence, basis: list[tuple[int, Vec]]) -> Vec:
+    """vec with its pivot columns cleared against a _rref basis, made
+    primitive: a positive multiple of the canonical coset representative
+    modulo the span of the basis."""
+    row = _integral(vec)
     for piv, b in basis:
-        if row[piv]:
-            f = row[piv]
-            row = [a - f * c for a, c in zip(row, b)]
-    return row
+        f = row[piv]
+        if f:
+            p = b[piv]
+            row = [a * p - f * c for a, c in zip(row, b)]
+    return _primitive(row)
 
 
-def _rref(vectors: Iterable[Sequence]) -> list[tuple[int, list[Fraction]]]:
+def _rref(vectors: Iterable[Sequence]) -> list[tuple[int, Vec]]:
     """Reduced row echelon basis of the span, as (pivot column, row) pairs.
 
-    Each row is 1 at its own pivot and 0 at every other pivot, so the rank
-    is the length of the basis.  Stops once the basis spans everything.
+    Each row is primitive, positive at its own pivot and 0 at every other
+    pivot: a positive multiple of the rational row that is 1 there.  The
+    rank is the length of the basis.  Stops once the basis spans everything.
     """
-    basis: list[tuple[int, list[Fraction]]] = []
+    basis: list[tuple[int, Vec]] = []
     for vec in vectors:
         row = _reduce(vec, basis)
         piv = next((i for i, v in enumerate(row) if v), None)
         if piv is None:
             continue
-        row = [a / row[piv] for a in row]
+        if row[piv] < 0:
+            row = _neg(row)
+        p = row[piv]
         # re-reduce the earlier rows so the basis stays in reduced form
-        basis = [(p, [a - b[piv] * c for a, c in zip(b, row)] if b[piv] else b)
-                 for p, b in basis]
+        basis = [(q, _primitive([a * p - b[piv] * c for a, c in zip(b, row)])
+                  if b[piv] else b)
+                 for q, b in basis]
         basis.append((piv, row))
         if len(basis) == len(row):
             break
@@ -167,8 +173,11 @@ def in_cone_lp(generators: Sequence[Sequence], x: Sequence) -> bool:
     of row r in a's column, and then sets D = p.  Each division is exact,
     since every entry of T is a minor of the starting matrix.  As D stays
     positive, signs are those of the rational tableau and the ratio test
-    compares cross products, so every pivot is the one the same simplex
-    takes over Fractions.
+    compares cross products.  The tableau holds only the generator columns
+    and the right-hand side: each row starts with an artificial in the
+    basis, and one that leaves is never let back in, since fixing it at 0
+    keeps every feasible point.  The simplex stops once the phase-I value
+    is 0.  Its answer is the Fraction simplex's; the pivots may differ.
     """
     d = len(x)
     m = len(generators)
@@ -179,22 +188,17 @@ def in_cone_lp(generators: Sequence[Sequence], x: Sequence) -> bool:
         rows = [[Fraction(v) for v in row] for row in rows]
         den = lcm(*(v.denominator for row in rows for v in row))
         rows = [[int(v * den) for v in row] for row in rows]
-    # columns: the m generators, one artificial per row, the right-hand side
-    T = []
-    for i, row in enumerate(rows):
-        if row[m] < 0:
-            row = [-a for a in row]
-        T.append(row[:m] + [int(k == i) for k in range(d)] + [row[m]])
-    # phase-I objective row: artificial columns reduce to 0, and the last
-    # entry is the sum of the artificials
+    # columns: the m generators, then the right-hand side, made nonnegative
+    T = [row if row[m] >= 0 else [-a for a in row] for row in rows]
+    # phase-I objective row: the row sum, ending in the artificials' sum
     obj = [sum(col) for col in zip(*T)] or [0] * (m + 1)
-    obj[m:m + d] = [0] * d
+    # the labels of the artificials, for Bland's tie-break
     basis = list(range(m, m + d))
     D = 1
-    while True:
-        enter = next((j for j in range(m + d) if obj[j] > 0), None)
+    while obj[-1]:
+        enter = next((j for j in range(m) if obj[j] > 0), None)
         if enter is None:
-            return obj[-1] == 0
+            return False
         pr = None
         for i, row in enumerate(T):
             a = row[enter]
@@ -219,6 +223,7 @@ def in_cone_lp(generators: Sequence[Sequence], x: Sequence) -> bool:
         obj = [(o * p - f * c) // D for o, c in zip(obj, prow)]
         D = p
         basis[pr] = enter
+    return True
 
 
 def _dual_description(normals: Sequence[Vec], dim: int) -> tuple[Vec, ...]:
@@ -343,18 +348,27 @@ class ConePoly:
     def _clean(self, vecs) -> tuple[Vec, ...] | None:
         if vecs is None:
             return None
-        out: list[Vec] = []
-        seen = set()
+        vecs = list(vecs)
         for v in vecs:
             if len(v) != self.ambient_dim:
                 raise ValueError(
                     f"vector {tuple(v)} does not have dimension {self.ambient_dim}"
                 )
-            p = _primitive(_integral(v))
-            if any(p) and p not in seen:
-                seen.add(p)
-                out.append(p)
-        return tuple(out)
+        if not _all_int(chain.from_iterable(vecs)):
+            vecs = map(_integral, vecs)
+        # distinct nonzero primitive vectors, in first-seen order
+        return tuple(dict.fromkeys(p for p in map(_primitive, vecs) if any(p)))
+
+    @classmethod
+    def _described(cls, ambient_dim: int, generators: tuple[Vec, ...],
+                   facets: tuple[Vec, ...]) -> "ConePoly":
+        """A cone from two descriptions already clean: distinct nonzero
+        primitive integer vectors."""
+        cone = cls.__new__(cls)
+        cone.ambient_dim, cone._generators, cone._facets = (
+            ambient_dim, generators, facets)
+        cone._dual = None
+        return cone
 
     @classmethod
     def from_generators(cls, generators: Sequence[Sequence],
@@ -410,17 +424,15 @@ class ConePoly:
 def dual_cone(c: ConePoly) -> ConePoly:
     """The cone {x : <x, g> >= 0 for every generator g of c}.
 
-    The result has c's generators as its facet normals and materialized
-    generators: the double description of c's generators, the very tuple
-    c.facet_normals() returns when c was built from generators, so that
-    description is computed once for both.  A cone built from facets runs
-    it afresh on its rays, since given facets may be redundant.  A dual
-    under the intersection form is the dual of the generators pushed
+    The result has c's generators, already clean, as its facet normals and
+    materialized generators: the double description of c's generators, the
+    very tuple c.facet_normals() returns when c was built from generators,
+    so that description is computed once for both.  A cone built from
+    facets runs it afresh on its rays, since given facets may be redundant.
+    A dual under the intersection form is the dual of the generators pushed
     through lattice.pairing_vector.
     """
-    dual = ConePoly.from_facets(c.rays(), c.ambient_dim)
-    dual._generators = c._dual_rays()
-    return dual
+    return ConePoly._described(c.ambient_dim, c._dual_rays(), c.rays())
 
 
 def _extremal(gens: Sequence[Vec]) -> Iterator[Vec]:
@@ -454,11 +466,11 @@ def extremal_rays(c: ConePoly) -> list[Vec]:
     reduced = []
     seen = set()
     for g in gens:
-        q = _primitive(_integral(_reduce(g, basis)))
+        q = _reduce(g, basis)
         if any(q) and q not in seen:
             seen.add(q)
             reduced.append(q)
-    lines = [_canon_line(_integral(b)) for _, b in basis]
+    lines = [_canon_line(b) for _, b in basis]
     return sorted(set(lines) | {_neg(l) for l in lines} | set(_extremal(reduced)))
 
 

@@ -19,6 +19,12 @@ A second oracle, ``fraction_in_cone_lp``, is the cone engine's phase-I
 simplex as it was written over Fractions, before the library switched to
 integer pivoting; the two must agree on every membership query.
 
+``fraction_rref`` and ``fraction_reduce`` are the cone engine's row
+reduction as it was written over Fractions, each row 1 at its pivot, before
+the library switched to primitive integer rows; the two must agree on every
+pivot column, and each row and coset representative up to a positive
+scalar.
+
 ``recomputed_dual_description`` is the double description with every
 ray's zero set recomputed from scratch against all processed halfspaces at
 each step; the library carries the zero sets forward instead.
@@ -175,6 +181,36 @@ def fraction_in_cone_lp(generators, x):
         objval -= f * b[pr]
         basis[pr] = enter
     return objval == 0
+
+
+def fraction_reduce(vec, basis):
+    """vec with its pivot columns cleared against a fraction_rref basis:
+    the canonical coset representative modulo the span of the basis."""
+    row = [Fraction(v) for v in vec]
+    for piv, b in basis:
+        if row[piv]:
+            f = row[piv]
+            row = [a - f * c for a, c in zip(row, b)]
+    return row
+
+
+def fraction_rref(vectors):
+    """Reduced row echelon basis of the span, as (pivot column, row) pairs,
+    each row 1 at its own pivot and 0 at every other pivot."""
+    basis = []
+    for vec in vectors:
+        row = fraction_reduce(vec, basis)
+        piv = next((i for i, v in enumerate(row) if v), None)
+        if piv is None:
+            continue
+        row = [a / row[piv] for a in row]
+        # re-reduce the earlier rows so the basis stays in reduced form
+        basis = [(p, [a - b[piv] * c for a, c in zip(b, row)] if b[piv] else b)
+                 for p, b in basis]
+        basis.append((piv, row))
+        if len(basis) == len(row):
+            break
+    return basis
 
 
 def _oracle_primitive(vec):

@@ -1,13 +1,14 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import (fraction_in_cone_lp, mori_cone, oracle_conic,
-                      recomputed_dual_description, reflect, weyl_orbit,
-                      weyl_roots)
+from _oracles import (fraction_in_cone_lp, fraction_reduce, fraction_rref,
+                      mori_cone, oracle_conic, recomputed_dual_description,
+                      reflect, weyl_orbit, weyl_roots)
 from picardkit import cones
 from picardkit.cones import (
     ConePoly,
@@ -89,6 +90,30 @@ def test_dual_rays_are_the_facet_normals_of_a_generator_built_cone(
     assert dual.rays() == facets
     assert dual.facet_normals() == c.rays()
     assert len(runs) == 1
+
+
+def test_dual_cone_does_not_clean_its_descriptions_again(monkeypatch):
+    # the dual's facets are c's rays and its rays come from the double
+    # description, both already primitive, nonzero and distinct
+    cleans = []
+    clean = ConePoly._clean
+
+    def counted(self, vecs):
+        cleans.append(vecs)
+        return clean(self, vecs)
+
+    for c in (ConePoly.from_generators([(2, 0, 4), (1, 3, -1), (1, 3, -1),
+                                        (0, 0, 0), (-1, -3, 1)]),
+              ConePoly.from_facets([(1, 0, 0), (0, 1, 0), (1, 1, 0)]),
+              ConePoly.from_generators([], ambient_dim=2)):
+        c.facet_normals()
+        monkeypatch.setattr(ConePoly, "_clean", counted)
+        dual = dual_cone(c)
+        monkeypatch.undo()
+        assert cleans == []
+        assert dual.facet_normals() == c.rays()
+        assert dual.rays() == ConePoly.from_facets(
+            c.rays(), c.ambient_dim).rays()
 
 
 def test_dual_of_a_facet_built_cone_drops_redundant_facets():
@@ -260,6 +285,21 @@ def test_constructor_validation():
         ConePoly.from_generators([(1, 0), (1, 0, 0)])
 
 
+def test_dimensions_are_checked_before_entry_types():
+    # one type check per description, after every length is checked, so
+    # a float in one vector and a wrong length in another is a ValueError
+    with pytest.raises(ValueError, match="does not have dimension 2"):
+        ConePoly.from_generators([(0.5, 1), (1, 0, 0)])
+    with pytest.raises(ValueError, match="does not have dimension 2"):
+        ConePoly.from_facets([(1, 0), (Fraction(1, 2), 0.5), (1,)])
+    with pytest.raises(TypeError, match="int or Fraction, not float"):
+        ConePoly.from_generators([(Fraction(1, 2), 1), (1, 0.5)])
+    # Fractions are scaled per vector, then deduplicated with the integers
+    c = ConePoly.from_generators([(Fraction(1, 2), 1), (1, 2), (2, 4),
+                                  (0, Fraction(0))])
+    assert c.rays() == ((1, 2),)
+
+
 @pytest.mark.parametrize("entry", [0.5, "1/2", True],
                          ids=["float", "str", "bool"])
 def test_cone_entries_must_be_int_or_fraction(entry):
@@ -316,6 +356,118 @@ def test_integer_simplex_matches_fraction_simplex(data):
     else:
         x = tuple(_entry(data, data.draw(st.booleans())) for _ in range(dim))
     assert in_cone_lp(gens, x) == fraction_in_cone_lp(gens, x)
+
+
+@pytest.mark.parametrize("generators, x, want", [
+    ([], (0, 0, 0), True),
+    ([], (0, 1, 0), False),
+    ([], (), True),
+    # x = 0 is in every cone, the zero cone of no dimension too
+    ([(1, 2), (3, -1)], (0, 0), True),
+    ([(0, 0)], (0, 0), True),
+    # rows with a negative right-hand side are negated
+    ([(1, -1), (0, -1)], (1, -3), True),
+    ([(1, -1), (0, -1)], (-1, -3), False),
+    ([(-1, -2), (-3, 1)], (-4, -1), True),
+    # equal ratios in the ratio test, at a positive and at a zero value
+    ([(1, 1), (1, 0)], (2, 2), True),
+    ([(1, 1, 0), (1, 1, 1), (0, 1, 1)], (2, 2, 1), True),
+    ([(1, 1, 0), (1, 1, 1), (0, 1, 1)], (0, 0, 1), False),
+    ([(1, 0, 0), (1, 1, 0), (0, 1, 1), (1, 0, 1)], (1, 1, 1), True),
+    ([(1, 1, 1), (1, -1, 0), (0, 1, 0)], (1, 0, 0), True),
+    ([(1, 1, 1), (1, -1, 0)], (1, 0, 0), False),
+    ([(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)], (0, 0, 1), True),
+    ([(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)], (0, 0, -1), False),
+], ids=["no-gens-zero", "no-gens", "no-dims", "x-zero", "zero-gen",
+        "neg-rhs", "neg-rhs-out", "all-neg", "tie", "tie-3d",
+        "tie-3d-out", "tie-second-pivot", "tie-at-zero", "tie-at-zero-out",
+        "square-centre", "square-below"])
+def test_in_cone_lp_edge_cases(generators, x, want):
+    assert in_cone_lp(generators, x) is want
+    assert fraction_in_cone_lp(generators, x) is want
+
+
+def _count_row_passes(monkeypatch):
+    """Count in_cone_lp's passes over its rows: two per pivot."""
+    passes = []
+
+    def counted(rows):
+        passes.append(rows)
+        if len(passes) > 200:
+            raise RuntimeError("the phase-I simplex cycles")
+        return enumerate(rows)
+
+    monkeypatch.setattr(cones, "enumerate", counted, raising=False)
+    return passes
+
+
+def test_simplex_stops_once_the_phase_one_value_is_zero(monkeypatch):
+    # x = 0 needs no pivot, and (1, 0) one, although a generator column
+    # still has a positive reduced cost afterwards
+    passes = _count_row_passes(monkeypatch)
+    assert in_cone_lp([(1, 1), (1, -1)], (0, 0))
+    assert passes == []
+    assert in_cone_lp([(1, 0), (0, 1), (1, 1)], (1, 0))
+    assert len(passes) == 2
+
+
+def test_blands_leaving_rule_keeps_a_degenerate_lp_from_cycling(
+        monkeypatch):
+    # ties in this LP's ratio test, broken towards the largest basis label,
+    # make the simplex cycle; Bland's rule (the smallest label) ends in 8
+    # pivots
+    passes = _count_row_passes(monkeypatch)
+    gens = [(-2, 2, 0, 1, 1), (2, -1, 2, 1, 0), (0, 0, -2, 2, -1),
+            (1, 1, -1, 2, -1), (0, 0, 1, 1, 2), (0, 0, 2, -1, 2),
+            (-2, 0, 0, 1, 1), (1, -1, -2, 1, 0)]
+    x = (1, 0, 0, 0, 1)
+    assert not in_cone_lp(gens, x)
+    assert len(passes) == 2 * 8
+    assert not fraction_in_cone_lp(gens, x)
+
+
+def _positive_multiple(ints, fracs):
+    """ints is a positive scalar multiple of the rational vector fracs."""
+    k = next((i for i, v in enumerate(fracs) if v), None)
+    if k is None:
+        return not any(ints)
+    scale = Fraction(ints[k]) / fracs[k]
+    return scale > 0 and all(a == scale * b for a, b in zip(ints, fracs))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_integer_rref_matches_fraction_rref(data):
+    # the fraction-free row reduction against the Fraction one it replaced:
+    # the same pivots, and each basis row and coset representative a
+    # positive multiple of the rational one, primitive
+    dim = data.draw(st.integers(1, 8))
+    fractional = data.draw(st.booleans())
+    vecs = [tuple(_entry(data, fractional) for _ in range(dim))
+            for _ in range(data.draw(st.integers(0, dim + 4)))]
+    shape = data.draw(st.sampled_from(["free", "low rank", "lines"]))
+    if shape == "low rank" and vecs and dim > 1:
+        span = vecs[:data.draw(st.integers(1, dim - 1))]
+        vecs = [tuple(sum(c * v[k] for c, v in zip(coeffs, span))
+                      for k in range(dim))
+                for coeffs in data.draw(st.lists(
+                    st.lists(st.integers(-2, 2), min_size=len(span),
+                             max_size=len(span)),
+                    min_size=1, max_size=dim + 4))]
+    elif shape == "lines" and vecs:
+        vecs += [tuple(-a for a in v)
+                 for v in vecs[:data.draw(st.integers(1, len(vecs)))]]
+    basis = cones._rref(vecs)
+    want = fraction_rref(vecs)
+    assert [p for p, _ in basis] == [p for p, _ in want]
+    for (p, row), (_, frow) in zip(basis, want):
+        assert row[p] > 0 and gcd(*row) == 1
+        assert _positive_multiple(row, frow)
+    probes = vecs + [tuple(_entry(data, fractional) for _ in range(dim))]
+    for v in probes:
+        rep = cones._reduce(v, basis)
+        assert gcd(*rep) <= 1
+        assert _positive_multiple(rep, fraction_reduce(v, want))
 
 
 @settings(max_examples=150, deadline=None)
