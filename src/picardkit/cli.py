@@ -11,7 +11,8 @@ arrays together with a "basis" legend naming the coordinates.
 
 Integers on the command line, --rank and the entries of a branch type, are
 ASCII decimals with an optional minus sign (-?[0-9]+); anything else is a
-usage error that names the token.
+usage error that names the token.  A branch type with an empty entry
+('1,,0', '1,1,', ',1', '') is a usage error too, not a shorter type.
 
 Exit codes: 0 on success (and for a verification that passed), 1 for a
 verification suite that failed, 2 for usage errors (bad flags, out-of-range
@@ -216,8 +217,15 @@ def _cmd_cones(args) -> int:
 # --- cover -------------------------------------------------------------------
 
 def _parse_branch(text: str) -> list[int]:
-    return [_parse_int(tok, "branch-type entry", MAX_BRANCH_ENTRY)
-            for tok in map(str.strip, text.split(",")) if tok]
+    """The comma-separated entries of a branch type; an empty entry, as in
+    '1,,0', '1,1,' or '', is a usage error that gives its position."""
+    entries = []
+    for k, tok in enumerate(map(str.strip, text.split(",")), 1):
+        if not tok:
+            raise ValueError(f"branch-type entry {k} of {short_repr(text)} "
+                             f"is empty")
+        entries.append(_parse_int(tok, "branch-type entry", MAX_BRANCH_ENTRY))
+    return entries
 
 
 def _cmd_cover(args) -> int:

@@ -31,7 +31,9 @@ scaled to integers on entry.
   to the facet-sign test, and the two are required to agree.  One such LP
   decides whether a cone is pointed.  is_simplicial, the one route to
   simpliciality, runs it and stops counting extremal rays at one past the
-  dimension of the span.
+  dimension of the span.  in_cone_lp checks and scales its entries on each
+  call; extremal_rays and is_simplicial pass a cone's own rays, checked
+  once when the cone was built, straight to the integer simplex.
 * Row reduction: one RREF helper over primitive integer rows gives ranks,
   lineality bases and coset representatives modulo the lineality space.
 
@@ -62,7 +64,6 @@ itself, and psef inside nef by the nef cone's own facet test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, islice
 from math import gcd, lcm
@@ -70,8 +71,8 @@ from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 from .curves import enumerate_exceptional
-from .lattice import (BLOWUP, DivisorClass, SurfaceModel, canonical_degree,
-                      pairing_vector)
+from .lattice import (BLOWUP, DivisorClass, FrozenValue, SurfaceModel,
+                      canonical_degree, pairing_vector)
 
 Vec = tuple[int, ...]
 
@@ -165,6 +166,30 @@ def _rref(vectors: Iterable[Sequence]) -> list[tuple[int, Vec]]:
 def in_cone_lp(generators: Sequence[Sequence], x: Sequence) -> bool:
     """Is x a nonnegative rational combination of the generators?
 
+    Entries must be int or Fraction; anything else raises TypeError.  A
+    system with a Fraction entry is scaled to integers by one common
+    denominator, which scales the phase-I objective too, so the pivots do
+    not change.  _in_cone then decides the integer system.
+    """
+    rows = [[g[i] for g in generators] + [x[i]] for i in range(len(x))]
+    if not _all_int(v for row in rows for v in row):
+        rows = [[Fraction(v) for v in row] for row in rows]
+        den = lcm(*(v.denominator for row in rows for v in row))
+        rows = [[int(v * den) for v in row] for row in rows]
+    return _phase_one(rows, len(generators))
+
+
+def _in_cone(generators: Sequence[Vec], x: Vec) -> bool:
+    """in_cone_lp on integer vectors whose entries are already checked, as
+    ConePoly._clean leaves them: no type check and no scaling."""
+    return _phase_one([[g[i] for g in generators] + [x[i]]
+                       for i in range(len(x))], len(generators))
+
+
+def _phase_one(rows: list[list[int]], m: int) -> bool:
+    """Whether the integer system sum_j y_j g_j = x has a solution y >= 0,
+    given as rows [g_1[i], ..., g_m[i], x[i]], one per coordinate i.
+
     Phase-I simplex with Bland's rule, pivoting over the integers
     (Edmonds 1967; Bareiss 1968).  The rational tableau is T / D for an
     integer matrix T and one common denominator D > 0, which starts at 1.
@@ -179,15 +204,7 @@ def in_cone_lp(generators: Sequence[Sequence], x: Sequence) -> bool:
     keeps every feasible point.  The simplex stops once the phase-I value
     is 0.  Its answer is the Fraction simplex's; the pivots may differ.
     """
-    d = len(x)
-    m = len(generators)
-    rows = [[g[i] for g in generators] + [x[i]] for i in range(d)]
-    if not _all_int(v for row in rows for v in row):
-        # one denominator for the whole system: scaling all rows alike
-        # scales the phase-I objective too, so the pivots do not change
-        rows = [[Fraction(v) for v in row] for row in rows]
-        den = lcm(*(v.denominator for row in rows for v in row))
-        rows = [[int(v * den) for v in row] for row in rows]
+    d = len(rows)
     # columns: the m generators, then the right-hand side, made nonnegative
     T = [row if row[m] >= 0 else [-a for a in row] for row in rows]
     # phase-I objective row: the row sum, ending in the artificials' sum
@@ -439,15 +456,15 @@ def _extremal(gens: Sequence[Vec]) -> Iterator[Vec]:
     """Each generator that is not a nonnegative combination of the others,
     in input order (the simplex route)."""
     for g in gens:
-        if not in_cone_lp([h for h in gens if h != g], g):
+        if not _in_cone([h for h in gens if h != g], g):
             yield g
 
 
 def _pointed(gens: Sequence[Vec]) -> bool:
     """No line in the cone: 0 is no nonnegative combination of the
     generators with coefficients summing to 1, which one LP settles."""
-    return not gens or not in_cone_lp([g + (1,) for g in gens],
-                                      (0,) * len(gens[0]) + (1,))
+    return not gens or not _in_cone([g + (1,) for g in gens],
+                                    (0,) * len(gens[0]) + (1,))
 
 
 def extremal_rays(c: ConePoly) -> list[Vec]:
@@ -461,7 +478,7 @@ def extremal_rays(c: ConePoly) -> list[Vec]:
     gens = list(c.rays())
     if _pointed(gens):
         return sorted(_extremal(gens))
-    lin_members = [g for g in gens if in_cone_lp(gens, _neg(g))]
+    lin_members = [g for g in gens if _in_cone(gens, _neg(g))]
     basis = _rref(lin_members)
     reduced = []
     seen = set()
@@ -484,8 +501,9 @@ def is_simplicial(c: ConePoly) -> bool:
     return len(list(islice(_extremal(gens), dim + 1))) == dim
 
 
-@dataclass(frozen=True)
-class ConeReport:
+class ConeReport(FrozenValue):
+    __slots__ = ("model", "nef", "psef", "nef_generators", "equal",
+                 "mori_simplicial", "picard_number")
     model: SurfaceModel
     nef: ConePoly
     psef: ConePoly
@@ -493,6 +511,17 @@ class ConeReport:
     equal: bool
     mori_simplicial: bool
     picard_number: int
+
+    def __init__(self, model: SurfaceModel, nef: ConePoly, psef: ConePoly,
+                 nef_generators: tuple[Vec, ...] | None, equal: bool,
+                 mori_simplicial: bool, picard_number: int) -> None:
+        object.__setattr__(self, "model", model)
+        object.__setattr__(self, "nef", nef)
+        object.__setattr__(self, "psef", psef)
+        object.__setattr__(self, "nef_generators", nef_generators)
+        object.__setattr__(self, "equal", equal)
+        object.__setattr__(self, "mori_simplicial", mori_simplicial)
+        object.__setattr__(self, "picard_number", picard_number)
 
 
 def psef_generators(model: SurfaceModel) -> tuple[DivisorClass, ...]:

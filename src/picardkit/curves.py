@@ -55,24 +55,46 @@ but no table covers them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from math import isqrt
-from operator import add, attrgetter, mul
+from operator import add, attrgetter, ge, gt, le, lt, mul
 from types import MappingProxyType
 from typing import Mapping
 
-from .lattice import (BLOWUP, DivisorClass, SurfaceModel, canonical_degree,
-                      pairing, pairing_vector)
+from .lattice import (BLOWUP, DivisorClass, FrozenValue, SurfaceModel,
+                      canonical_degree, pairing, pairing_vector)
 
 
-@dataclass(frozen=True, order=True)
-class OrbitSignature:
+class OrbitSignature(FrozenValue):
     """(degree, descending multiplicity multiset): the fingerprint of a
-    class up to permutations of the blown-up points."""
+    class up to permutations of the blown-up points.  Signatures order as
+    that pair, and not against any other type."""
 
+    __slots__ = ("degree", "multiplicities")
     degree: int
     multiplicities: tuple[int, ...]
+
+    def __init__(self, degree: int, multiplicities: tuple[int, ...]) -> None:
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "multiplicities", multiplicities)
+
+    def _order(self, other: object, op) -> bool:
+        if other.__class__ is self.__class__:
+            key = self._key
+            return op(key(self), key(other))
+        return NotImplemented
+
+    def __lt__(self, other: object) -> bool:
+        return self._order(other, lt)
+
+    def __le__(self, other: object) -> bool:
+        return self._order(other, le)
+
+    def __gt__(self, other: object) -> bool:
+        return self._order(other, gt)
+
+    def __ge__(self, other: object) -> bool:
+        return self._order(other, ge)
 
     def __str__(self) -> str:
         return f"({self.degree}; {','.join(map(str, self.multiplicities))})"
@@ -90,8 +112,7 @@ def selected(fam: tuple[DivisorClass, ...],
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class ReducibleFiber:
+class ReducibleFiber(FrozenValue):
     """A conic-class decomposition into two exceptional components.
 
     A fibre built by a caller is checked: a + b = total, a^2 = b^2 = -1
@@ -102,15 +123,19 @@ class ReducibleFiber:
     class at r = 1..8 against these equations and a direct scan.
     """
 
+    __slots__ = ("total", "components")
     total: DivisorClass
     components: tuple[DivisorClass, DivisorClass]
 
-    def __post_init__(self) -> None:
-        a, b = self.components
-        if a + b != self.total:
+    def __init__(self, total: DivisorClass,
+                 components: tuple[DivisorClass, DivisorClass]) -> None:
+        a, b = components
+        if a + b != total:
             raise ValueError("components do not sum to the fiber class")
         if pairing(a, a) != -1 or pairing(b, b) != -1 or pairing(a, b) != 1:
             raise ValueError("components are not exceptional classes meeting once")
+        object.__setattr__(self, "total", total)
+        object.__setattr__(self, "components", components)
 
     @classmethod
     def _from_table(cls, total: DivisorClass, a: DivisorClass,

@@ -35,11 +35,12 @@ for each numerator and denominator.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm, prod
 from types import MappingProxyType
 from typing import Mapping, Sequence
+
+from .lattice import FrozenValue
 
 COEFF_PATTERN = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
@@ -70,31 +71,33 @@ def _exact(x, what: str) -> Fraction:
     return Fraction(x)
 
 
-@dataclass(frozen=True)
-class DoubleCoverSpec:
+class DoubleCoverSpec(FrozenValue):
     """Branch type of a double cover of the n-fold product of lines.
 
     branch_type holds (d_1, ..., d_n); the branch divisor has type
     (2*d_1, ..., 2*d_n).
     """
 
+    __slots__ = ("n", "branch_type")
     n: int
     branch_type: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
+    def __init__(self, n: int, branch_type: tuple[int, ...]) -> None:
+        if n < 1:
             raise ValueError("need at least one factor")
-        if self.n > MAX_FACTORS:
-            raise ValueError(f"branch type has {self.n} factors; at most "
+        if n > MAX_FACTORS:
+            raise ValueError(f"branch type has {n} factors; at most "
                              f"{MAX_FACTORS} are supported")
-        if len(self.branch_type) != self.n:
+        if len(branch_type) != n:
             raise ValueError("one branch-type entry per factor required")
-        for d in self.branch_type:
+        for d in branch_type:
             if not _is_int(d) or d < 0:
                 raise ValueError(f"branch-type entry {d!r} is not a nonnegative int")
             if d > MAX_BRANCH_ENTRY:
                 raise ValueError(f"branch-type entry {d} exceeds "
                                  f"{MAX_BRANCH_ENTRY}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "branch_type", branch_type)
 
     @staticmethod
     def of(branch_type: Sequence[int]) -> "DoubleCoverSpec":
@@ -130,25 +133,26 @@ def expected_picard_number(spec: DoubleCoverSpec) -> int | None:
     return None
 
 
-@dataclass(frozen=True)
-class ProductPoint:
+class ProductPoint(FrozenValue):
     """A point of the n-fold product of lines: one coordinate pair per
     factor, no pair identically zero."""
 
+    __slots__ = ("n", "pairs")
     n: int
     pairs: tuple[tuple[Fraction, Fraction], ...]
 
-    def __post_init__(self) -> None:
-        if self.n < 1 or len(self.pairs) != self.n:
+    def __init__(self, n: int, pairs: Sequence[Sequence]) -> None:
+        if n < 1 or len(pairs) != n:
             raise ValueError("one coordinate pair per factor required")
         clean = []
-        for pair in self.pairs:
+        for pair in pairs:
             if len(pair) != 2:
                 raise ValueError(f"coordinate pair {pair!r} must have length 2")
             a, b = _exact(pair[0], "coordinate"), _exact(pair[1], "coordinate")
             if a == 0 and b == 0:
                 raise ValueError("a coordinate pair cannot be (0, 0)")
             clean.append((a, b))
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "pairs", tuple(clean))
 
     @staticmethod
@@ -171,8 +175,7 @@ class ProductPoint:
         return ProductPoint(self.n, tuple(pairs))
 
 
-@dataclass(frozen=True)
-class MultiHomogPoly:
+class MultiHomogPoly(FrozenValue):
     """Multihomogeneous polynomial on the n-fold product of lines.
 
     terms maps flat exponent tuples of length 2n to nonzero Fraction
@@ -182,17 +185,18 @@ class MultiHomogPoly:
     determine one.
     """
 
+    __slots__ = ("n", "terms", "multidegree")
     n: int
     terms: Mapping[tuple[int, ...], object]
-    multidegree: Sequence[int] | None = None
+    multidegree: Sequence[int] | None
 
-    def __post_init__(self) -> None:
-        n = self.n
+    def __init__(self, n: int, terms: Mapping[tuple[int, ...], object],
+                 multidegree: Sequence[int] | None = None) -> None:
         if n < 1:
             raise ValueError("need at least one factor")
         clean: dict[tuple[int, ...], Fraction] = {}
         degree: tuple[int, ...] | None = None
-        for exps, coeff in self.terms.items():
+        for exps, coeff in terms.items():
             exps = tuple(exps)
             if len(exps) != 2 * n:
                 raise ValueError(f"exponent tuple {exps} must have length {2 * n}")
@@ -208,7 +212,6 @@ class MultiHomogPoly:
             if coeff:
                 clean[exps] = clean.get(exps, Fraction(0)) + coeff
         clean = {e: c for e, c in clean.items() if c}
-        multidegree = self.multidegree
         if multidegree is not None:
             multidegree = tuple(multidegree)
             if len(multidegree) != n or any(
@@ -219,6 +222,7 @@ class MultiHomogPoly:
                     f"terms have multidegree {degree}, not {multidegree}")
         elif degree is None:
             raise ValueError("the zero polynomial needs an explicit multidegree")
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "terms", MappingProxyType(clean))
         object.__setattr__(self, "multidegree",
                            multidegree if multidegree is not None else degree)

@@ -28,7 +28,6 @@ end, so every count is halved.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from operator import mul
 
@@ -40,56 +39,79 @@ from .curves import (
     orbit_signature,
     selected,
 )
-from .lattice import (BLOWUP, DivisorClass, SurfaceModel, canonical_degree,
-                      pairing, pairing_vector)
+from .lattice import (BLOWUP, DivisorClass, FrozenValue, SurfaceModel,
+                      canonical_degree, pairing, pairing_vector)
 
 
-@dataclass(frozen=True)
-class FibrationPair:
+class FibrationPair(FrozenValue):
+    __slots__ = ("model", "c1", "c2")
     model: SurfaceModel
     c1: DivisorClass
     c2: DivisorClass
 
-    def __post_init__(self) -> None:
-        if self.model.kind != BLOWUP:
+    def __init__(self, model: SurfaceModel, c1: DivisorClass,
+                 c2: DivisorClass) -> None:
+        if model.kind != BLOWUP:
             raise ValueError(f"fibration pairs need a BlowupP2 model, "
-                             f"got {self.model}")
-        for c in (self.c1, self.c2):
-            if c.model != self.model:
-                raise ValueError(f"{c} does not live in {self.model}")
+                             f"got {model}")
+        for c in (c1, c2):
+            if c.model != model:
+                raise ValueError(f"{c} does not live in {model}")
             if not is_conic(c):
                 raise ValueError(f"{c} is not a conic fibration class")
-        if self.c1 == self.c2:
+        if c1 == c2:
             raise ValueError("fibration pair needs two distinct classes")
+        object.__setattr__(self, "model", model)
+        object.__setattr__(self, "c1", c1)
+        object.__setattr__(self, "c2", c2)
 
 
-@dataclass(frozen=True)
-class FinitenessReport:
+class FinitenessReport(FrozenValue):
+    __slots__ = ("degree", "common_contracted", "is_finite")
     degree: int
     common_contracted: tuple[DivisorClass, ...]
     is_finite: bool
 
+    def __init__(self, degree: int,
+                 common_contracted: tuple[DivisorClass, ...],
+                 is_finite: bool) -> None:
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "common_contracted", common_contracted)
+        object.__setattr__(self, "is_finite", is_finite)
 
-@dataclass(frozen=True)
-class HodgeBound:
+
+class HodgeBound(FrozenValue):
+    __slots__ = ("lhs", "rhs", "holds")
     lhs: int
     rhs: int
     holds: bool
 
+    def __init__(self, lhs: int, rhs: int, holds: bool) -> None:
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
+        object.__setattr__(self, "holds", holds)
 
-@dataclass(frozen=True)
-class PairClassEntry:
+
+class PairClassEntry(FrozenValue):
     """One group of finite pairs: unordered signature pair, degree, count."""
 
+    __slots__ = ("signature_pair", "degree", "count")
     signature_pair: tuple[OrbitSignature, OrbitSignature]
     degree: int
     count: int
 
+    def __init__(self, signature_pair: tuple[OrbitSignature, OrbitSignature],
+                 degree: int, count: int) -> None:
+        object.__setattr__(self, "signature_pair", signature_pair)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "count", count)
 
-@dataclass(frozen=True)
-class PairScanSummary:
+
+class PairScanSummary(FrozenValue):
     """Whole-rank facts about the set of unordered conic pairs."""
 
+    __slots__ = ("rank", "class_count", "pair_count", "max_degree",
+                 "hodge_holds", "finite_pair_count", "finite_degrees")
     rank: int
     class_count: int
     pair_count: int
@@ -97,6 +119,17 @@ class PairScanSummary:
     hodge_holds: bool
     finite_pair_count: int
     finite_degrees: tuple[int, ...]
+
+    def __init__(self, rank: int, class_count: int, pair_count: int,
+                 max_degree: int, hodge_holds: bool, finite_pair_count: int,
+                 finite_degrees: tuple[int, ...]) -> None:
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "class_count", class_count)
+        object.__setattr__(self, "pair_count", pair_count)
+        object.__setattr__(self, "max_degree", max_degree)
+        object.__setattr__(self, "hodge_holds", hodge_holds)
+        object.__setattr__(self, "finite_pair_count", finite_pair_count)
+        object.__setattr__(self, "finite_degrees", finite_degrees)
 
 
 def analyze_pair(pair: FibrationPair,

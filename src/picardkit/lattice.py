@@ -27,13 +27,20 @@ size, and DivisorClass(...) takes exact int coordinates, as many as the
 model's rank.  The sum, difference, negation and integer multiple of
 classes go through that same constructor, and pairing and the arithmetic
 refuse a non-class or a class of another model.
+
+FrozenValue is the base of the package's value classes, here and in
+curves, fibration, cones and doublecover.  Each is a slotted frozen value,
+not a dataclass: it lists its fields in __slots__ and writes them once, in
+its own __init__, after its checks; afterwards assignment and deletion
+raise AttributeError.  Equality, hash, repr and copying come from the
+fields, as a frozen dataclass's would.  The package imports no dataclasses,
+which would cost every CLI start its code generation and its imports.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import prod
-from operator import add, mul, neg, sub
+from operator import add, attrgetter, mul, neg, sub
 from typing import Iterable, Sequence
 
 BLOWUP = "BlowupP2"
@@ -45,24 +52,71 @@ def _exact_ints(values: Iterable[object]) -> bool:
     return {int}.issuperset(map(type, values))
 
 
-@dataclass(frozen=True)
-class SurfaceModel:
+class FrozenValue:
+    """An immutable value whose fields are its __slots__, two or more, in
+    constructor order.
+
+    A subclass's __init__ checks its arguments and writes each field once
+    with object.__setattr__; assignment and deletion raise AttributeError.
+    Two values are equal when they are of one class and their fields are
+    equal, and a value hashes as the tuple of its fields.  The repr is
+    Name(field=value, ...), and copy and pickle rebuild a value through its
+    constructor.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        # the fields as one tuple, read in C
+        cls._key = attrgetter(*cls.__slots__)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other is self:
+            return True
+        if other.__class__ is self.__class__:
+            key = self._key
+            return key(self) == key(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, self._key(self)
+
+
+class SurfaceModel(FrozenValue):
     """A Picard lattice model, identified by kind and size (r or n)."""
 
+    __slots__ = ("kind", "size")
     kind: str
     size: int
 
-    def __post_init__(self) -> None:
-        if not _exact_ints((self.size,)):
-            raise ValueError(f"model size must be an integer, got {self.size!r}")
-        if self.kind == BLOWUP:
-            if not 0 <= self.size <= 8:
-                raise ValueError(f"BlowupP2 needs 0 <= r <= 8, got {self.size}")
-        elif self.kind == PRODUCT:
-            if self.size < 1:
-                raise ValueError(f"ProductP1 needs n >= 1, got {self.size}")
+    def __init__(self, kind: str, size: int) -> None:
+        if not _exact_ints((size,)):
+            raise ValueError(f"model size must be an integer, got {size!r}")
+        if kind == BLOWUP:
+            if not 0 <= size <= 8:
+                raise ValueError(f"BlowupP2 needs 0 <= r <= 8, got {size}")
+        elif kind == PRODUCT:
+            if size < 1:
+                raise ValueError(f"ProductP1 needs n >= 1, got {size}")
         else:
-            raise ValueError(f"unknown model kind {self.kind!r}")
+            raise ValueError(f"unknown model kind {kind!r}")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "size", size)
 
     @staticmethod
     def blowup_p2(r: int) -> "SurfaceModel":
@@ -86,26 +140,27 @@ class SurfaceModel:
         return f"{self.kind}({self.size})"
 
 
-@dataclass(frozen=True)
-class DivisorClass:
+class DivisorClass(FrozenValue):
     """An integer coordinate vector in a model's basis.
 
     Equality is coordinate-wise within one model; classes from different
     models never compare equal (the model participates in the comparison).
     """
 
+    __slots__ = ("model", "coords")
     model: SurfaceModel
     coords: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        coords = tuple(self.coords)
+    def __init__(self, model: SurfaceModel, coords: Sequence[int]) -> None:
+        coords = tuple(coords)
         if not _exact_ints(coords):
             raise ValueError("divisor class coordinates must be integers")
-        if len(coords) != self.model.rank:
+        if len(coords) != model.rank:
             raise ValueError(
-                f"expected {self.model.rank} coordinates for {self.model}, "
+                f"expected {model.rank} coordinates for {model}, "
                 f"got {len(coords)}"
             )
+        object.__setattr__(self, "model", model)
         object.__setattr__(self, "coords", coords)
 
     @staticmethod

@@ -334,6 +334,31 @@ def test_cli_integers_are_ascii_decimals(capsys, argv, token):
     assert token in line and len(line) < 100
 
 
+@pytest.mark.parametrize("branch, words", [
+    ("1,,0", "entry 2 of '1,,0' is empty"),
+    ("1,1,", "entry 3 of '1,1,' is empty"),
+    (",1", "entry 1 of ',1' is empty"),
+    ("1, ,0", "entry 2 of '1, ,0' is empty"),
+    ("", "entry 1 of '' is empty"),
+])
+def test_cover_empty_branch_entry_is_a_usage_error(capsys, branch, words):
+    # not a cover with fewer factors: '1,,0' is no spelling of (1, 0)
+    line = _bad_input_line(capsys, ["cover", branch, "--format", "json"])
+    assert line.endswith(f"error: branch-type {words}")
+    assert capsys.readouterr().out == ""
+
+
+def test_cover_empty_entry_in_a_long_branch_gets_one_short_line(capsys):
+    line = _bad_input_line(capsys, ["cover", "1," * 3000 + ",1"])
+    assert "entry 3001 of '1,1,1,1,1,1,1,1,1,1... is empty" in line
+    assert len(line) < 100
+
+
+def test_cover_entries_may_carry_spaces(capsys):
+    code, doc, _ = _run_json(capsys, ["cover", " 1 , 0"])
+    assert code == 0 and doc["result"]["branch_type"] == [1, 0]
+
+
 @pytest.mark.parametrize("argv, words", [
     (["enumerate", "conic", "--rank", "-1"], "0 <= r <= 8, got -1"),
     (["pairs", "--rank", "-3"], "1 <= r <= 8, got -3"),
@@ -446,6 +471,20 @@ def test_module_entrypoint_runs():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "exceptional classes on BlowupP2(0): 0"
+
+
+def test_cli_import_pulls_in_no_code_generation_modules():
+    # dataclasses imports inspect, ast, dis and tokenize, and each
+    # decoration generates and compiles code: a cost on every CLI start.
+    # Modules that site loaded before the import do not count.
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; before = set(sys.modules); import picardkit.cli; "
+         "print(' '.join(sorted(set(sys.modules) - before)))"],
+        capture_output=True, text=True, check=True)
+    loaded = set(proc.stdout.split())
+    assert "picardkit.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize"}
 
 
 def test_cli_import_needs_no_numpy():

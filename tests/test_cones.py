@@ -116,6 +116,35 @@ def test_dual_cone_does_not_clean_its_descriptions_again(monkeypatch):
             c.rays(), c.ambient_dim).rays()
 
 
+def test_cone_queries_check_entry_types_once_per_cone(monkeypatch):
+    # a cone's rays were checked when it was built, so the LPs of
+    # extremal_rays and is_simplicial check no entry again: every _all_int
+    # call left is the one inside _integral, which the row reduction makes
+    shapes = [ConePoly.from_generators([(1, 0, 0), (0, 1, 0), (0, 0, 1),
+                                        (1, 1, 1), (2, 1, 0)]),
+              ConePoly.from_generators([(1, 0, 0), (-1, 0, 0), (0, 1, 0),
+                                        (1, 1, 1)]),  # a line
+              ConePoly.from_generators([(Fraction(1, 2), 0),
+                                        (0, Fraction(1, 3)), (1, 1)])]
+    calls = dict.fromkeys(["_all_int", "_integral", "_phase_one"], 0)
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(cones, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(cones, name, counted)
+    for c in shapes:
+        extremal_rays(c)
+        is_simplicial(c)
+    assert calls["_phase_one"] >= 20
+    assert calls["_all_int"] == calls["_integral"]
+    # the public route keeps its boundary: one check per call
+    before = calls["_all_int"]
+    assert in_cone_lp([(1, 0), (0, 1)], (Fraction(1, 2), 3))
+    assert calls["_all_int"] == before + 1
+    with pytest.raises(TypeError, match="float"):
+        in_cone_lp([(1, 0), (0, 1)], (0.5, 3))
+
+
 def test_dual_of_a_facet_built_cone_drops_redundant_facets():
     # given facets may be redundant, so the dual of a cone built from them
     # is the minimal description of its rays, not the facets as given
@@ -168,11 +197,13 @@ def test_pointed_cone_takes_one_pointedness_lp(monkeypatch):
 
     def counted(generators, x):
         calls.append(x)
-        return in_cone_lp(generators, x)
+        return in_cone(generators, x)
 
+    # the LPs on a cone's own rays skip the entry check of in_cone_lp
+    in_cone = cones._in_cone
     cone = mori_cone(_bp(7))
     cone.rays()
-    monkeypatch.setattr(cones, "in_cone_lp", counted)
+    monkeypatch.setattr(cones, "_in_cone", counted)
     assert len(extremal_rays(cone)) == 56
     assert len(calls) == 57
 
@@ -196,11 +227,13 @@ def test_is_simplicial_stops_counting_past_the_dimension(monkeypatch):
 
     def counted(generators, x):
         calls.append(x)
-        return in_cone_lp(generators, x)
+        return in_cone(generators, x)
 
+    # the LPs on a cone's own rays skip the entry check of in_cone_lp
+    in_cone = cones._in_cone
     cone = mori_cone(_bp(7))
     cone.rays()
-    monkeypatch.setattr(cones, "in_cone_lp", counted)
+    monkeypatch.setattr(cones, "_in_cone", counted)
     assert not is_simplicial(cone)
     assert len(calls) == 1 + 9
 
