@@ -55,9 +55,9 @@ but no table covers them.
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, total_ordering
 from math import isqrt
-from operator import add, attrgetter, ge, gt, le, lt, mul
+from operator import add, attrgetter, mul
 from types import MappingProxyType
 from typing import Mapping
 
@@ -65,6 +65,7 @@ from .lattice import (BLOWUP, DivisorClass, FrozenValue, SurfaceModel,
                       canonical_degree, pairing, pairing_vector)
 
 
+@total_ordering
 class OrbitSignature(FrozenValue):
     """(degree, descending multiplicity multiset): the fingerprint of a
     class up to permutations of the blown-up points.  Signatures order as
@@ -78,23 +79,11 @@ class OrbitSignature(FrozenValue):
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "multiplicities", multiplicities)
 
-    def _order(self, other: object, op) -> bool:
+    def __lt__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
             key = self._key
-            return op(key(self), key(other))
+            return key(self) < key(other)
         return NotImplemented
-
-    def __lt__(self, other: object) -> bool:
-        return self._order(other, lt)
-
-    def __le__(self, other: object) -> bool:
-        return self._order(other, le)
-
-    def __gt__(self, other: object) -> bool:
-        return self._order(other, gt)
-
-    def __ge__(self, other: object) -> bool:
-        return self._order(other, ge)
 
     def __str__(self) -> str:
         return f"({self.degree}; {','.join(map(str, self.multiplicities))})"
