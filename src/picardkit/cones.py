@@ -3,8 +3,8 @@
 Everything here runs over exact arithmetic.  Vector entries must be int or
 Fraction: ConePoly and in_cone_lp raise TypeError for anything else (float,
 str, bool), so no floating point enters.  The double description, the
-simplex and the row reduction work on integers only; Fraction inputs are
-scaled to integers on entry.
+simplex and the row reduction work on integers only: Fraction inputs are
+scaled on entry by _integral, the one place that clears denominators.
 
 * Double description: a cone given by halfspace normals is converted to
   generators by Motzkin-style incremental refinement.  Lineality is carried
@@ -31,9 +31,9 @@ scaled to integers on entry.
   to the facet-sign test, and the two are required to agree.  One such LP
   decides whether a cone is pointed.  is_simplicial, the one route to
   simpliciality, runs it and stops counting extremal rays at one past the
-  dimension of the span.  in_cone_lp checks and scales its entries on each
-  call; extremal_rays and is_simplicial pass a cone's own rays, checked
-  once when the cone was built, straight to the integer simplex.
+  dimension of the span.  in_cone_lp checks and scales its entries, then
+  calls _phase_one, the one simplex, which extremal_rays and is_simplicial
+  call directly on a cone's rays, checked once when the cone was built.
 * Row reduction: one RREF helper over primitive integer rows gives ranks,
   lineality bases and coset representatives modulo the lineality space.
 
@@ -52,8 +52,8 @@ the psef generators pushed through the intersection form with
 lattice.pairing_vector.  report.nef_generators lists the nef rays for
 the tiny models (P1 x P1, r <= 2) and is None above; it alone decides what
 the JSON shows, and nef.rays() builds them on request.  For 3 <= r <= 8 they
-are the conic classes plus the W(E_r) orbit of H: 702 rays at r = 7 in
-about 0.02 s, and 19440 at r = 8 in about 3 s (2 cores, Python 3.11).
+are the conic classes plus the W(E_r) orbit of H: 702 rays at r = 7 and
+19440 at r = 8.
 The Mori cone of a blow-up model is identified with the psef cone (divisor
 and curve classes coincide on a surface); for ProductP1(n) it is the
 nonnegative orthant of curve classes.
@@ -166,29 +166,21 @@ def _rref(vectors: Iterable[Sequence]) -> list[tuple[int, Vec]]:
 def in_cone_lp(generators: Sequence[Sequence], x: Sequence) -> bool:
     """Is x a nonnegative rational combination of the generators?
 
-    Entries must be int or Fraction; anything else raises TypeError.  A
-    system with a Fraction entry is scaled to integers by one common
-    denominator, which scales the phase-I objective too, so the pivots do
-    not change.  _in_cone then decides the integer system.
+    Entries must be int or Fraction; anything else raises TypeError.  As in
+    ConePoly._clean, one check covers every entry, and only a Fraction
+    sends each vector through _integral: scaling a vector by a positive
+    factor changes neither the answer nor the pivots of _phase_one.
     """
-    rows = [[g[i] for g in generators] + [x[i]] for i in range(len(x))]
-    if not _all_int(v for row in rows for v in row):
-        rows = [[Fraction(v) for v in row] for row in rows]
-        den = lcm(*(v.denominator for row in rows for v in row))
-        rows = [[int(v * den) for v in row] for row in rows]
-    return _phase_one(rows, len(generators))
+    if not _all_int(chain(x, chain.from_iterable(generators))):
+        generators = [_integral(g) for g in generators]
+        x = _integral(x)
+    return _phase_one(generators, x)
 
 
-def _in_cone(generators: Sequence[Vec], x: Vec) -> bool:
-    """in_cone_lp on integer vectors whose entries are already checked, as
-    ConePoly._clean leaves them: no type check and no scaling."""
-    return _phase_one([[g[i] for g in generators] + [x[i]]
-                       for i in range(len(x))], len(generators))
-
-
-def _phase_one(rows: list[list[int]], m: int) -> bool:
-    """Whether the integer system sum_j y_j g_j = x has a solution y >= 0,
-    given as rows [g_1[i], ..., g_m[i], x[i]], one per coordinate i.
+def _phase_one(generators: Sequence[Sequence[int]],
+               x: Sequence[int]) -> bool:
+    """Whether sum_j y_j g_j = x has a solution y >= 0, for integer vectors
+    whose entries are checked: one row [g_1[i], ..., g_m[i], x[i]] per i.
 
     Phase-I simplex with Bland's rule, pivoting over the integers
     (Edmonds 1967; Bareiss 1968).  The rational tableau is T / D for an
@@ -204,9 +196,10 @@ def _phase_one(rows: list[list[int]], m: int) -> bool:
     keeps every feasible point.  The simplex stops once the phase-I value
     is 0.  Its answer is the Fraction simplex's; the pivots may differ.
     """
-    d = len(rows)
+    m, d = len(generators), len(x)
     # columns: the m generators, then the right-hand side, made nonnegative
-    T = [row if row[m] >= 0 else [-a for a in row] for row in rows]
+    T = [[g[i] for g in generators] + [x[i]] if x[i] >= 0
+         else [-g[i] for g in generators] + [-x[i]] for i in range(d)]
     # phase-I objective row: the row sum, ending in the artificials' sum
     obj = [sum(col) for col in zip(*T)] or [0] * (m + 1)
     # the labels of the artificials, for Bland's tie-break
@@ -456,15 +449,15 @@ def _extremal(gens: Sequence[Vec]) -> Iterator[Vec]:
     """Each generator that is not a nonnegative combination of the others,
     in input order (the simplex route)."""
     for g in gens:
-        if not _in_cone([h for h in gens if h != g], g):
+        if not _phase_one([h for h in gens if h != g], g):
             yield g
 
 
 def _pointed(gens: Sequence[Vec]) -> bool:
     """No line in the cone: 0 is no nonnegative combination of the
     generators with coefficients summing to 1, which one LP settles."""
-    return not gens or not _in_cone([g + (1,) for g in gens],
-                                    (0,) * len(gens[0]) + (1,))
+    return not gens or not _phase_one([g + (1,) for g in gens],
+                                      (0,) * len(gens[0]) + (1,))
 
 
 def extremal_rays(c: ConePoly) -> list[Vec]:
@@ -478,7 +471,7 @@ def extremal_rays(c: ConePoly) -> list[Vec]:
     gens = list(c.rays())
     if _pointed(gens):
         return sorted(_extremal(gens))
-    lin_members = [g for g in gens if _in_cone(gens, _neg(g))]
+    lin_members = [g for g in gens if _phase_one(gens, _neg(g))]
     basis = _rref(lin_members)
     reduced = []
     seen = set()

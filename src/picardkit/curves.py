@@ -16,9 +16,8 @@ remaining sum and square sum; the independent test oracle walks descending
 multisets instead, so the two routes share no loop structure.
 
 Degrees below zero are not curve classes and are never searched.  At d = 0
-the equations admit only a single m_i = -1, i.e. the basis classes E_i;
-an explicit filter enforces exactly that pattern anyway, since the lattice
-equations alone say nothing about effectivity.  For d >= 1 every solution
+the exceptional equations admit only the basis classes E_i: a sum of -1
+with a square sum of 1 forces a single m_i = -1.  For d >= 1 every solution
 of the exceptional system automatically has all m_i >= 0: were some
 m_j <= -1, dropping it leaves sum' >= 3d and square budget <= d^2, and
 Cauchy-Schwarz over at most 7 remaining coordinates would force
@@ -48,9 +47,8 @@ a family passed to them must equal the table's own.  reducible_fibers
 finds the partner b = c - a of each contracted a among the members c
 contracts (b.c = b.a + b^2 = 0): x -> c - x reverses the lexicographic
 order, so in coordinate order the i-th pairs with the i-th from the end.
-There is no per-rank index, and no class is built by subtraction.  Both
-take BlowupP2 models only: the rulings of P1 x P1 are conic classes too,
-but no table covers them.
+Both take BlowupP2 models only: the rulings of P1 x P1 are conic classes
+too, but no table covers them.
 """
 
 from __future__ import annotations
@@ -59,7 +57,7 @@ from functools import cache, total_ordering
 from math import isqrt
 from operator import add, attrgetter, mul
 from types import MappingProxyType
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .lattice import (BLOWUP, DivisorClass, FrozenValue, SurfaceModel,
                       canonical_degree, pairing, pairing_vector)
@@ -117,14 +115,14 @@ class ReducibleFiber(FrozenValue):
     components: tuple[DivisorClass, DivisorClass]
 
     def __init__(self, total: DivisorClass,
-                 components: tuple[DivisorClass, DivisorClass]) -> None:
+                 components: Sequence[DivisorClass]) -> None:
         a, b = components
         if a + b != total:
             raise ValueError("components do not sum to the fiber class")
         if pairing(a, a) != -1 or pairing(b, b) != -1 or pairing(a, b) != 1:
             raise ValueError("components are not exceptional classes meeting once")
         object.__setattr__(self, "total", total)
-        object.__setattr__(self, "components", components)
+        object.__setattr__(self, "components", (a, b))
 
     @classmethod
     def _from_table(cls, total: DivisorClass, a: DivisorClass,
@@ -141,10 +139,8 @@ def is_conic(c: DivisorClass) -> bool:
 
 
 def _mult_vectors(r: int, target_sum: int, target_sq: int):
-    """Positional DFS over integer vectors m with the given sum and square
-    sum, entries bounded by |m_i| <= isqrt(target_sq).  Lexicographic."""
-    if target_sq < 0:
-        return
+    """Positional DFS, in lexicographic order, over integer vectors m with
+    the given sum and square sum (>= 0), entries |m_i| <= isqrt(target_sq)."""
     bound = isqrt(target_sq)
     prefix = [0] * r
 
@@ -172,21 +168,24 @@ def _mult_vectors(r: int, target_sum: int, target_sq: int):
     yield from rec(0, 0, 0)
 
 
+def _family(r: int, k: int, eps: int, d0: int) -> tuple[DivisorClass, ...]:
+    """The classes c = dH - sum(m_i E_i) of BlowupP2(r) with -K.c = k and
+    c^2 = -eps, i.e. sum m_i = 3d - k and sum m_i^2 = d^2 + eps, for d >= d0
+    while Cauchy-Schwarz allows them, in lexicographic order."""
+    model = SurfaceModel.blowup_p2(r)
+    members = []
+    d = d0
+    while (3 * d - k) ** 2 <= r * (d * d + eps):
+        members += [DivisorClass.from_curve(model, d, m)
+                    for m in _mult_vectors(r, 3 * d - k, d * d + eps)]
+        d += 1
+    return tuple(members)
+
+
 @cache
 def enumerate_exceptional(r: int) -> tuple[DivisorClass, ...]:
     """All classes with c^2 = c.K = -1 on BlowupP2(r), 0 <= r <= 8."""
-    model = SurfaceModel.blowup_p2(r)
-    members = []
-    d = 0
-    while r >= 1 and (3 * d - 1) ** 2 <= r * (d * d + 1):
-        for m in _mult_vectors(r, 3 * d - 1, d * d + 1):
-            if d == 0:
-                # effectivity filter: keep only the basis classes E_i
-                if sorted(m) != [-1] + [0] * (r - 1):
-                    continue
-            members.append(DivisorClass.from_curve(model, d, m))
-        d += 1
-    return tuple(members)
+    return _family(r, 1, 1, 0)
 
 
 @cache
@@ -194,14 +193,7 @@ def enumerate_conic(r: int) -> tuple[DivisorClass, ...]:
     """All classes with c^2 = 0, c.K = -2 on BlowupP2(r), 1 <= r <= 8."""
     if not 1 <= r <= 8:
         raise ValueError(f"conic enumeration needs 1 <= r <= 8, got {r}")
-    model = SurfaceModel.blowup_p2(r)
-    members = []
-    d = 1
-    while (3 * d - 2) ** 2 <= r * d * d:
-        for m in _mult_vectors(r, 3 * d - 2, d * d):
-            members.append(DivisorClass.from_curve(model, d, m))
-        d += 1
-    return tuple(members)
+    return _family(r, 2, 0, 1)
 
 
 def orbit_signature(c: DivisorClass) -> OrbitSignature:

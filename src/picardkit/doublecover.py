@@ -82,7 +82,8 @@ class DoubleCoverSpec(FrozenValue):
     n: int
     branch_type: tuple[int, ...]
 
-    def __init__(self, n: int, branch_type: tuple[int, ...]) -> None:
+    def __init__(self, n: int, branch_type: Sequence[int]) -> None:
+        branch_type = tuple(branch_type)
         if n < 1:
             raise ValueError("need at least one factor")
         if n > MAX_FACTORS:
@@ -101,7 +102,7 @@ class DoubleCoverSpec(FrozenValue):
 
     @staticmethod
     def of(branch_type: Sequence[int]) -> "DoubleCoverSpec":
-        return DoubleCoverSpec(len(branch_type), tuple(branch_type))
+        return DoubleCoverSpec(len(branch_type), branch_type)
 
 
 def is_fano(spec: DoubleCoverSpec) -> bool:
@@ -258,8 +259,8 @@ class MultiHomogPoly(FrozenValue):
         of factor degree zero the derivative is zero and the label clamps
         at zero.
         """
-        if not 0 <= var < 2 * self.n:
-            raise ValueError(f"variable index {var} out of range")
+        if not (_is_int(var) and 0 <= var < 2 * self.n):
+            raise ValueError(f"variable index {var!r} out of range")
         out: dict[tuple[int, ...], Fraction] = {}
         for exps, coeff in self.terms.items():
             e = exps[var]

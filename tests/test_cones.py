@@ -137,10 +137,13 @@ def test_cone_queries_check_entry_types_once_per_cone(monkeypatch):
         is_simplicial(c)
     assert calls["_phase_one"] >= 20
     assert calls["_all_int"] == calls["_integral"]
-    # the public route keeps its boundary: one check per call
+    # the public route keeps its boundary: one check over every entry, and
+    # on a Fraction the one inside _integral for each of the three vectors
     before = calls["_all_int"]
-    assert in_cone_lp([(1, 0), (0, 1)], (Fraction(1, 2), 3))
+    assert in_cone_lp([(1, 0), (0, 1)], (1, 3))
     assert calls["_all_int"] == before + 1
+    assert in_cone_lp([(1, 0), (0, 1)], (Fraction(1, 2), 3))
+    assert calls["_all_int"] == before + 1 + 1 + 3
     with pytest.raises(TypeError, match="float"):
         in_cone_lp([(1, 0), (0, 1)], (0.5, 3))
 
@@ -200,10 +203,10 @@ def test_pointed_cone_takes_one_pointedness_lp(monkeypatch):
         return in_cone(generators, x)
 
     # the LPs on a cone's own rays skip the entry check of in_cone_lp
-    in_cone = cones._in_cone
+    in_cone = cones._phase_one
     cone = mori_cone(_bp(7))
     cone.rays()
-    monkeypatch.setattr(cones, "_in_cone", counted)
+    monkeypatch.setattr(cones, "_phase_one", counted)
     assert len(extremal_rays(cone)) == 56
     assert len(calls) == 57
 
@@ -230,10 +233,10 @@ def test_is_simplicial_stops_counting_past_the_dimension(monkeypatch):
         return in_cone(generators, x)
 
     # the LPs on a cone's own rays skip the entry check of in_cone_lp
-    in_cone = cones._in_cone
+    in_cone = cones._phase_one
     cone = mori_cone(_bp(7))
     cone.rays()
-    monkeypatch.setattr(cones, "_in_cone", counted)
+    monkeypatch.setattr(cones, "_phase_one", counted)
     assert not is_simplicial(cone)
     assert len(calls) == 1 + 9
 

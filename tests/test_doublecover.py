@@ -173,6 +173,10 @@ def test_partial_derivative_basics():
     assert not q.partial_derivative(1).terms
     with pytest.raises(ValueError):
         p.partial_derivative(4)
+    # the index is an exact int: no bool, float or str, and no negative
+    for var in (True, 1.0, "0", -1):
+        with pytest.raises(ValueError, match="variable index"):
+            p.partial_derivative(var)
 
 
 def test_evaluate_is_exact():

@@ -152,13 +152,24 @@ def _public_methods(tree):
 def _unserved_methods(sources, bench_sources, bench_used):
     """(module, "Class.name") for each public method or property that no
     file of the package or the benchmark reads as an attribute, and that
-    no benchmark table wraps by name."""
-    read = {n.attr for path in [*sources, *bench_sources]
-            for n in ast.walk(_tree(path)) if isinstance(n, ast.Attribute)
-            and isinstance(n.ctx, ast.Load)}
+    no benchmark table wraps by name.
+
+    A read through a package class's own name, such as ProductPoint.of,
+    serves only that class's method.  Any other read, such as c.rays(),
+    serves every method of that name: telling its receiver apart would
+    need types that the ast does not give.
+    """
+    trees = {p: _tree(p) for p in [*sources, *bench_sources]}
+    classes = {node.name for p in sources for node in trees[p].body
+               if isinstance(node, ast.ClassDef)}
+    # (class, name) for a read through a class name, else (None, name)
+    read = {(n.value.id if isinstance(n.value, ast.Name)
+             and n.value.id in classes else None, n.attr)
+            for tree in trees.values() for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
     return [(p.stem, f"{cls}.{name}") for p in sources
-            for cls, name in _public_methods(_tree(p))
-            if name not in read
+            for cls, name in _public_methods(trees[p])
+            if (None, name) not in read and (cls, name) not in read
             and (f"picardkit.{p.stem}", f"{cls}.{name}") not in bench_used]
 
 
@@ -231,15 +242,23 @@ def test_the_unserved_method_check_sees_a_test_only_method(tmp_path):
                                    "    def wrapped(self): pass\n"
                                    "    @property\n"
                                    "    def test_only(self): pass\n"
-                                   "    def _private(self): pass\n")
-    (tmp_path / "b.py").write_text("from .a import Cone\nCone().used()\n")
+                                   "    def _private(self): pass\n"
+                                   "class Point:\n"
+                                   "    @staticmethod\n"
+                                   "    def of(x): pass\n"
+                                   "class Spec:\n"
+                                   "    @staticmethod\n"
+                                   "    def of(x): pass\n")
+    (tmp_path / "b.py").write_text("from .a import Cone, Point\n"
+                                   "Cone().used()\nPoint.of(1)\n")
     bench = tmp_path / "bench"
     bench.mkdir()
     (bench / "w.py").write_text("def op(c):\n    return c.benched()\n")
+    # Point.of is read through its class name, so it does not serve Spec.of
     assert _unserved_methods(sorted(tmp_path.glob("*.py")),
                              sorted(bench.glob("*.py")),
                              {("picardkit.a", "Cone.wrapped")}) \
-        == [("a", "Cone.test_only")]
+        == [("a", "Cone.test_only"), ("a", "Spec.of")]
 
 
 def test_the_checks_see_what_they_look_for():

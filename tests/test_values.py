@@ -180,6 +180,15 @@ def test_multihomog_poly_defaults_its_multidegree_to_its_terms():
 
 def test_constructors_store_their_normal_forms():
     assert DivisorClass(M2, [1, -1, 0]).coords == (1, -1, 0)
+    # a list given to a checked constructor is stored as a tuple, so the
+    # value hashes and no entry can be added after the checks
+    spec = DoubleCoverSpec(2, [1, 1])
+    assert spec.branch_type == (1, 1)
+    assert spec == DoubleCoverSpec.of([1, 1])
+    assert hash(spec) == hash(DoubleCoverSpec.of([1, 1]))
+    fiber = ReducibleFiber(L2, [E1, L12])
+    assert fiber.components == (E1, L12)
+    assert hash(fiber) == hash(ReducibleFiber(L2, (E1, L12)))
     assert ProductPoint(1, ([0, 1],)).pairs == ((Fraction(0), Fraction(1)),)
     p = MultiHomogPoly(1, {(1, 0): 1, (0, 1): 0})
     assert dict(p.terms) == {(1, 0): Fraction(1)}
