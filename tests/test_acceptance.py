@@ -25,11 +25,14 @@ from picardkit.lattice import SurfaceModel
 from _oracles import oracle_conic, oracle_exceptional
 
 
-def _verify(capsys, lemma_id):
+def _verify(tmp_path, lemma_id):
     """Run one verify suite through the CLI: it exits 0 and every case has
-    expected == got."""
-    assert cli.main(["verify", lemma_id, "--format", "json"]) == 0
-    details = json.loads(capsys.readouterr().out)["result"]["details"]
+    expected == got.  The report goes to a file, so that pytest's output
+    capture, which would also swallow the ACCEPTANCE line, is not needed."""
+    path = tmp_path / f"{lemma_id}.json"
+    assert cli.main(["verify", lemma_id, "--format", "json",
+                     "--out", str(path)]) == 0
+    details = json.loads(path.read_text())["result"]["details"]
     assert details
     assert [d["case"] for d in details if d["expected"] != d["got"]] == []
 
@@ -70,19 +73,19 @@ def test_criterion_2_conic_orbits_at_seven_points():
           f"({elapsed:.2f}s)")
 
 
-def test_criterion_3_ruling_partner_analysis(capsys):
+def test_criterion_3_ruling_partner_analysis(tmp_path):
     t0 = perf_counter()
-    _verify(capsys, "deg2-pairs")
+    _verify(tmp_path, "deg2-pairs")
     elapsed = perf_counter() - t0
     assert elapsed < 1.0
     print(f"ACCEPTANCE 3 PASS ruling partners split into the three expected "
           f"families with the predicted degrees ({elapsed:.2f}s)")
 
 
-def test_criterion_4_hodge_bound_and_finiteness_pattern(capsys):
+def test_criterion_4_hodge_bound_and_finiteness_pattern(tmp_path):
     t0 = perf_counter()
-    _verify(capsys, "quadric-target")
-    _verify(capsys, "hodge-bound")
+    _verify(tmp_path, "quadric-target")
+    _verify(tmp_path, "hodge-bound")
 
     # recompute the bound pairwise: exhaustively at small rank, sampled above
     for r in range(1, 6):
@@ -106,9 +109,9 @@ def test_criterion_4_hodge_bound_and_finiteness_pattern(capsys):
           f"appear at exactly the predicted ranks ({elapsed:.2f}s)")
 
 
-def test_criterion_5_reducible_fiber_counts(capsys):
+def test_criterion_5_reducible_fiber_counts(tmp_path):
     t0 = perf_counter()
-    _verify(capsys, "fiber-counts")
+    _verify(tmp_path, "fiber-counts")
     elapsed = perf_counter() - t0
     assert elapsed < 5.0
     print(f"ACCEPTANCE 5 PASS every pencil has one reducible fiber fewer "
@@ -116,18 +119,18 @@ def test_criterion_5_reducible_fiber_counts(capsys):
           f"({elapsed:.2f}s)")
 
 
-def test_criterion_6_double_cover_anticanonical_power(capsys):
+def test_criterion_6_double_cover_anticanonical_power(tmp_path):
     t0 = perf_counter()
-    _verify(capsys, "double-cover-k")
+    _verify(tmp_path, "double-cover-k")
     elapsed = perf_counter() - t0
     assert elapsed < 1.0
     print(f"ACCEPTANCE 6 PASS anticanonical powers and the fano criterion "
           f"agree on the full grid ({elapsed:.2f}s)")
 
 
-def test_criterion_7_cone_reports_and_engine_consistency(capsys):
+def test_criterion_7_cone_reports_and_engine_consistency(tmp_path):
     t0 = perf_counter()
-    _verify(capsys, "cone-dp")
+    _verify(tmp_path, "cone-dp")
 
     rng = random.Random(20260816)
     for _ in range(100):
@@ -152,9 +155,9 @@ def test_criterion_7_cone_reports_and_engine_consistency(capsys):
           f"two membership routes agree on random fixtures ({elapsed:.2f}s)")
 
 
-def test_criterion_8_branch_fixture_singularity(capsys):
+def test_criterion_8_branch_fixture_singularity(tmp_path):
     t0 = perf_counter()
-    _verify(capsys, "branch-singular")
+    _verify(tmp_path, "branch-singular")
     elapsed = perf_counter() - t0
     assert elapsed < 1.0
     print(f"ACCEPTANCE 8 PASS the marked branch point is a singular point "
