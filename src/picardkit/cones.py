@@ -72,7 +72,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .curves import enumerate_exceptional
 from .lattice import (BLOWUP, DivisorClass, FrozenValue, SurfaceModel,
-                      canonical_degree, pairing_vector)
+                      canonical_degree, is_exact_int, pairing_vector)
 
 Vec = tuple[int, ...]
 
@@ -350,6 +350,9 @@ class ConePoly:
                  facets: Sequence[Sequence] | None = None) -> None:
         if generators is None and facets is None:
             raise ValueError("a cone needs generators or facet normals")
+        if not (is_exact_int(ambient_dim) and ambient_dim >= 0):
+            raise ValueError(f"ambient dimension must be a nonnegative "
+                             f"integer, got {ambient_dim!r}")
         self.ambient_dim = ambient_dim
         self._generators = self._clean(generators)
         self._facets = self._clean(facets)
@@ -505,17 +508,6 @@ class ConeReport(FrozenValue):
     mori_simplicial: bool
     picard_number: int
 
-    def __init__(self, model: SurfaceModel, nef: ConePoly, psef: ConePoly,
-                 nef_generators: tuple[Vec, ...] | None, equal: bool,
-                 mori_simplicial: bool, picard_number: int) -> None:
-        object.__setattr__(self, "model", model)
-        object.__setattr__(self, "nef", nef)
-        object.__setattr__(self, "psef", psef)
-        object.__setattr__(self, "nef_generators", nef_generators)
-        object.__setattr__(self, "equal", equal)
-        object.__setattr__(self, "mori_simplicial", mori_simplicial)
-        object.__setattr__(self, "picard_number", picard_number)
-
 
 def psef_generators(model: SurfaceModel) -> tuple[DivisorClass, ...]:
     """Classical generator table for the pseudo-effective cone."""
@@ -548,13 +540,7 @@ def surface_cone_report(model: SurfaceModel) -> ConeReport:
     # first psef generator, an exceptional class, is already outside nef
     equal = (all(nef.contains(v) for v in coords)
              and all(psef.contains(r) for r in nef.rays()))
-    return ConeReport(
-        model=model,
-        nef=nef,
-        psef=psef,
-        nef_generators=nef.rays() if small else None,
-        equal=equal,
-        # on every reported model the Mori cone has the psef generators
-        mori_simplicial=is_simplicial(psef),
-        picard_number=model.rank,
-    )
+    # mori_simplicial is is_simplicial(psef): on every reported model the
+    # Mori cone has the psef generators
+    return ConeReport(model, nef, psef, nef.rays() if small else None,
+                      equal, is_simplicial(psef), model.rank)

@@ -73,10 +73,6 @@ class OrbitSignature(FrozenValue):
     degree: int
     multiplicities: tuple[int, ...]
 
-    def __init__(self, degree: int, multiplicities: tuple[int, ...]) -> None:
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "multiplicities", multiplicities)
-
     def __lt__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
             key = self._key
@@ -121,16 +117,14 @@ class ReducibleFiber(FrozenValue):
             raise ValueError("components do not sum to the fiber class")
         if pairing(a, a) != -1 or pairing(b, b) != -1 or pairing(a, b) != 1:
             raise ValueError("components are not exceptional classes meeting once")
-        object.__setattr__(self, "total", total)
-        object.__setattr__(self, "components", (a, b))
+        FrozenValue.__init__(self, total, (a, b))
 
     @classmethod
     def _from_table(cls, total: DivisorClass, a: DivisorClass,
                     b: DivisorClass) -> "ReducibleFiber":
         """The fibre a + b of total, read from the contraction table."""
         fiber = object.__new__(cls)
-        object.__setattr__(fiber, "total", total)
-        object.__setattr__(fiber, "components", (a, b))
+        FrozenValue.__init__(fiber, total, (a, b))
         return fiber
 
 

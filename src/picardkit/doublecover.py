@@ -40,7 +40,7 @@ from math import factorial, lcm, prod
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
-from .lattice import FrozenValue
+from .lattice import FrozenValue, is_exact_int
 
 COEFF_PATTERN = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
@@ -59,14 +59,15 @@ MAX_COEFF_DIGITS = 50
 _COEFF_BOUND = 10 ** MAX_COEFF_DIGITS
 
 
-def _is_int(x) -> bool:
-    """An exact int: bool is an int subclass but is refused."""
-    return isinstance(x, int) and not isinstance(x, bool)
+def _check_factor_count(n) -> None:
+    if not is_exact_int(n):
+        raise ValueError(f"factor count must be an integer, got "
+                         f"{short_repr(n)}")
 
 
 def _exact(x, what: str) -> Fraction:
     """x as a Fraction: only an exact int or a Fraction is accepted."""
-    if not (_is_int(x) or isinstance(x, Fraction)):
+    if not (is_exact_int(x) or isinstance(x, Fraction)):
         raise ValueError(f"{type(x).__name__} {what}s are not accepted")
     return Fraction(x)
 
@@ -84,6 +85,7 @@ class DoubleCoverSpec(FrozenValue):
 
     def __init__(self, n: int, branch_type: Sequence[int]) -> None:
         branch_type = tuple(branch_type)
+        _check_factor_count(n)
         if n < 1:
             raise ValueError("need at least one factor")
         if n > MAX_FACTORS:
@@ -92,13 +94,12 @@ class DoubleCoverSpec(FrozenValue):
         if len(branch_type) != n:
             raise ValueError("one branch-type entry per factor required")
         for d in branch_type:
-            if not _is_int(d) or d < 0:
+            if not is_exact_int(d) or d < 0:
                 raise ValueError(f"branch-type entry {d!r} is not a nonnegative int")
             if d > MAX_BRANCH_ENTRY:
                 raise ValueError(f"branch-type entry {d} exceeds "
                                  f"{MAX_BRANCH_ENTRY}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "branch_type", branch_type)
+        FrozenValue.__init__(self, n, branch_type)
 
     @staticmethod
     def of(branch_type: Sequence[int]) -> "DoubleCoverSpec":
@@ -143,6 +144,7 @@ class ProductPoint(FrozenValue):
     pairs: tuple[tuple[Fraction, Fraction], ...]
 
     def __init__(self, n: int, pairs: Sequence[Sequence]) -> None:
+        _check_factor_count(n)
         if n < 1 or len(pairs) != n:
             raise ValueError("one coordinate pair per factor required")
         clean = []
@@ -153,8 +155,7 @@ class ProductPoint(FrozenValue):
             if a == 0 and b == 0:
                 raise ValueError("a coordinate pair cannot be (0, 0)")
             clean.append((a, b))
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "pairs", tuple(clean))
+        FrozenValue.__init__(self, n, tuple(clean))
 
     @staticmethod
     def of(pairs: Sequence[Sequence]) -> "ProductPoint":
@@ -165,7 +166,7 @@ class ProductPoint(FrozenValue):
 
     def scaled(self, factor: int, lam) -> "ProductPoint":
         """The same point with pair factor (0 <= factor < n) times lam."""
-        if not (_is_int(factor) and 0 <= factor < self.n):
+        if not (is_exact_int(factor) and 0 <= factor < self.n):
             raise ValueError(f"factor {factor!r} is not in 0..{self.n - 1}")
         lam = _exact(lam, "scaling factor")
         if lam == 0:
@@ -193,6 +194,7 @@ class MultiHomogPoly(FrozenValue):
 
     def __init__(self, n: int, terms: Mapping[tuple[int, ...], object],
                  multidegree: Sequence[int] | None = None) -> None:
+        _check_factor_count(n)
         if n < 1:
             raise ValueError("need at least one factor")
         clean: dict[tuple[int, ...], Fraction] = {}
@@ -201,7 +203,7 @@ class MultiHomogPoly(FrozenValue):
             exps = tuple(exps)
             if len(exps) != 2 * n:
                 raise ValueError(f"exponent tuple {exps} must have length {2 * n}")
-            if any(not _is_int(e) or e < 0 for e in exps):
+            if any(not is_exact_int(e) or e < 0 for e in exps):
                 raise ValueError(f"exponents must be nonnegative ints: {exps}")
             coeff = _exact(coeff, "coefficient")
             this = tuple(exps[2 * k] + exps[2 * k + 1] for k in range(n))
@@ -216,17 +218,16 @@ class MultiHomogPoly(FrozenValue):
         if multidegree is not None:
             multidegree = tuple(multidegree)
             if len(multidegree) != n or any(
-                    not _is_int(d) or d < 0 for d in multidegree):
+                    not is_exact_int(d) or d < 0 for d in multidegree):
                 raise ValueError(f"bad multidegree {multidegree}")
             if degree is not None and degree != multidegree:
                 raise ValueError(
                     f"terms have multidegree {degree}, not {multidegree}")
         elif degree is None:
             raise ValueError("the zero polynomial needs an explicit multidegree")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "terms", MappingProxyType(clean))
-        object.__setattr__(self, "multidegree",
-                           multidegree if multidegree is not None else degree)
+        FrozenValue.__init__(self, n, MappingProxyType(clean),
+                             multidegree if multidegree is not None
+                             else degree)
 
     def __repr__(self) -> str:
         return (f"MultiHomogPoly(n={self.n}, multidegree={self.multidegree}, "
@@ -259,7 +260,7 @@ class MultiHomogPoly(FrozenValue):
         of factor degree zero the derivative is zero and the label clamps
         at zero.
         """
-        if not (_is_int(var) and 0 <= var < 2 * self.n):
+        if not (is_exact_int(var) and 0 <= var < 2 * self.n):
             raise ValueError(f"variable index {var!r} out of range")
         out: dict[tuple[int, ...], Fraction] = {}
         for exps, coeff in self.terms.items():
@@ -345,7 +346,7 @@ def short_repr(raw) -> str:
 
 
 def _expect_int(value, what: str, limit: int) -> int:
-    if not _is_int(value):
+    if not is_exact_int(value):
         raise ValueError(f"{what} must be an integer, got {short_repr(value)}")
     if not 0 <= value <= limit:
         raise ValueError(f"{what} {short_repr(value)} is not in 0..{limit}")
@@ -372,7 +373,7 @@ def parse_rational(text: str, what: str = "coefficient") -> Fraction:
 def _parse_coeff(raw) -> Fraction:
     if isinstance(raw, str):
         return parse_rational(raw)
-    if not _is_int(raw):
+    if not is_exact_int(raw):
         raise ValueError(f"coefficient {short_repr(raw)} must be an exact "
                          f"int or a fraction string")
     if abs(raw) >= _COEFF_BOUND:

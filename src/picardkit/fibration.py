@@ -40,7 +40,8 @@ from .curves import (
     selected,
 )
 from .lattice import (BLOWUP, DivisorClass, FrozenValue, SurfaceModel,
-                      canonical_degree, pairing, pairing_vector)
+                      canonical_degree, is_exact_int, pairing,
+                      pairing_vector)
 
 
 class FibrationPair(FrozenValue):
@@ -61,9 +62,7 @@ class FibrationPair(FrozenValue):
                 raise ValueError(f"{c} is not a conic fibration class")
         if c1 == c2:
             raise ValueError("fibration pair needs two distinct classes")
-        object.__setattr__(self, "model", model)
-        object.__setattr__(self, "c1", c1)
-        object.__setattr__(self, "c2", c2)
+        FrozenValue.__init__(self, model, c1, c2)
 
 
 class FinitenessReport(FrozenValue):
@@ -72,24 +71,12 @@ class FinitenessReport(FrozenValue):
     common_contracted: tuple[DivisorClass, ...]
     is_finite: bool
 
-    def __init__(self, degree: int,
-                 common_contracted: tuple[DivisorClass, ...],
-                 is_finite: bool) -> None:
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "common_contracted", common_contracted)
-        object.__setattr__(self, "is_finite", is_finite)
-
 
 class HodgeBound(FrozenValue):
     __slots__ = ("lhs", "rhs", "holds")
     lhs: int
     rhs: int
     holds: bool
-
-    def __init__(self, lhs: int, rhs: int, holds: bool) -> None:
-        object.__setattr__(self, "lhs", lhs)
-        object.__setattr__(self, "rhs", rhs)
-        object.__setattr__(self, "holds", holds)
 
 
 class PairClassEntry(FrozenValue):
@@ -99,12 +86,6 @@ class PairClassEntry(FrozenValue):
     signature_pair: tuple[OrbitSignature, OrbitSignature]
     degree: int
     count: int
-
-    def __init__(self, signature_pair: tuple[OrbitSignature, OrbitSignature],
-                 degree: int, count: int) -> None:
-        object.__setattr__(self, "signature_pair", signature_pair)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "count", count)
 
 
 class PairScanSummary(FrozenValue):
@@ -119,17 +100,6 @@ class PairScanSummary(FrozenValue):
     hodge_holds: bool
     finite_pair_count: int
     finite_degrees: tuple[int, ...]
-
-    def __init__(self, rank: int, class_count: int, pair_count: int,
-                 max_degree: int, hodge_holds: bool, finite_pair_count: int,
-                 finite_degrees: tuple[int, ...]) -> None:
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "class_count", class_count)
-        object.__setattr__(self, "pair_count", pair_count)
-        object.__setattr__(self, "max_degree", max_degree)
-        object.__setattr__(self, "hodge_holds", hodge_holds)
-        object.__setattr__(self, "finite_pair_count", finite_pair_count)
-        object.__setattr__(self, "finite_degrees", finite_degrees)
 
 
 def analyze_pair(pair: FibrationPair,
@@ -150,11 +120,8 @@ def analyze_pair(pair: FibrationPair,
     degree = pairing(pair.c1, pair.c2)
     contracted = selected(table_fam, masks.get(pair.c1.coords, 0)
                           & masks.get(pair.c2.coords, 0))
-    return FinitenessReport(
-        degree=degree,
-        common_contracted=contracted,
-        is_finite=degree > 0 and not contracted,
-    )
+    return FinitenessReport(degree, contracted,
+                            degree > 0 and not contracted)
 
 
 def hodge_bound(model: SurfaceModel, c1: DivisorClass,
@@ -170,13 +137,13 @@ def hodge_bound(model: SurfaceModel, c1: DivisorClass,
             raise ValueError(f"{c} is not square-zero")
     lhs = 2 * (9 - model.size) * pairing(c1, c2)
     rhs = (canonical_degree(c1) + canonical_degree(c2)) ** 2
-    return HodgeBound(lhs=lhs, rhs=rhs, holds=lhs <= rhs)
+    return HodgeBound(lhs, rhs, lhs <= rhs)
 
 
 def max_degree_bound(r: int) -> int:
     """Degree cap floor(8 / K^2) for finite conic pairs on BlowupP2(r)."""
-    if not 1 <= r <= 8:
-        raise ValueError(f"need 1 <= r <= 8, got {r}")
+    if not (is_exact_int(r) and 1 <= r <= 8):
+        raise ValueError(f"need 1 <= r <= 8, got {r!r}")
     return 8 // (9 - r)
 
 
@@ -220,8 +187,7 @@ def _pair_scan(r: int) -> tuple[PairScanSummary, tuple[PairClassEntry, ...]]:
                 key = (s, t, deg) if s <= t else (t, s, deg)
                 counts[key] = counts.get(key, 0) + orbit[s]
     entries = tuple(
-        PairClassEntry(signature_pair=(sigs[a], sigs[b]), degree=deg,
-                       count=total // 2)
+        PairClassEntry((sigs[a], sigs[b]), deg, total // 2)
         for (a, b, deg), total in sorted(counts.items()))
     summary = PairScanSummary(
         rank=r,

@@ -30,11 +30,16 @@ refuse a non-class or a class of another model.
 
 FrozenValue is the base of the package's value classes, here and in
 curves, fibration, cones and doublecover.  Each is a slotted frozen value,
-not a dataclass: it lists its fields in __slots__ and writes them once, in
-its own __init__, after its checks; afterwards assignment and deletion
+not a dataclass: it lists its fields in __slots__, and FrozenValue's
+__init__, the one code that stores fields, binds the constructor's
+arguments to them in order.  A class with checks runs them in its own
+__init__ and then calls FrozenValue's; afterwards assignment and deletion
 raise AttributeError.  Equality, hash, repr and copying come from the
 fields, as a frozen dataclass's would.  The package imports no dataclasses,
 which would cost every CLI start its code generation and its imports.
+
+is_exact_int is the one test of an exact int used at every boundary: the
+type is int itself, so a bool or an int subclass is refused.
 """
 
 from __future__ import annotations
@@ -47,19 +52,24 @@ BLOWUP = "BlowupP2"
 PRODUCT = "ProductP1"
 
 
-def _exact_ints(values: Iterable[object]) -> bool:
-    # exactly int: bool is a subclass, and (True, False) would print as H
-    return {int}.issuperset(map(type, values))
+def is_exact_int(x: object) -> bool:
+    """Whether x is an int and no subclass: bool is one, and True would
+    otherwise count as 1."""
+    return type(x) is int
 
 
 class FrozenValue:
     """An immutable value whose fields are its __slots__, two or more, in
     constructor order.
 
-    A subclass's __init__ checks its arguments and writes each field once
-    with object.__setattr__; assignment and deletion raise AttributeError.
-    Two values are equal when they are of one class and their fields are
-    equal, and a value hashes as the tuple of its fields.  The repr is
+    The constructor binds its arguments to the fields as a plain function
+    binds parameters, positional first, then keyword, and refuses too many,
+    missing, unknown or repeated arguments with TypeError.  A subclass with
+    checks defines __init__, runs them and calls FrozenValue.__init__ with
+    the field values: directly, since on Python 3.11 super() costs more
+    than the binding.  Assignment and deletion raise AttributeError.  Two
+    values are equal when they are of one class and their fields are equal,
+    and a value hashes as the tuple of its fields.  The repr is
     Name(field=value, ...), and copy and pickle rebuild a value through its
     constructor.
     """
@@ -70,6 +80,41 @@ class FrozenValue:
         super().__init_subclass__()
         # the fields as one tuple, read in C
         cls._key = attrgetter(*cls.__slots__)
+        # (position, setter) per field.  getattr, not cls.__dict__: a
+        # subclass without __slots__ of its own inherits the descriptors
+        cls._setters = tuple(enumerate(getattr(cls, name).__set__
+                                       for name in cls.__slots__))
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        setters = self._setters
+        if kwargs or len(args) != len(setters):
+            args = self._bound(args, kwargs)
+        # indexed, not zipped: on Python 3.11 the zip costs more than the
+        # stores of a two- or three-field record
+        for i, store in setters:
+            store(self, args[i])
+
+    @classmethod
+    def _bound(cls, args: tuple, kwargs: dict) -> tuple:
+        """One value per field, in field order, from positional and keyword
+        arguments; TypeError where a plain function would raise it."""
+        name, fields = cls.__name__, cls.__slots__
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} arguments but "
+                            f"{len(args)} were given")
+        rest = fields[len(args):]
+        for key in kwargs:
+            if key in rest:
+                continue
+            if key in fields:
+                raise TypeError(f"{name}() got multiple values for "
+                                f"argument {key!r}")
+            raise TypeError(f"{name}() got an unexpected keyword argument "
+                            f"{key!r}")
+        for field in rest:
+            if field not in kwargs:
+                raise TypeError(f"{name}() missing argument {field!r}")
+        return args + tuple(kwargs[field] for field in rest)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -105,7 +150,7 @@ class SurfaceModel(FrozenValue):
     size: int
 
     def __init__(self, kind: str, size: int) -> None:
-        if not _exact_ints((size,)):
+        if not is_exact_int(size):
             raise ValueError(f"model size must be an integer, got {size!r}")
         if kind == BLOWUP:
             if not 0 <= size <= 8:
@@ -115,8 +160,7 @@ class SurfaceModel(FrozenValue):
                 raise ValueError(f"ProductP1 needs n >= 1, got {size}")
         else:
             raise ValueError(f"unknown model kind {kind!r}")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "size", size)
+        FrozenValue.__init__(self, kind, size)
 
     @staticmethod
     def blowup_p2(r: int) -> "SurfaceModel":
@@ -153,15 +197,14 @@ class DivisorClass(FrozenValue):
 
     def __init__(self, model: SurfaceModel, coords: Sequence[int]) -> None:
         coords = tuple(coords)
-        if not _exact_ints(coords):
+        if not all(map(is_exact_int, coords)):
             raise ValueError("divisor class coordinates must be integers")
         if len(coords) != model.rank:
             raise ValueError(
                 f"expected {model.rank} coordinates for {model}, "
                 f"got {len(coords)}"
             )
-        object.__setattr__(self, "model", model)
-        object.__setattr__(self, "coords", coords)
+        FrozenValue.__init__(self, model, coords)
 
     @staticmethod
     def from_curve(model: SurfaceModel, degree: int,
@@ -175,6 +218,9 @@ class DivisorClass(FrozenValue):
         if len(mults) > model.size:
             raise ValueError("more multiplicities than blown-up points")
         m = tuple(mults) + (0,) * (model.size - len(mults))
+        # checked before negation, which turns True into the int -1
+        if not all(map(is_exact_int, m)):
+            raise ValueError("multiplicities must be integers")
         return DivisorClass(model, (degree,) + tuple(-v for v in m))
 
     @property
@@ -211,6 +257,9 @@ class DivisorClass(FrozenValue):
     def __mul__(self, scalar: int) -> "DivisorClass":
         if not isinstance(scalar, int):
             return NotImplemented
+        if not is_exact_int(scalar):
+            raise ValueError(f"class multiples must be integers, "
+                             f"got {scalar!r}")
         return DivisorClass(self.model, tuple(scalar * a for a in self.coords))
 
     __rmul__ = __mul__

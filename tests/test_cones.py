@@ -319,6 +319,10 @@ def test_constructor_validation():
         ConePoly.from_generators([])
     with pytest.raises(ValueError):
         ConePoly.from_generators([(1, 0), (1, 0, 0)])
+    with pytest.raises(ValueError, match="ambient dimension"):
+        ConePoly(2.0, generators=[(1, 0)])
+    with pytest.raises(ValueError, match="ambient dimension"):
+        ConePoly(-1, generators=[])
 
 
 def test_dimensions_are_checked_before_entry_types():

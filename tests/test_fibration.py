@@ -168,6 +168,9 @@ def test_max_degree_bound():
         max_degree_bound(0)
     with pytest.raises(ValueError):
         max_degree_bound(9)
+    for inexact in (2.0, True):  # a float bound, or True counted as 1
+        with pytest.raises(ValueError):
+            max_degree_bound(inexact)
 
 
 def test_hodge_holds_for_all_pairs_small_ranks_pure_python():

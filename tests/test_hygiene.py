@@ -1,13 +1,15 @@
 """Source hygiene of the package, read with the standard ast module.
 
-Four rules over every module of picardkit: each imported name is used (a
+Five rules over every module of picardkit: each imported name is used (a
 name listed in __all__ counts as used), no module imports another module's
 private name (one that starts with a single underscore), no module reads a
 private attribute that only another module defines (x._name, other than on
 self or cls), and every public top-level function or class serves the
 package or the benchmark, as does every public method or property of a
-package class, read as an attribute somewhere in the package or in bench/.
-A route that only the tests call belongs in tests/_oracles.py.  The
+package class, read as an attribute somewhere in the package or in bench/,
+and no float is made: no true division, float literal, float() or round()
+call, since every result is exact.  A route that only the tests call
+belongs in tests/_oracles.py.  The
 attribute rule keeps trusted constructors such as
 ReducibleFiber._from_table, which skip validation, inside their own modules.
 """
@@ -173,6 +175,22 @@ def _unserved_methods(sources, bench_sources, bench_used):
             and (f"picardkit.{p.stem}", f"{cls}.{name}") not in bench_used]
 
 
+def _float_sources(tree):
+    """(line, what) for each place that makes a float: a true division, a
+    float literal, or a call of float or round."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) \
+                and isinstance(node.op, ast.Div):
+            out.append((node.lineno, "/"))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, float):
+            out.append((node.lineno, repr(node.value)))
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id in ("float", "round")):
+            out.append((node.lineno, f"{node.func.id}()"))
+    return out
+
+
 def test_every_module_is_checked():
     names = {p.stem for p in SOURCES}
     assert {"cli", "cones", "curves", "fibration", "lattice"} <= names
@@ -191,6 +209,12 @@ def test_every_imported_name_is_used(path):
 def test_no_private_name_crosses_modules(path):
     crossing = _private_imports(_tree(path))
     assert not crossing, f"{path.name} imports private names {crossing}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_float_is_made(path):
+    made = _float_sources(_tree(path))
+    assert not made, f"{path.name} makes floats at {made}"
 
 
 def test_no_module_reads_another_modules_private_attributes():
@@ -271,3 +295,15 @@ def test_the_checks_see_what_they_look_for():
     assert [n for n, _ in _imported(tree) if n not in used] == ["_scan", "json"]
     assert "Sequence" in used
     assert _private_imports(tree) == [("curves", "_scan")]
+
+
+def test_the_float_check_sees_every_float_source():
+    # a copy of lattice with each kind of float put into it
+    package = Path(picardkit.__file__).parent
+    source = (package / "lattice.py").read_text()
+    assert _float_sources(ast.parse(source)) == []
+    mutated = ast.parse(source + "\n\ndef f(x, y):\n"
+                        "    x /= 2\n"
+                        "    return x / y, 0.5, float(x), round(y), x // y\n")
+    assert [what for _, what in _float_sources(mutated)] \
+        == ["/", "/", "0.5", "float()", "round()"]

@@ -91,6 +91,8 @@ def test_from_curve_and_multiplicities_roundtrip():
     assert c.multiplicities() == (0, 1, 1, 1, 1, 1, 2)
     # padding
     assert DivisorClass.from_curve(DP7, 1, (1,)).coords == (1, -1, 0, 0, 0, 0, 0, 0)
+    with pytest.raises(ValueError, match="must be integers"):
+        DivisorClass.from_curve(DP7, 1, (True,))
 
 
 def test_pairing_examples():
@@ -241,6 +243,10 @@ def test_multiple_by_an_int_subclass_is_checked():
         a * Halved(3)
     with pytest.raises(ValueError, match="must be integers"):
         Halved(3) * a
+    with pytest.raises(ValueError, match="must be integers"):
+        a * True
+    with pytest.raises(ValueError, match="must be integers"):
+        True * a
 
 
 # every model with a surface pairing: BlowupP2(0..8) and ProductP1(2)

@@ -154,6 +154,30 @@ def test_keyword_construction(_, cls, names, values, text):
     assert cls(**dict(zip(names, values))) == cls(*values)
 
 
+UNCHECKED = [v for v in VALUES if v[0] in (
+    "OrbitSignature", "FinitenessReport", "HodgeBound", "PairClassEntry",
+    "PairScanSummary", "ConeReport")]
+
+
+@pytest.mark.parametrize("_, cls, names, values, text", UNCHECKED,
+                         ids=[v[0] for v in UNCHECKED])
+def test_arguments_bind_to_fields_as_in_a_plain_function(
+        _, cls, names, values, text):
+    # (call, argument the message names, or None)
+    bad = [
+        (lambda: cls(*values, 0), None),
+        (lambda: cls(*values[:-1]), names[-1]),
+        (lambda: cls(*values, extra=0), "extra"),
+        (lambda: cls(*values, **{names[0]: values[0]}), names[0]),
+    ]
+    for build, name in bad:
+        with pytest.raises(TypeError) as exc:
+            build()
+        assert cls.__name__ in str(exc.value)
+        if name is not None:
+            assert repr(name) in str(exc.value)
+
+
 @pytest.mark.parametrize("_, cls, names, values, text", VALUES, ids=IDS)
 def test_copies_are_equal(_, cls, names, values, text):
     x = cls(*values)
@@ -282,6 +306,14 @@ REFUSALS = [
      "terms have multidegree (1,), not (2,)"),
     (lambda: MultiHomogPoly(1, {}), ValueError,
      "the zero polynomial needs an explicit multidegree"),
+    (lambda: DoubleCoverSpec(True, [1]), ValueError,
+     "factor count must be an integer, got True"),
+    (lambda: DoubleCoverSpec("2", [1, 1]), ValueError,
+     "factor count must be an integer, got '2'"),
+    (lambda: ProductPoint(True, ((0, 1),)), ValueError,
+     "factor count must be an integer, got True"),
+    (lambda: MultiHomogPoly(True, {(1, 0): 1}), ValueError,
+     "factor count must be an integer, got True"),
 ]
 
 
