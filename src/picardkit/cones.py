@@ -1,10 +1,11 @@
 """Exact rational polyhedral cones and the nef/psef/mori surface reports.
 
-Everything here runs over exact arithmetic.  Vector entries must be int or
-Fraction: ConePoly and in_cone_lp raise TypeError for anything else (float,
-str, bool), so no floating point enters.  The double description, the
-simplex and the row reduction work on integers only: Fraction inputs are
-scaled on entry by _integral, the one place that clears denominators.
+Everything here runs over exact arithmetic.  Each vector entering the cone
+engine (a ConePoly description, in_cone_lp, ConePoly.contains) is checked
+once, by _integral: every length (ValueError), then every entry, which must
+be int or Fraction (TypeError for float, str, bool), so no float enters.
+_integral alone clears denominators; the double description, the simplex
+and the row reduction run on integers and check nothing again.
 
 * Double description: a cone given by halfspace normals is converted to
   generators by Motzkin-style incremental refinement.  Lineality is carried
@@ -31,9 +32,10 @@ scaled on entry by _integral, the one place that clears denominators.
   to the facet-sign test, and the two are required to agree.  One such LP
   decides whether a cone is pointed.  is_simplicial, the one route to
   simpliciality, runs it and stops counting extremal rays at one past the
-  dimension of the span.  in_cone_lp checks and scales its entries, then
-  calls _phase_one, the one simplex, which extremal_rays and is_simplicial
-  call directly on a cone's rays, checked once when the cone was built.
+  dimension of the span.  in_cone_lp passes its vectors through _integral,
+  then calls _phase_one, the one simplex, which extremal_rays and
+  is_simplicial call directly on a cone's rays, checked once when the cone
+  was built.
 * Row reduction: one RREF helper over primitive integer rows gives ranks,
   lineality bases and coset representatives modulo the lineality space.
 
@@ -48,7 +50,7 @@ Surface reports: the effective generators are classical and hard-coded
 P1 x P1), then sanity-checked by their canonical degree: -K.g, read off
 the coordinates by lattice.canonical_degree, must be strictly positive on
 every generator.  The nef cone is stored by its facet normals,
-the psef generators pushed through the intersection form with
+the psef generator classes pushed through the intersection form with
 lattice.pairing_vector.  report.nef_generators lists the nef rays for
 the tiny models (P1 x P1, r <= 2) and is None above; it alone decides what
 the JSON shows, and nef.rays() builds them on request.  For 3 <= r <= 8 they
@@ -81,28 +83,27 @@ def _neg(v: Sequence) -> tuple:
     return tuple(-a for a in v)
 
 
-def _all_int(entries: Iterable) -> bool:
-    """Whether every entry is an int (False: some are Fractions).
+def _integral(vecs: Iterable[Iterable], dim: int) -> list[Vec]:
+    """The vectors, read once, as integer tuples of length dim.
 
-    The check at the boundary: anything but int and Fraction (float, str,
-    bool, ...) raises TypeError, so everything past it is exact.
+    Every length is checked (ValueError), then every entry type: int or
+    Fraction, else TypeError.  A vector with a Fraction is scaled by the lcm
+    of its denominators, which changes no ray, halfspace or membership.
     """
-    kinds = set(map(type, entries))
+    vecs = [tuple(v) for v in vecs]
+    for v in vecs:
+        if len(v) != dim:
+            raise ValueError(f"vector {v} does not have dimension {dim}")
+    kinds = set(map(type, chain.from_iterable(vecs)))
     if kinds <= {int}:
-        return True
-    if kinds <= {int, Fraction}:
-        return False
-    bad = next(t for t in kinds if t is not int and t is not Fraction)
-    raise TypeError(f"cone entries must be int or Fraction, not {bad.__name__}")
-
-
-def _integral(vec: Sequence) -> Sequence[int]:
-    """vec with its denominators cleared, as integers."""
-    if _all_int(vec):
-        return vec
-    fracs = [Fraction(v) for v in vec]
-    den = lcm(*(f.denominator for f in fracs))
-    return [int(f * den) for f in fracs]
+        return vecs
+    bad = kinds - {int, Fraction}
+    if bad:
+        raise TypeError(
+            f"cone entries must be int or Fraction, not {bad.pop().__name__}")
+    dens = [lcm(*(a.denominator for a in v)) for v in vecs]
+    return [tuple([a.numerator * (d // a.denominator) for a in v])
+            for v, d in zip(vecs, dens)]
 
 
 def _primitive(ints: Sequence[int]) -> Vec:
@@ -124,11 +125,10 @@ def _canon_line(ints: Sequence[int]) -> Vec:
     return p
 
 
-def _reduce(vec: Sequence, basis: list[tuple[int, Vec]]) -> Vec:
-    """vec with its pivot columns cleared against a _rref basis, made
+def _reduce(row: Sequence[int], basis: list[tuple[int, Vec]]) -> Vec:
+    """row with its pivot columns cleared against a _rref basis, made
     primitive: a positive multiple of the canonical coset representative
     modulo the span of the basis."""
-    row = _integral(vec)
     for piv, b in basis:
         f = row[piv]
         if f:
@@ -137,7 +137,7 @@ def _reduce(vec: Sequence, basis: list[tuple[int, Vec]]) -> Vec:
     return _primitive(row)
 
 
-def _rref(vectors: Iterable[Sequence]) -> list[tuple[int, Vec]]:
+def _rref(vectors: Iterable[Sequence[int]]) -> list[tuple[int, Vec]]:
     """Reduced row echelon basis of the span, as (pivot column, row) pairs.
 
     Each row is primitive, positive at its own pivot and 0 at every other
@@ -163,24 +163,22 @@ def _rref(vectors: Iterable[Sequence]) -> list[tuple[int, Vec]]:
     return basis
 
 
-def in_cone_lp(generators: Sequence[Sequence], x: Sequence) -> bool:
+def in_cone_lp(generators: Iterable[Iterable], x: Iterable) -> bool:
     """Is x a nonnegative rational combination of the generators?
 
-    Entries must be int or Fraction; anything else raises TypeError.  As in
-    ConePoly._clean, one check covers every entry, and only a Fraction
-    sends each vector through _integral: scaling a vector by a positive
-    factor changes neither the answer nor the pivots of _phase_one.
+    x and the generators, any iterables, pass _integral together, once, so
+    a generator of another length than x raises ValueError.  Its scaling
+    changes neither the answer nor the pivots of _phase_one.
     """
-    if not _all_int(chain(x, chain.from_iterable(generators))):
-        generators = [_integral(g) for g in generators]
-        x = _integral(x)
+    x = tuple(x)
+    *generators, x = _integral(chain(generators, (x,)), len(x))
     return _phase_one(generators, x)
 
 
 def _phase_one(generators: Sequence[Sequence[int]],
                x: Sequence[int]) -> bool:
     """Whether sum_j y_j g_j = x has a solution y >= 0, for integer vectors
-    whose entries are checked: one row [g_1[i], ..., g_m[i], x[i]] per i.
+    of one length, which it trusts: one row [g_1[i], ..., g_m[i], x[i]] per i.
 
     Phase-I simplex with Bland's rule, pivoting over the integers
     (Edmonds 1967; Bareiss 1968).  The rational tableau is T / D for an
@@ -361,14 +359,7 @@ class ConePoly:
     def _clean(self, vecs) -> tuple[Vec, ...] | None:
         if vecs is None:
             return None
-        vecs = list(vecs)
-        for v in vecs:
-            if len(v) != self.ambient_dim:
-                raise ValueError(
-                    f"vector {tuple(v)} does not have dimension {self.ambient_dim}"
-                )
-        if not _all_int(chain.from_iterable(vecs)):
-            vecs = map(_integral, vecs)
+        vecs = _integral(vecs, self.ambient_dim)
         # distinct nonzero primitive vectors, in first-seen order
         return tuple(dict.fromkeys(p for p in map(_primitive, vecs) if any(p)))
 
@@ -426,8 +417,10 @@ class ConePoly:
             self._dual = _dual_description(self.rays(), self.ambient_dim)
         return self._dual
 
-    def contains(self, x: Sequence) -> bool:
-        """Membership, by the signs of x against the facet normals."""
+    def contains(self, x: Iterable) -> bool:
+        """Membership, by the signs of x, checked by _integral, against the
+        facet normals."""
+        (x,) = _integral((x,), self.ambient_dim)
         return all(sum(map(mul, x, n)) >= 0 for n in self.facet_normals())
 
     def span_rank(self) -> int:
@@ -532,8 +525,7 @@ def surface_cone_report(model: SurfaceModel) -> ConeReport:
                 f"psef generator table corrupt: -K.{g} not positive")
     coords = [g.coords for g in gens]
     psef = ConePoly.from_generators(coords, model.rank)
-    nef = ConePoly.from_facets([pairing_vector(model, v) for v in coords],
-                               model.rank)
+    nef = ConePoly.from_facets([pairing_vector(g) for g in gens], model.rank)
     small = model.kind != BLOWUP or model.size <= 2  # few nef rays
 
     # psef inside nef, then nef inside psef; on a blow-up with r >= 1 the

@@ -213,7 +213,7 @@ def contraction_table(r: int) -> tuple[tuple[DivisorClass, ...],
     fam = enumerate_exceptional(r)
     coords = [e.coords for e in fam]
     # a.b as one dot product of a's pairing vector with b
-    twisted = [pairing_vector(e.model, e.coords) for e in fam]
+    twisted = [pairing_vector(e) for e in fam]
     masks: dict[tuple[int, ...], int] = {}
     for i, (a, ta) in enumerate(zip(coords, twisted)):
         for j in range(i + 1, len(coords)):

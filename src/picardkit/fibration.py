@@ -175,7 +175,7 @@ def _pair_scan(r: int) -> tuple[PairScanSummary, tuple[PairClassEntry, ...]]:
     counts: dict[tuple[int, int, int], int] = {}
     max_degree = 0
     for s, x in enumerate(rep):
-        twisted = pairing_vector(fam[x].model, coords[x])
+        twisted = pairing_vector(fam[x])
         mx = cmasks[x]
         for y, (cy, my, t) in enumerate(zip(coords, cmasks, sig_ids)):
             if y == x:

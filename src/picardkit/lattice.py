@@ -10,10 +10,11 @@ Two kinds of model are supported:
   form is defined; n = 2 additionally carries the hyperbolic surface pairing
   H_1.H_2 = 1, H_i^2 = 0.
 
-The intersection form lives here alone: pairing evaluates it on two
-classes, and pairing_vector turns one class into the vector that the form
-dots against, which is how the cone and pair-scan layers read it.  On
-BlowupP2 pairing takes one pass over both coordinate tuples, as
+The intersection form lives here alone and takes classes only, refusing
+anything else with TypeError through one check, _class: pairing evaluates
+it on two classes, and pairing_vector turns one class into the vector that
+the form dots against, which is how the cone and pair-scan layers read it.
+On BlowupP2 pairing takes one pass over both coordinate tuples, as
 2 a_0 b_0 - sum_i a_i b_i (the sum over every coordinate, H included), so
 no slice is built per call.  canonical_degree(c) is the one home for K.c:
 it reads the degree off c's coordinates (-2 c_0 - sum c_i on BlowupP2,
@@ -233,21 +234,13 @@ class DivisorClass(FrozenValue):
             raise ValueError("multiplicities only make sense on BlowupP2")
         return tuple(-c for c in self.coords[1:])
 
-    def _same_model(self, other: "DivisorClass") -> None:
-        if not isinstance(other, DivisorClass):
-            raise TypeError(f"expected DivisorClass, got {type(other).__name__}")
-        if other.model != self.model:
-            raise ValueError(
-                f"classes live in different models: {self.model} vs {other.model}"
-            )
-
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
-        self._same_model(other)
+        _same_model(self, other)
         return DivisorClass(self.model,
                             tuple(map(add, self.coords, other.coords)))
 
     def __sub__(self, other: "DivisorClass") -> "DivisorClass":
-        self._same_model(other)
+        _same_model(self, other)
         return DivisorClass(self.model,
                             tuple(map(sub, self.coords, other.coords)))
 
@@ -285,19 +278,37 @@ def canonical_class(model: SurfaceModel) -> DivisorClass:
     return DivisorClass(model, (-2,) * model.size)
 
 
+def _class(c: object) -> DivisorClass:
+    """c, if it is a DivisorClass; TypeError otherwise.  The one check that
+    a function of the form was given a class."""
+    if not isinstance(c, DivisorClass):
+        raise TypeError(f"expected DivisorClass, got {type(c).__name__}")
+    return c
+
+
+def _same_model(a: DivisorClass, b: DivisorClass) -> SurfaceModel:
+    """The model of two classes, which must be one model."""
+    model = _class(a).model
+    if _class(b).model != model:
+        raise ValueError(f"classes live in different models: {model} vs "
+                         f"{b.model}")
+    return model
+
+
 def _no_form(model: SurfaceModel) -> ValueError:
     return ValueError(f"pairing is undefined on {model}; use top_intersection")
 
 
-def pairing_vector(model: SurfaceModel,
-                   coords: Sequence[int]) -> tuple[int, ...]:
-    """The form applied to the class c with these coordinates: the vector
-    v with pairing(c, x) == sum(v_i * x_i) for every class x of the model.
-    pairing keeps its own inline formula, being the hot path."""
+def pairing_vector(c: DivisorClass) -> tuple[int, ...]:
+    """The form applied to the class c: the vector v with pairing(c, x) ==
+    sum(v_i * x_i) for every class x of c's model.  pairing keeps its own
+    inline formula, being the hot path."""
+    x = _class(c).coords
+    model = c.model
     if model.kind == BLOWUP:
-        return (coords[0],) + tuple(-v for v in coords[1:])
+        return (x[0],) + tuple(-v for v in x[1:])
     if model.size == 2:
-        return (coords[1], coords[0])
+        return (x[1], x[0])
     raise _no_form(model)
 
 
@@ -310,9 +321,8 @@ def pairing(a: DivisorClass, b: DivisorClass) -> int:
     a_0 b_1 + a_1 b_0 is provided as a convenience; higher products have no
     meaningful bilinear form and must go through top_intersection.
     """
-    a._same_model(b)
+    model = _same_model(a, b)
     x, y = a.coords, b.coords
-    model = a.model
     if model.kind == BLOWUP:
         return 2 * x[0] * y[0] - sum(map(mul, x, y))
     if model.size == 2:
@@ -324,9 +334,7 @@ def canonical_degree(c: DivisorClass) -> int:
     """K.c, read off c's coordinates: -2 c_0 - sum_{i>=0} c_i on BlowupP2
     (K = -3H + sum E_i), -2 (c_0 + c_1) on ProductP1(2).  Equal to
     pairing(canonical_class(c.model), c), and undefined where pairing is."""
-    if not isinstance(c, DivisorClass):
-        raise TypeError(f"expected DivisorClass, got {type(c).__name__}")
-    x = c.coords
+    x = _class(c).coords
     model = c.model
     if model.kind == BLOWUP:
         return -2 * x[0] - sum(x)
@@ -382,9 +390,7 @@ def top_intersection(model: SurfaceModel,
         raise ValueError("top_intersection needs a ProductP1 model")
     rows = []
     for c in classes:
-        if not isinstance(c, DivisorClass):
-            raise TypeError(f"expected DivisorClass, got {type(c).__name__}")
-        if c.model != model:
+        if _class(c).model != model:
             raise ValueError(f"class of {c.model} passed to {model}")
         rows.append(c.coords)
     if len(rows) != model.size:

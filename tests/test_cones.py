@@ -20,8 +20,8 @@ from picardkit.cones import (
     surface_cone_report,
 )
 from picardkit.curves import enumerate_conic, enumerate_exceptional
-from picardkit.lattice import (SurfaceModel, canonical_class, pairing,
-                               pairing_vector)
+from picardkit.lattice import (DivisorClass, SurfaceModel, canonical_class,
+                               pairing, pairing_vector)
 
 
 def _bp(r: int) -> SurfaceModel:
@@ -41,9 +41,9 @@ def test_orthant_is_self_dual():
 
 def _form_dual(model, gens):
     """The dual of a cone under the intersection form: the dual of its
-    generators pushed through pairing_vector."""
+    generator classes pushed through pairing_vector."""
     return dual_cone(ConePoly.from_generators(
-        [pairing_vector(model, g) for g in gens], model.rank))
+        [pairing_vector(DivisorClass(model, g)) for g in gens], model.rank))
 
 
 def test_dual_of_effective_cone_on_one_blowup():
@@ -117,16 +117,15 @@ def test_dual_cone_does_not_clean_its_descriptions_again(monkeypatch):
 
 
 def test_cone_queries_check_entry_types_once_per_cone(monkeypatch):
-    # a cone's rays were checked when it was built, so the LPs of
-    # extremal_rays and is_simplicial check no entry again: every _all_int
-    # call left is the one inside _integral, which the row reduction makes
+    # a cone's rays were checked when it was built, so neither the LPs nor
+    # the row reduction of extremal_rays and is_simplicial check again
     shapes = [ConePoly.from_generators([(1, 0, 0), (0, 1, 0), (0, 0, 1),
                                         (1, 1, 1), (2, 1, 0)]),
               ConePoly.from_generators([(1, 0, 0), (-1, 0, 0), (0, 1, 0),
                                         (1, 1, 1)]),  # a line
               ConePoly.from_generators([(Fraction(1, 2), 0),
                                         (0, Fraction(1, 3)), (1, 1)])]
-    calls = dict.fromkeys(["_all_int", "_integral", "_phase_one"], 0)
+    calls = dict.fromkeys(["_integral", "_phase_one", "_rref"], 0)
     for name in calls:
         def counted(*args, _name=name, _fn=getattr(cones, name)):
             calls[_name] += 1
@@ -135,17 +134,19 @@ def test_cone_queries_check_entry_types_once_per_cone(monkeypatch):
     for c in shapes:
         extremal_rays(c)
         is_simplicial(c)
-    assert calls["_phase_one"] >= 20
-    assert calls["_all_int"] == calls["_integral"]
-    # the public route keeps its boundary: one check over every entry, and
-    # on a Fraction the one inside _integral for each of the three vectors
-    before = calls["_all_int"]
-    assert in_cone_lp([(1, 0), (0, 1)], (1, 3))
-    assert calls["_all_int"] == before + 1
-    assert in_cone_lp([(1, 0), (0, 1)], (Fraction(1, 2), 3))
-    assert calls["_all_int"] == before + 1 + 1 + 3
-    with pytest.raises(TypeError, match="float"):
-        in_cone_lp([(1, 0), (0, 1)], (0.5, 3))
+    assert calls["_phase_one"] >= 20 and calls["_rref"] >= 3
+    assert calls["_integral"] == 0
+    # the public routes keep their boundary: one check per call, over
+    # every vector, on ints and on Fractions alike
+    c = shapes[0]
+    for query in (lambda x: in_cone_lp([(1, 0, 0), (0, 1, 0)], x),
+                  c.contains):
+        before = calls["_integral"]
+        assert query((1, 3, 0))
+        assert query((Fraction(1, 2), 3, 0))
+        assert calls["_integral"] == before + 2
+        with pytest.raises(TypeError, match="float"):
+            query((0.5, 3, 0))
 
 
 def test_dual_of_a_facet_built_cone_drops_redundant_facets():
@@ -310,6 +311,10 @@ def test_membership_accepts_rationals():
     assert c.contains(x) and in_cone_lp(c.rays(), x)
     y = (Fraction(1, 3), Fraction(5, 3))
     assert not c.contains(y) and not in_cone_lp(c.rays(), y)
+    # a one-pass iterator is read once, not once per facet or per check
+    orthant = ConePoly.from_generators([(1, 0), (0, 1)])
+    assert not orthant.contains(iter((-1, 1)))
+    assert in_cone_lp((g for g in orthant.rays()), iter((2, 1)))
 
 
 def test_constructor_validation():
@@ -323,6 +328,14 @@ def test_constructor_validation():
         ConePoly(2.0, generators=[(1, 0)])
     with pytest.raises(ValueError, match="ambient dimension"):
         ConePoly(-1, generators=[])
+    # a query vector of the wrong length is refused too, not cut short;
+    # in_cone_lp takes the dimension from x
+    with pytest.raises(ValueError, match=r"\(1, 0\) does not have dimension 1"):
+        in_cone_lp([(1, 0), (0, 1)], (1,))
+    with pytest.raises(ValueError, match="does not have dimension 2"):
+        in_cone_lp([(1, 0), (0, 1, 0)], (1, 1))
+    with pytest.raises(ValueError, match="does not have dimension 2"):
+        ConePoly.from_generators([(1, 0), (0, 1)]).contains((1,))
 
 
 def test_dimensions_are_checked_before_entry_types():
@@ -353,6 +366,8 @@ def test_cone_entries_must_be_int_or_fraction(entry):
         in_cone_lp([(entry, 1)], (1, 2))
     with pytest.raises(TypeError, match="int or Fraction"):
         in_cone_lp([(1, 1)], (entry, 2))
+    with pytest.raises(TypeError, match="int or Fraction"):
+        ConePoly.from_generators([(1, 0), (0, 1)]).contains((entry, 1))
 
 
 @settings(max_examples=60, deadline=None)
@@ -497,15 +512,17 @@ def test_integer_rref_matches_fraction_rref(data):
     elif shape == "lines" and vecs:
         vecs += [tuple(-a for a in v)
                  for v in vecs[:data.draw(st.integers(1, len(vecs)))]]
-    basis = cones._rref(vecs)
+    # the row reduction trusts its input: Fractions are scaled first, by
+    # the boundary that every vector entering the cone engine passes
+    basis = cones._rref(cones._integral(vecs, dim))
     want = fraction_rref(vecs)
     assert [p for p, _ in basis] == [p for p, _ in want]
     for (p, row), (_, frow) in zip(basis, want):
         assert row[p] > 0 and gcd(*row) == 1
         assert _positive_multiple(row, frow)
     probes = vecs + [tuple(_entry(data, fractional) for _ in range(dim))]
-    for v in probes:
-        rep = cones._reduce(v, basis)
+    for v, ints in zip(probes, cones._integral(probes, dim)):
+        rep = cones._reduce(ints, basis)
         assert gcd(*rep) <= 1
         assert _positive_multiple(rep, fraction_reduce(v, want))
 

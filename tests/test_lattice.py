@@ -117,6 +117,10 @@ def test_pairing_errors():
     p3 = SurfaceModel.product_p1(3)
     with pytest.raises(ValueError):
         pairing(cls(p3, 1, 0, 0), cls(p3, 0, 1, 0))
+    # a non-class is refused alike in either slot
+    for args in ((a, (1, 0)), ((1, 0), a)):
+        with pytest.raises(TypeError, match="expected DivisorClass, got tuple"):
+            pairing(*args)
 
 
 def test_hyperbolic_pairing_on_p1xp1():
@@ -258,8 +262,7 @@ surface_models = st.one_of(st.integers(0, 8).map(SurfaceModel.blowup_p2),
 def test_pairing_vector_dots_to_pairing(model, data):
     vec = st.tuples(*[st.integers(-9, 9)] * model.rank)
     a, b = cls(model, *data.draw(vec)), cls(model, *data.draw(vec))
-    assert (sum(u * v for u, v in zip(pairing_vector(model, a.coords),
-                                      b.coords))
+    assert (sum(u * v for u, v in zip(pairing_vector(a), b.coords))
             == pairing(a, b))
 
 
@@ -280,11 +283,13 @@ def test_canonical_degree_examples_and_errors():
 
 
 def test_pairing_vector_examples_and_errors():
-    assert pairing_vector(DP7, (3, 0, -1, -1, -1, -1, -1, -2)) == \
+    assert pairing_vector(cls(DP7, 3, 0, -1, -1, -1, -1, -1, -2)) == \
         (3, 0, 1, 1, 1, 1, 1, 2)
-    assert pairing_vector(SurfaceModel.product_p1(2), (1, 2)) == (2, 1)
+    assert pairing_vector(cls(SurfaceModel.product_p1(2), 1, 2)) == (2, 1)
     with pytest.raises(ValueError, match="use top_intersection"):
-        pairing_vector(SurfaceModel.product_p1(3), (1, 0, 0))
+        pairing_vector(cls(SurfaceModel.product_p1(3), 1, 0, 0))
+    with pytest.raises(TypeError, match="expected DivisorClass, got tuple"):
+        pairing_vector((1, 0))
 
 
 @given(st.integers(1, 5), st.data())
