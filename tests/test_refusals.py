@@ -1,0 +1,188 @@
+"""What the pencil entry points refuse, and with which exact error.
+
+One table row per refusal of pairing, canonical_degree, is_conic,
+orbit_signature, reducible_fibers, FibrationPair, analyze_pair and
+hodge_bound: a non-class in each class slot, a class of another model, a
+ProductP1 model, a wrong family, a class that is not a conic or not
+square-zero, and two equal classes.  Each row gives the exception type and
+the whole message.  Two acceptance tables follow: classes whose models are
+equal but distinct objects, and instances of a DivisorClass subclass, get
+the same answers as plain classes of one model object.
+"""
+
+from types import SimpleNamespace
+
+import pytest
+
+from picardkit.curves import (enumerate_exceptional, is_conic,
+                              orbit_signature, reducible_fibers)
+from picardkit.fibration import FibrationPair, analyze_pair, hodge_bound
+from picardkit.lattice import (DivisorClass, SurfaceModel, canonical_degree,
+                               pairing)
+
+M8 = SurfaceModel("BlowupP2", 8)
+M7 = SurfaceModel("BlowupP2", 7)
+P2 = SurfaceModel("ProductP1", 2)
+P3 = SurfaceModel("ProductP1", 3)
+
+
+def cls(model, *coords):
+    return DivisorClass(model, coords)
+
+
+A = cls(M8, 1, -1, 0, 0, 0, 0, 0, 0, 0)     # H - E1, a conic
+B = cls(M8, 2, -1, -1, -1, -1, 0, 0, 0, 0)  # a conic meeting A twice
+H = cls(M8, 1, 0, 0, 0, 0, 0, 0, 0, 0)      # square 1
+E1 = cls(M8, 0, 1, 0, 0, 0, 0, 0, 0, 0)     # square -1
+C7 = cls(M7, 1, -1, 0, 0, 0, 0, 0, 0)       # H - E1 on BlowupP2(7)
+R1, R2 = cls(P2, 1, 0), cls(P2, 0, 1)       # the two rulings of P1 x P1
+Q = cls(P3, 1, 0, 0)
+F8 = enumerate_exceptional(8)
+F7 = enumerate_exceptional(7)
+PAIR = FibrationPair(M8, A, B)
+T = A.coords
+# not a class, though it carries a model and coordinates
+DUCK = SimpleNamespace(model=M8, coords=A.coords)
+
+NO_MODEL = "'tuple' object has no attribute 'model'"
+NOT_A_CLASS = "expected DivisorClass, got tuple"
+NOT_IN_M8 = "H - E1 does not live in BlowupP2(8)"
+NO_FORM_P3 = "pairing is undefined on ProductP1(3); use top_intersection"
+
+# (id, call, exception type, message)
+REFUSALS = [
+    # a non-class in each class slot
+    ("pairing-first-not-a-class", lambda: pairing(T, B),
+     TypeError, NOT_A_CLASS),
+    ("pairing-second-not-a-class", lambda: pairing(A, T),
+     TypeError, NOT_A_CLASS),
+    ("pairing-none", lambda: pairing(A, None),
+     TypeError, "expected DivisorClass, got NoneType"),
+    ("pairing-duck", lambda: pairing(DUCK, A),
+     TypeError, "expected DivisorClass, got SimpleNamespace"),
+    ("canonical_degree-not-a-class", lambda: canonical_degree(T),
+     TypeError, NOT_A_CLASS),
+    ("canonical_degree-duck", lambda: canonical_degree(DUCK),
+     TypeError, "expected DivisorClass, got SimpleNamespace"),
+    ("is_conic-not-a-class", lambda: is_conic(T), TypeError, NOT_A_CLASS),
+    ("orbit_signature-not-a-class", lambda: orbit_signature(T),
+     AttributeError, NO_MODEL),
+    ("reducible_fibers-not-a-class", lambda: reducible_fibers(T, F8),
+     AttributeError, NO_MODEL),
+    ("FibrationPair-c1-not-a-class", lambda: FibrationPair(M8, T, B),
+     AttributeError, NO_MODEL),
+    ("FibrationPair-c2-not-a-class", lambda: FibrationPair(M8, A, T),
+     AttributeError, NO_MODEL),
+    ("FibrationPair-duck", lambda: FibrationPair(M8, DUCK, B),
+     TypeError, "expected DivisorClass, got SimpleNamespace"),
+    ("analyze_pair-not-a-pair", lambda: analyze_pair(T, F8),
+     AttributeError, NO_MODEL),
+    ("hodge_bound-c1-not-a-class", lambda: hodge_bound(M8, T, B),
+     AttributeError, NO_MODEL),
+    ("hodge_bound-c2-not-a-class", lambda: hodge_bound(M8, A, T),
+     AttributeError, NO_MODEL),
+    ("hodge_bound-duck", lambda: hodge_bound(M8, A, DUCK),
+     TypeError, "expected DivisorClass, got SimpleNamespace"),
+    # a class of another model
+    ("pairing-other-model", lambda: pairing(A, C7), ValueError,
+     "classes live in different models: BlowupP2(8) vs BlowupP2(7)"),
+    ("pairing-other-model-first", lambda: pairing(C7, A), ValueError,
+     "classes live in different models: BlowupP2(7) vs BlowupP2(8)"),
+    ("FibrationPair-c1-other-model", lambda: FibrationPair(M8, C7, B),
+     ValueError, NOT_IN_M8),
+    ("FibrationPair-c2-other-model", lambda: FibrationPair(M8, A, C7),
+     ValueError, NOT_IN_M8),
+    ("hodge_bound-c1-other-model", lambda: hodge_bound(M8, C7, B),
+     ValueError, NOT_IN_M8),
+    ("hodge_bound-c2-other-model", lambda: hodge_bound(M8, A, C7),
+     ValueError, NOT_IN_M8),
+    # a ProductP1 model
+    ("pairing-product", lambda: pairing(Q, Q), ValueError, NO_FORM_P3),
+    ("canonical_degree-product", lambda: canonical_degree(Q),
+     ValueError, NO_FORM_P3),
+    ("is_conic-product", lambda: is_conic(Q), ValueError, NO_FORM_P3),
+    ("orbit_signature-product", lambda: orbit_signature(R1),
+     ValueError, "multiplicities only make sense on BlowupP2"),
+    ("reducible_fibers-product", lambda: reducible_fibers(R1, F8),
+     ValueError, "reducible_fibers needs a BlowupP2 model, got ProductP1(2)"),
+    ("FibrationPair-product", lambda: FibrationPair(P2, R1, R2),
+     ValueError, "fibration pairs need a BlowupP2 model, got ProductP1(2)"),
+    ("hodge_bound-product", lambda: hodge_bound(P2, R1, R2),
+     ValueError, "hodge_bound needs a BlowupP2 model"),
+    # a wrong family
+    ("reducible_fibers-wrong-family", lambda: reducible_fibers(A, F7),
+     ValueError,
+     "reducible_fibers needs the exceptional family of the class's model"),
+    ("analyze_pair-wrong-family", lambda: analyze_pair(PAIR, F7),
+     ValueError, "analyze_pair needs the exceptional family of the pair's "
+                 "model"),
+    ("analyze_pair-family-as-list", lambda: analyze_pair(PAIR, list(F8)),
+     ValueError, "analyze_pair needs the exceptional family of the pair's "
+                 "model"),
+    # not a conic, or not square-zero
+    ("reducible_fibers-not-a-conic", lambda: reducible_fibers(E1, F8),
+     ValueError, "E1 is not a conic fibration class"),
+    ("FibrationPair-c1-not-a-conic", lambda: FibrationPair(M8, H, B),
+     ValueError, "H is not a conic fibration class"),
+    ("FibrationPair-c2-not-a-conic", lambda: FibrationPair(M8, A, E1),
+     ValueError, "E1 is not a conic fibration class"),
+    ("hodge_bound-c1-not-square-zero", lambda: hodge_bound(M8, H, B),
+     ValueError, "H is not square-zero"),
+    ("hodge_bound-c2-not-square-zero", lambda: hodge_bound(M8, A, E1),
+     ValueError, "E1 is not square-zero"),
+    # two equal classes
+    ("FibrationPair-same-class", lambda: FibrationPair(M8, A, A),
+     ValueError, "fibration pair needs two distinct classes"),
+    ("FibrationPair-equal-classes",
+     lambda: FibrationPair(M8, A, DivisorClass(M8, A.coords)),
+     ValueError, "fibration pair needs two distinct classes"),
+]
+
+
+@pytest.mark.parametrize("call, error, message",
+                         [row[1:] for row in REFUSALS],
+                         ids=[row[0] for row in REFUSALS])
+def test_refusal(call, error, message):
+    with pytest.raises(Exception) as caught:
+        call()
+    assert type(caught.value) is error
+    assert str(caught.value) == message
+
+
+class SubClass(DivisorClass):
+    """A DivisorClass subclass, which every entry point accepts."""
+
+
+def answers(model, a, b):
+    """Every entry point's answer on the conics a, b of model, as plain
+    data: a class is read through its coordinates."""
+    pair = FibrationPair(model, a, b)
+    return {
+        "pairing": (pairing(a, b), pairing(b, a), pairing(a, a)),
+        "canonical_degree": (canonical_degree(a), canonical_degree(b)),
+        "is_conic": (is_conic(a), is_conic(b), is_conic(a + b)),
+        "orbit_signature": (orbit_signature(a), orbit_signature(b)),
+        "reducible_fibers": [(f.total.coords, f.components)
+                             for f in reducible_fibers(a, F8)],
+        "FibrationPair": (pair.model, pair.c1.coords, pair.c2.coords),
+        "analyze_pair": (analyze_pair(pair), analyze_pair(pair, F8)),
+        "hodge_bound": hodge_bound(model, a, b),
+    }
+
+
+# (id, model passed to FibrationPair and hodge_bound, first, second class)
+ACCEPTED = [
+    ("equal-distinct-models", SurfaceModel("BlowupP2", 8),
+     cls(SurfaceModel("BlowupP2", 8), *A.coords),
+     cls(SurfaceModel("BlowupP2", 8), *B.coords)),
+    ("equal-distinct-model-of-pair", SurfaceModel("BlowupP2", 8), A, B),
+    ("subclass-first", M8, SubClass(M8, A.coords), B),
+    ("subclass-second", M8, A, SubClass(M8, B.coords)),
+    ("subclass-both", M8, SubClass(M8, A.coords), SubClass(M8, B.coords)),
+]
+
+
+@pytest.mark.parametrize("model, a, b", [row[1:] for row in ACCEPTED],
+                         ids=[row[0] for row in ACCEPTED])
+def test_accepted_like_plain_classes_of_one_model(model, a, b):
+    assert answers(model, a, b) == answers(M8, A, B)
