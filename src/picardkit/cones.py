@@ -377,7 +377,8 @@ class ConePoly:
     @classmethod
     def from_generators(cls, generators: Sequence[Sequence],
                         ambient_dim: int | None = None) -> "ConePoly":
-        generators = list(generators)
+        # read once, so that the first vector has a length to take
+        generators = [tuple(v) for v in generators]
         if ambient_dim is None:
             if not generators:
                 raise ValueError("ambient_dim required for the zero cone")
@@ -387,7 +388,8 @@ class ConePoly:
     @classmethod
     def from_facets(cls, facets: Sequence[Sequence],
                     ambient_dim: int | None = None) -> "ConePoly":
-        facets = list(facets)
+        # read once, so that the first vector has a length to take
+        facets = [tuple(v) for v in facets]
         if ambient_dim is None:
             if not facets:
                 raise ValueError("ambient_dim required without facet data")

@@ -55,7 +55,7 @@ from __future__ import annotations
 
 from functools import cache, total_ordering
 from math import isqrt
-from operator import add, attrgetter, mul
+from operator import add, attrgetter, mul, neg
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -196,7 +196,7 @@ def orbit_signature(c: DivisorClass) -> OrbitSignature:
         raise ValueError("multiplicities only make sense on BlowupP2")
     coords = c.coords
     # ascending E-coordinates are descending multiplicities, negated
-    return OrbitSignature(coords[0], tuple(-v for v in sorted(coords[1:])))
+    return OrbitSignature(coords[0], tuple(map(neg, sorted(coords[1:]))))
 
 
 @cache

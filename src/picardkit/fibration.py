@@ -56,7 +56,7 @@ class FibrationPair(FrozenValue):
             raise ValueError(f"fibration pairs need a BlowupP2 model, "
                              f"got {model}")
         for c in (c1, c2):
-            if c.model != model:
+            if c.model is not model and c.model != model:
                 raise ValueError(f"{c} does not live in {model}")
             if not is_conic(c):
                 raise ValueError(f"{c} is not a conic fibration class")
@@ -131,7 +131,7 @@ def hodge_bound(model: SurfaceModel, c1: DivisorClass,
     if model.kind != BLOWUP:
         raise ValueError("hodge_bound needs a BlowupP2 model")
     for c in (c1, c2):
-        if c.model != model:
+        if c.model is not model and c.model != model:
             raise ValueError(f"{c} does not live in {model}")
         if pairing(c, c) != 0:
             raise ValueError(f"{c} is not square-zero")

@@ -27,27 +27,37 @@ Values are checked where they enter.  SurfaceModel(...) takes an exact int
 size, and DivisorClass(...) takes exact int coordinates, as many as the
 model's rank.  The sum, difference, negation and integer multiple of
 classes go through that same constructor, and pairing and the arithmetic
-refuse a non-class or a class of another model.
+refuse a non-class or a class of another model.  pairing and
+canonical_degree check their arguments in their own frame: two plain
+DivisorClass instances whose model is one object pass at once, and
+anything else (a subclass, a non-class, two equal but distinct models)
+takes the fallback route through _class and _same_model, which keeps the
+isinstance test, model equality and every error.  Wherever two models are
+compared, identity is tested before equality.
 
 FrozenValue is the base of the package's value classes, here and in
 curves, fibration, cones and doublecover.  Each is a slotted frozen value,
 not a dataclass: it lists its fields in __slots__, and FrozenValue's
 __init__, the one code that stores fields, binds the constructor's
-arguments to them in order.  A class with checks runs them in its own
-__init__ and then calls FrozenValue's; afterwards assignment and deletion
-raise AttributeError.  Equality, hash, repr and copying come from the
+arguments to them in order and stores them through a function made once
+per class, when the class is defined.  A class with checks runs them in
+its own __init__ and then calls FrozenValue's; afterwards assignment and
+deletion raise AttributeError.  Equality, hash, repr and copying come from the
 fields, as a frozen dataclass's would.  The package imports no dataclasses,
 which would cost every CLI start its code generation and its imports.
 
 is_exact_int is the one test of an exact int used at every boundary: the
-type is int itself, so a bool or an int subclass is refused.
+type is int itself, so a bool or an int subclass is refused.  DivisorClass
+and from_curve apply it in bulk, as {int}.issuperset(map(type, values)),
+the same test at about two thirds of the cost; a test pins the two forms
+to each other.
 """
 
 from __future__ import annotations
 
 from math import prod
 from operator import add, attrgetter, mul, neg, sub
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 BLOWUP = "BlowupP2"
 PRODUCT = "ProductP1"
@@ -59,16 +69,41 @@ def is_exact_int(x: object) -> bool:
     return type(x) is int
 
 
+def _storer(setters: tuple) -> Callable[[object, tuple], None]:
+    """A method that stores a tuple of values, one per field, through the
+    fields' slot setters.  Unrolled for two and three fields, the common
+    records: on Python 3.11 any loop costs more than their stores."""
+    if len(setters) == 2:
+        first, second = setters
+
+        def store(self, values):
+            first(self, values[0])
+            second(self, values[1])
+    elif len(setters) == 3:
+        first, second, third = setters
+
+        def store(self, values):
+            first(self, values[0])
+            second(self, values[1])
+            third(self, values[2])
+    else:
+        def store(self, values):
+            for setter, value in zip(setters, values):
+                setter(self, value)
+    return store
+
+
 class FrozenValue:
     """An immutable value whose fields are its __slots__, two or more, in
     constructor order.
 
     The constructor binds its arguments to the fields as a plain function
     binds parameters, positional first, then keyword, and refuses too many,
-    missing, unknown or repeated arguments with TypeError.  A subclass with
-    checks defines __init__, runs them and calls FrozenValue.__init__ with
-    the field values: directly, since on Python 3.11 super() costs more
-    than the binding.  Assignment and deletion raise AttributeError.  Two
+    missing, unknown or repeated arguments with TypeError.  It stores them
+    through _store, which __init_subclass__ makes once per class from the
+    fields' slot setters.  A subclass with checks defines __init__, runs
+    them and calls FrozenValue.__init__ with the field values: directly,
+    since on Python 3.11 super() costs more than the binding.  Assignment and deletion raise AttributeError.  Two
     values are equal when they are of one class and their fields are equal,
     and a value hashes as the tuple of its fields.  The repr is
     Name(field=value, ...), and copy and pickle rebuild a value through its
@@ -81,19 +116,16 @@ class FrozenValue:
         super().__init_subclass__()
         # the fields as one tuple, read in C
         cls._key = attrgetter(*cls.__slots__)
-        # (position, setter) per field.  getattr, not cls.__dict__: a
-        # subclass without __slots__ of its own inherits the descriptors
-        cls._setters = tuple(enumerate(getattr(cls, name).__set__
-                                       for name in cls.__slots__))
+        cls._arity = len(cls.__slots__)
+        # getattr, not cls.__dict__: a subclass without __slots__ of its
+        # own inherits the descriptors
+        cls._store = _storer(tuple(getattr(cls, name).__set__
+                                   for name in cls.__slots__))
 
     def __init__(self, *args: object, **kwargs: object) -> None:
-        setters = self._setters
-        if kwargs or len(args) != len(setters):
+        if kwargs or len(args) != self._arity:
             args = self._bound(args, kwargs)
-        # indexed, not zipped: on Python 3.11 the zip costs more than the
-        # stores of a two- or three-field record
-        for i, store in setters:
-            store(self, args[i])
+        self._store(args)
 
     @classmethod
     def _bound(cls, args: tuple, kwargs: dict) -> tuple:
@@ -198,7 +230,8 @@ class DivisorClass(FrozenValue):
 
     def __init__(self, model: SurfaceModel, coords: Sequence[int]) -> None:
         coords = tuple(coords)
-        if not all(map(is_exact_int, coords)):
+        # is_exact_int over every coordinate, in bulk
+        if not {int}.issuperset(map(type, coords)):
             raise ValueError("divisor class coordinates must be integers")
         if len(coords) != model.rank:
             raise ValueError(
@@ -219,8 +252,9 @@ class DivisorClass(FrozenValue):
         if len(mults) > model.size:
             raise ValueError("more multiplicities than blown-up points")
         m = tuple(mults) + (0,) * (model.size - len(mults))
-        # checked before negation, which turns True into the int -1
-        if not all(map(is_exact_int, m)):
+        # checked before negation, which turns True into the int -1; the
+        # bulk form of is_exact_int, as in the constructor
+        if not {int}.issuperset(map(type, m)):
             raise ValueError("multiplicities must be integers")
         return DivisorClass(model, (degree,) + tuple(-v for v in m))
 
@@ -289,7 +323,7 @@ def _class(c: object) -> DivisorClass:
 def _same_model(a: DivisorClass, b: DivisorClass) -> SurfaceModel:
     """The model of two classes, which must be one model."""
     model = _class(a).model
-    if _class(b).model != model:
+    if _class(b).model is not model and b.model != model:
         raise ValueError(f"classes live in different models: {model} vs "
                          f"{b.model}")
     return model
@@ -321,7 +355,13 @@ def pairing(a: DivisorClass, b: DivisorClass) -> int:
     a_0 b_1 + a_1 b_0 is provided as a convenience; higher products have no
     meaningful bilinear form and must go through top_intersection.
     """
-    model = _same_model(a, b)
+    # the check in this frame: plain classes of one model object pass here,
+    # anything else takes _same_model, which refuses or accepts as ever
+    if (a.__class__ is DivisorClass and b.__class__ is DivisorClass
+            and b.model is a.model):
+        model = a.model
+    else:
+        model = _same_model(a, b)
     x, y = a.coords, b.coords
     if model.kind == BLOWUP:
         return 2 * x[0] * y[0] - sum(map(mul, x, y))
@@ -334,7 +374,9 @@ def canonical_degree(c: DivisorClass) -> int:
     """K.c, read off c's coordinates: -2 c_0 - sum_{i>=0} c_i on BlowupP2
     (K = -3H + sum E_i), -2 (c_0 + c_1) on ProductP1(2).  Equal to
     pairing(canonical_class(c.model), c), and undefined where pairing is."""
-    x = _class(c).coords
+    if c.__class__ is not DivisorClass:
+        _class(c)
+    x = c.coords
     model = c.model
     if model.kind == BLOWUP:
         return -2 * x[0] - sum(x)
@@ -390,7 +432,7 @@ def top_intersection(model: SurfaceModel,
         raise ValueError("top_intersection needs a ProductP1 model")
     rows = []
     for c in classes:
-        if _class(c).model != model:
+        if _class(c).model is not model and c.model != model:
             raise ValueError(f"class of {c.model} passed to {model}")
         rows.append(c.coords)
     if len(rows) != model.size:

@@ -338,6 +338,18 @@ def test_constructor_validation():
         ConePoly.from_generators([(1, 0), (0, 1)]).contains((1,))
 
 
+def test_first_vector_may_be_an_iterator_without_ambient_dim():
+    # the dimension comes from the first vector after it is read, as it
+    # would with ambient_dim given
+    for make, vecs in ((ConePoly.from_generators, [(1, 0), (0, 1)]),
+                       (ConePoly.from_facets, [(1, 0), (0, 1), (1, 1)])):
+        given = make([iter(v) for v in vecs], ambient_dim=2)
+        taken = make([iter(v) for v in vecs])
+        assert taken.ambient_dim == 2
+        assert taken.rays() == given.rays()
+        assert taken.facet_normals() == given.facet_normals()
+
+
 def test_dimensions_are_checked_before_entry_types():
     # one type check per description, after every length is checked, so
     # a float in one vector and a wrong length in another is a ValueError

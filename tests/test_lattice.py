@@ -1,3 +1,4 @@
+from enum import IntEnum
 from fractions import Fraction
 from itertools import permutations
 from math import prod
@@ -6,12 +7,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from _oracles import adjunction_genus
+from picardkit import lattice
 from picardkit.lattice import (
     MAX_PERMANENT_SIZE,
     DivisorClass,
     SurfaceModel,
     canonical_class,
     canonical_degree,
+    is_exact_int,
     pairing,
     pairing_vector,
     top_intersection,
@@ -59,6 +62,56 @@ def test_divisor_class_validation():
         DivisorClass(DP7, (Fraction(1, 2),) * 8)  # non-integer entries
     with pytest.raises(ValueError):
         DivisorClass(SurfaceModel.blowup_p2(1), (True, False))  # not H
+
+
+class One(IntEnum):
+    ONE = 1
+
+
+def test_bulk_coordinate_check_is_is_exact_int():
+    # DivisorClass and from_curve test every entry at once; each must
+    # accept exactly what is_exact_int accepts
+    m1 = SurfaceModel.blowup_p2(1)
+    for x in (1, True, One.ONE, 1.0, Fraction(1), "1"):
+        exact = is_exact_int(x)
+        assert exact == (type(x) is int)
+        for build in (lambda: DivisorClass(m1, (x, 0)),
+                      lambda: DivisorClass(m1, (0, x)),
+                      lambda: DivisorClass.from_curve(m1, 1, (x,))):
+            if exact:
+                assert build().coords in ((1, 0), (0, 1), (1, -1))
+            else:
+                with pytest.raises(ValueError, match="must be integers"):
+                    build()
+
+
+def test_only_plain_classes_of_one_model_object_skip_the_fallback(
+        monkeypatch):
+    calls = []
+
+    def counted(check):
+        def wrapper(*args):
+            calls.append(check.__name__)
+            return check(*args)
+        return wrapper
+
+    for name in ("_class", "_same_model"):
+        monkeypatch.setattr(lattice, name, counted(getattr(lattice, name)))
+
+    class Sub(DivisorClass):
+        pass
+
+    a, b = cls(DP7, 1, -1, 0, 0, 0, 0, 0, 0), cls(DP7, 1, 0, -1, 0, 0, 0, 0, 0)
+    assert (pairing(a, b), canonical_degree(a)) == (1, -2)
+    assert calls == []
+    twin = SurfaceModel.blowup_p2(7)  # equal to DP7, not the same object
+    assert pairing(a, DivisorClass(twin, b.coords)) == 1
+    assert calls == ["_same_model", "_class", "_class"]
+    calls.clear()
+    sub = Sub(DP7, b.coords)
+    assert (pairing(a, sub), pairing(sub, a), canonical_degree(sub)) == (
+        1, 1, -2)
+    assert calls == ["_same_model", "_class", "_class"] * 2 + ["_class"]
 
 
 def test_cross_model_classes_never_equal():
