@@ -355,8 +355,8 @@ def pairing(a: DivisorClass, b: DivisorClass) -> int:
     a_0 b_1 + a_1 b_0 is provided as a convenience; higher products have no
     meaningful bilinear form and must go through top_intersection.
     """
-    # the check in this frame: plain classes of one model object pass here,
-    # anything else takes _same_model, which refuses or accepts as ever
+    # plain classes of one model object pass here; anything else goes to
+    # _same_model, which refuses it or finds the one model
     if (a.__class__ is DivisorClass and b.__class__ is DivisorClass
             and b.model is a.model):
         model = a.model
