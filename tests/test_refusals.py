@@ -4,18 +4,19 @@ One table row per refusal of pairing, canonical_degree, is_conic,
 orbit_signature, reducible_fibers, FibrationPair, analyze_pair and
 hodge_bound: a non-class in each class slot, a class of another model, a
 ProductP1 model, a wrong family, a class that is not a conic or not
-square-zero, and two equal classes.  Each row gives the exception type and
+square-zero, and two equal classes.  contraction_table's rows give the
+ranks it refuses, and rank 0, which it answers with an empty table.  Each row gives the exception type and
 the whole message.  Two acceptance tables follow: classes whose models are
 equal but distinct objects, and instances of a DivisorClass subclass, get
 the same answers as plain classes of one model object.
 """
 
-from types import SimpleNamespace
+from types import MappingProxyType, SimpleNamespace
 
 import pytest
 
-from picardkit.curves import (enumerate_exceptional, is_conic,
-                              orbit_signature, reducible_fibers)
+from picardkit.curves import (contraction_table, enumerate_exceptional,
+                              is_conic, orbit_signature, reducible_fibers)
 from picardkit.fibration import FibrationPair, analyze_pair, hodge_bound
 from picardkit.lattice import (DivisorClass, SurfaceModel, canonical_degree,
                                pairing)
@@ -136,6 +137,15 @@ REFUSALS = [
     ("FibrationPair-equal-classes",
      lambda: FibrationPair(M8, A, DivisorClass(M8, A.coords)),
      ValueError, "fibration pair needs two distinct classes"),
+    # a rank that is no BlowupP2 model's
+    ("contraction_table-below-range", lambda: contraction_table(-1),
+     ValueError, "BlowupP2 needs 0 <= r <= 8, got -1"),
+    ("contraction_table-above-range", lambda: contraction_table(9),
+     ValueError, "BlowupP2 needs 0 <= r <= 8, got 9"),
+    ("contraction_table-bool", lambda: contraction_table(True),
+     ValueError, "model size must be an integer, got True"),
+    ("contraction_table-float", lambda: contraction_table(8.0),
+     ValueError, "model size must be an integer, got 8.0"),
 ]
 
 
@@ -147,6 +157,13 @@ def test_refusal(call, error, message):
         call()
     assert type(caught.value) is error
     assert str(caught.value) == message
+
+
+def test_contraction_table_at_rank_zero_is_empty():
+    # P^2 has no exceptional class and no conic class
+    fam, masks = contraction_table(0)
+    assert fam == () and dict(masks) == {}
+    assert type(masks) is MappingProxyType
 
 
 class SubClass(DivisorClass):
