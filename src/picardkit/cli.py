@@ -67,14 +67,17 @@ INT_PATTERN = re.compile(r"-?[0-9]+")
 MAX_RANK = 8
 
 
-def _emit(args, params: dict, result: dict, text_lines: list[str]) -> None:
-    """Print, or write to --out, the text or the JSON document of args."""
+def _emit(args, params: dict, result: Callable[[], dict],
+          text_lines: Callable[[], list[str]]) -> None:
+    """Print, or write to --out, the text or the JSON document of args.
+    result and text_lines build the two renderings; only the one asked
+    for is built."""
     if args.format == "json":
         payload = {"command": args.command, "params": params,
-                   "result": result}
+                   "result": result()}
         rendered = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     else:
-        rendered = "\n".join(text_lines) + "\n"
+        rendered = "\n".join(text_lines()) + "\n"
     if args.out:
         try:
             with open(args.out, "w") as f:
@@ -117,13 +120,17 @@ def _cmd_enumerate(args) -> int:
     model = SurfaceModel.blowup_p2(rank)
     members = (enumerate_exceptional if args.kind == "exceptional"
                else enumerate_conic)(rank)
-    result = {
-        "basis": list(model.basis_labels),
-        "count": len(members),
-        "classes": [_class_entry(c) for c in members],
-    }
-    lines = [f"{args.kind} classes on {model}: {len(members)}"]
-    lines += [str(c) for c in members]
+    def result() -> dict:
+        return {
+            "basis": list(model.basis_labels),
+            "count": len(members),
+            "classes": [_class_entry(c) for c in members],
+        }
+
+    def lines() -> list[str]:
+        return ([f"{args.kind} classes on {model}: {len(members)}"]
+                + [str(c) for c in members])
+
     _emit(args, {"kind": args.kind, "rank": rank}, result, lines)
     return 0
 
@@ -134,44 +141,51 @@ def _cmd_pairs(args) -> int:
     rank = _parse_int(args.rank, "rank", MAX_RANK)
     summary = scan_conic_pairs(rank)
     rows = classify_finite_pairs(rank)
-    result = {
-        "rank": summary.rank,
-        "class_count": summary.class_count,
-        "pair_count": summary.pair_count,
-        "max_degree": summary.max_degree,
-        "degree_bound": max_degree_bound(rank),
-        "hodge_holds": summary.hodge_holds,
-        "finite_pair_count": summary.finite_pair_count,
-        "finite_degrees": list(summary.finite_degrees),
-        "classification": [
-            {
-                "first": _signature_entry(row.signature_pair[0]),
-                "second": _signature_entry(row.signature_pair[1]),
-                "degree": row.degree,
-                "count": row.count,
-            }
-            for row in rows
-        ],
-    }
-    lines = [
-        f"conic pair scan on {BLOWUP}({rank})",
-        f"classes: {summary.class_count}",
-        f"pairs: {summary.pair_count}",
-        f"max degree: {summary.max_degree}",
-        f"degree bound: {max_degree_bound(rank)}",
-        f"hodge bound holds: {'yes' if summary.hodge_holds else 'no'}",
-        f"finite pairs: {summary.finite_pair_count}",
-        "finite degrees: " + (",".join(map(str, summary.finite_degrees)) or "none"),
-    ]
-    if rows:
-        lines.append("finite pair classes (first x second, degree, count):")
-        lines += [
-            f"{row.signature_pair[0]} x {row.signature_pair[1]}"
-            f"  degree {row.degree}  count {row.count}"
-            for row in rows
+
+    def result() -> dict:
+        return {
+            "rank": summary.rank,
+            "class_count": summary.class_count,
+            "pair_count": summary.pair_count,
+            "max_degree": summary.max_degree,
+            "degree_bound": max_degree_bound(rank),
+            "hodge_holds": summary.hodge_holds,
+            "finite_pair_count": summary.finite_pair_count,
+            "finite_degrees": list(summary.finite_degrees),
+            "classification": [
+                {
+                    "first": _signature_entry(row.signature_pair[0]),
+                    "second": _signature_entry(row.signature_pair[1]),
+                    "degree": row.degree,
+                    "count": row.count,
+                }
+                for row in rows
+            ],
+        }
+
+    def lines() -> list[str]:
+        out = [
+            f"conic pair scan on {BLOWUP}({rank})",
+            f"classes: {summary.class_count}",
+            f"pairs: {summary.pair_count}",
+            f"max degree: {summary.max_degree}",
+            f"degree bound: {max_degree_bound(rank)}",
+            f"hodge bound holds: {'yes' if summary.hodge_holds else 'no'}",
+            f"finite pairs: {summary.finite_pair_count}",
+            "finite degrees: "
+            + (",".join(map(str, summary.finite_degrees)) or "none"),
         ]
-    else:
-        lines.append("no finite pairs")
+        if rows:
+            out.append("finite pair classes (first x second, degree, count):")
+            out += [
+                f"{row.signature_pair[0]} x {row.signature_pair[1]}"
+                f"  degree {row.degree}  count {row.count}"
+                for row in rows
+            ]
+        else:
+            out.append("no finite pairs")
+        return out
+
     _emit(args, {"rank": rank}, result, lines)
     return 0
 
@@ -186,30 +200,40 @@ def _cmd_cones(args) -> int:
         model = SurfaceModel.product_p1(rank)
     report = surface_cone_report(model)
     nef_gens = report.nef_generators  # None at the larger ranks
-    result = {
-        "model": {"kind": model.kind, "size": model.size},
-        "basis": list(model.basis_labels),
-        "picard_number": report.picard_number,
-        "equal": report.equal,
-        "mori_simplicial": report.mori_simplicial,
-        "psef_generators": sorted(list(g) for g in report.psef.rays()),
-        "nef_facet_normals": sorted(list(n) for n in report.nef.facet_normals()),
-        "nef_generators": (sorted(list(g) for g in nef_gens)
-                           if nef_gens is not None else None),
-    }
-    lines = [
-        f"cone report for {model}",
-        f"picard number: {report.picard_number}",
-        f"nef equals psef: {'yes' if report.equal else 'no'}",
-        f"mori cone simplicial: {'yes' if report.mori_simplicial else 'no'}",
-        "psef generators: "
-        + ", ".join(str(DivisorClass(model, g)) for g in report.psef.rays()),
-        "nef facet normals: "
-        + ", ".join(str(tuple(n)) for n in sorted(report.nef.facet_normals())),
-    ]
-    lines.append("nef generators: " + (
-        "not materialized at this rank" if nef_gens is None
-        else ", ".join(str(DivisorClass(model, g)) for g in sorted(nef_gens))))
+
+    def result() -> dict:
+        return {
+            "model": {"kind": model.kind, "size": model.size},
+            "basis": list(model.basis_labels),
+            "picard_number": report.picard_number,
+            "equal": report.equal,
+            "mori_simplicial": report.mori_simplicial,
+            "psef_generators": sorted(list(g) for g in report.psef.rays()),
+            "nef_facet_normals": sorted(list(n)
+                                        for n in report.nef.facet_normals()),
+            "nef_generators": (sorted(list(g) for g in nef_gens)
+                               if nef_gens is not None else None),
+        }
+
+    def lines() -> list[str]:
+        return [
+            f"cone report for {model}",
+            f"picard number: {report.picard_number}",
+            f"nef equals psef: {'yes' if report.equal else 'no'}",
+            f"mori cone simplicial: "
+            f"{'yes' if report.mori_simplicial else 'no'}",
+            "psef generators: "
+            + ", ".join(str(DivisorClass(model, g))
+                        for g in report.psef.rays()),
+            "nef facet normals: "
+            + ", ".join(str(tuple(n))
+                        for n in sorted(report.nef.facet_normals())),
+            "nef generators: " + (
+                "not materialized at this rank" if nef_gens is None
+                else ", ".join(str(DivisorClass(model, g))
+                               for g in sorted(nef_gens))),
+        ]
+
     _emit(args, {"kind": args.kind, "rank": rank}, result, lines)
     return 0
 
@@ -233,22 +257,27 @@ def _cmd_cover(args) -> int:
     rho = expected_picard_number(spec)
     fano = is_fano(spec)
     power = anticanonical_power(spec)
-    result = {
-        "n": spec.n,
-        "branch_type": list(spec.branch_type),
-        "branch_divisor_type": [2 * d for d in spec.branch_type],
-        "is_fano": fano,
-        "anticanonical_power": power,
-        "expected_picard_number": rho,
-    }
-    lines = [
-        f"double cover of the product of {spec.n} lines, "
-        f"branch type {tuple(spec.branch_type)}",
-        f"branch divisor class: {tuple(2 * d for d in spec.branch_type)}",
-        f"fano: {'yes' if fano else 'no'}",
-        f"anticanonical power: {power}",
-        f"expected picard number: {rho if rho is not None else 'not determined'}",
-    ]
+    def result() -> dict:
+        return {
+            "n": spec.n,
+            "branch_type": list(spec.branch_type),
+            "branch_divisor_type": [2 * d for d in spec.branch_type],
+            "is_fano": fano,
+            "anticanonical_power": power,
+            "expected_picard_number": rho,
+        }
+
+    def lines() -> list[str]:
+        return [
+            f"double cover of the product of {spec.n} lines, "
+            f"branch type {tuple(spec.branch_type)}",
+            f"branch divisor class: {tuple(2 * d for d in spec.branch_type)}",
+            f"fano: {'yes' if fano else 'no'}",
+            f"anticanonical power: {power}",
+            "expected picard number: "
+            f"{rho if rho is not None else 'not determined'}",
+        ]
+
     _emit(args, {"branch_type": list(spec.branch_type)}, result, lines)
     return 0
 
@@ -288,16 +317,20 @@ def _cmd_singular(args) -> int:
     poly = _load_poly(args.input)
     point = _parse_point(args.at)
     singular = cover_singular_at(poly, point)  # ValueError off the branch
-    result = {
-        "point": [[str(a), str(b)] for a, b in point.pairs],
-        "multidegree": list(poly.multidegree),
-        "singular": singular,
-    }
-    rendered_pt = " x ".join(f"({a}:{b})" for a, b in point.pairs)
-    lines = [
-        f"point {rendered_pt} lies on the branch divisor",
-        f"cover singular above the point: {'yes' if singular else 'no'}",
-    ]
+    def result() -> dict:
+        return {
+            "point": [[str(a), str(b)] for a, b in point.pairs],
+            "multidegree": list(poly.multidegree),
+            "singular": singular,
+        }
+
+    def lines() -> list[str]:
+        rendered_pt = " x ".join(f"({a}:{b})" for a, b in point.pairs)
+        return [
+            f"point {rendered_pt} lies on the branch divisor",
+            f"cover singular above the point: {'yes' if singular else 'no'}",
+        ]
+
     _emit(args, {"input": args.input, "at": args.at}, result, lines)
     return 0
 
@@ -535,12 +568,18 @@ def _cmd_verify(args) -> int:
     lemma_id = args.lemma_id
     details = sorted(_SUITES[lemma_id](), key=lambda d: d["case"])
     passed = all(d["expected"] == d["got"] for d in details)
-    lines = [f"{lemma_id}: {'PASS' if passed else 'FAIL'}"]
-    for d in details:
-        mark = "ok" if d["expected"] == d["got"] else "MISMATCH"
-        lines.append(f"  [{mark}] {d['case']}: expected {d['expected']}, "
-                     f"got {d['got']}")
-    result = {"lemma_id": lemma_id, "passed": passed, "details": details}
+
+    def result() -> dict:
+        return {"lemma_id": lemma_id, "passed": passed, "details": details}
+
+    def lines() -> list[str]:
+        out = [f"{lemma_id}: {'PASS' if passed else 'FAIL'}"]
+        for d in details:
+            mark = "ok" if d["expected"] == d["got"] else "MISMATCH"
+            out.append(f"  [{mark}] {d['case']}: expected {d['expected']}, "
+                       f"got {d['got']}")
+        return out
+
     _emit(args, {"lemma_id": lemma_id}, result, lines)
     return 0 if passed else 1
 

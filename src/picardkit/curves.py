@@ -55,12 +55,13 @@ from __future__ import annotations
 
 from functools import cache, total_ordering
 from math import isqrt
-from operator import add, attrgetter, mul, neg
+from operator import attrgetter, neg
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
-from .lattice import (BLOWUP, DivisorClass, FrozenValue, SurfaceModel,
-                      canonical_degree, pairing, pairing_vector)
+from .lattice import (BLOWUP, FIELD_BITS, DivisorClass, FrozenValue,
+                      SurfaceModel, canonical_degree, packed_dots, pairing,
+                      pairing_vector)
 
 
 @total_ordering
@@ -132,9 +133,10 @@ def is_conic(c: DivisorClass) -> bool:
     return canonical_degree(c) == -2 and pairing(c, c) == 0
 
 
-def _mult_vectors(r: int, target_sum: int, target_sq: int):
+def _mult_vectors(r: int, target_sum: int, target_sq: int, low: int):
     """Positional DFS, in lexicographic order, over integer vectors m with
-    the given sum and square sum (>= 0), entries |m_i| <= isqrt(target_sq)."""
+    the given sum and square sum (>= 0), entries low <= m_i <=
+    isqrt(target_sq), with low = 0 or -isqrt(target_sq)."""
     bound = isqrt(target_sq)
     prefix = [0] * r
 
@@ -144,7 +146,7 @@ def _mult_vectors(r: int, target_sum: int, target_sq: int):
                 yield tuple(prefix)
             return
         k = r - i - 1  # entries after this one
-        for v in range(-bound, bound + 1):
+        for v in range(low, bound + 1):
             q2 = q + v * v
             if q2 > target_sq:
                 continue
@@ -170,8 +172,10 @@ def _family(r: int, k: int, eps: int, d0: int) -> tuple[DivisorClass, ...]:
     members = []
     d = d0
     while (3 * d - k) ** 2 <= r * (d * d + eps):
+        # no multiplicity is negative once d >= 1 (see the module docstring)
+        low = 0 if d else -isqrt(d * d + eps)
         members += [DivisorClass.from_curve(model, d, m)
-                    for m in _mult_vectors(r, 3 * d - k, d * d + eps)]
+                    for m in _mult_vectors(r, 3 * d - k, d * d + eps, low)]
         d += 1
     return tuple(members)
 
@@ -207,20 +211,31 @@ def contraction_table(r: int) -> tuple[tuple[DivisorClass, ...],
 
     The map is keyed by conic coordinates; a conic absent from it has no
     reducible fibre and contracts nothing.  Built once per rank from the
-    exceptional pairs a.b = 1, each of which sets two bits on a + b, and
-    shared by every caller as a read-only mapping.
+    test e.c = 0, each conic against the whole family at once in packed
+    fields, and shared by every caller as a read-only mapping.
     """
     fam = enumerate_exceptional(r)
-    coords = [e.coords for e in fam]
-    # a.b as one dot product of a's pairing vector with b
-    twisted = [pairing_vector(e) for e in fam]
+    if not fam:  # P^2 has no exceptional class, and no conic class
+        return fam, MappingProxyType({})
+    conics = enumerate_conic(r)
+    # e.c as the dot product of e's pairing vector with c
+    ones, dots = packed_dots([pairing_vector(e) for e in fam],
+                             [c.coords for c in conics])
+    highs = ones << (FIELD_BITS - 1)
+    size = len(fam) * FIELD_BITS // 8
+    # a byte's binary digit: 1 for the byte 0, 0 for any other
+    digits = b"1" + b"0" * 255
     masks: dict[tuple[int, ...], int] = {}
-    for i, (a, ta) in enumerate(zip(coords, twisted)):
-        for j in range(i + 1, len(coords)):
-            b = coords[j]
-            if sum(map(mul, ta, b)) == 1:
-                c = tuple(map(add, a, b))
-                masks[c] = masks.get(c, 0) | 1 << i | 1 << j
+    for c, d in zip(conics, dots):
+        # without the offset a field is 0 exactly where e.c = 0; OR-ing
+        # each field's top byte into its low byte keeps that byte 0 there
+        # alone.  In big-endian order the low bytes run from member n - 1
+        # down to member 0, so as binary digits member i is bit i.
+        z = d ^ highs
+        mask = int((z | z >> 8).to_bytes(size, "big")[1::2].translate(digits),
+                   2)
+        if mask:
+            masks[c.coords] = mask
     return fam, MappingProxyType(masks)
 
 

@@ -29,19 +29,19 @@ end, so every count is halved.
 from __future__ import annotations
 
 from functools import cache
-from operator import mul
+from operator import neg
 
 from .curves import (
     OrbitSignature,
     contraction_table,
     enumerate_conic,
+    enumerate_exceptional,
     is_conic,
-    orbit_signature,
     selected,
 )
-from .lattice import (BLOWUP, DivisorClass, FrozenValue, SurfaceModel,
-                      canonical_degree, is_exact_int, pairing,
-                      pairing_vector)
+from .lattice import (BLOWUP, FIELD_BITS, DivisorClass, FrozenValue,
+                      SurfaceModel, canonical_degree, is_exact_int,
+                      packed_dots, pairing, pairing_vector)
 
 
 class FibrationPair(FrozenValue):
@@ -151,41 +151,82 @@ def max_degree_bound(r: int) -> int:
 def _pair_scan(r: int) -> tuple[PairScanSummary, tuple[PairClassEntry, ...]]:
     """The scan summary and the finite-pair classification of one rank.
 
-    Pairs one representative per orbit signature with every conic class;
-    see the module docstring for the weighting.
+    Pairs one representative per orbit signature with every conic class,
+    all conics at once in packed fields; see the module docstring for the
+    weighting.
     """
     fam = enumerate_conic(r)
     n = len(fam)
     if n < 2:
         return PairScanSummary(r, n, 0, 0, True, 0, ()), ()
-    _, masks = contraction_table(r)
     coords = [c.coords for c in fam]
-    cmasks = [masks.get(c, 0) for c in coords]
-    # integer signature ids, in signature order
-    keys = [orbit_signature(c) for c in fam]
-    sigs = sorted(set(keys))
-    index = {k: i for i, k in enumerate(sigs)}
-    sig_ids = [index[k] for k in keys]
+    # orbit signatures as plain (degree, ascending E-coordinates) tuples;
+    # records are built for the distinct ones alone, and ordered as
+    # OrbitSignature orders them
+    keys = [(c[0], *sorted(c[1:])) for c in coords]
+    ordered = sorted((OrbitSignature(k[0], tuple(map(neg, k[1:]))), k)
+                     for k in set(keys))
+    sigs = [sig for sig, _ in ordered]
+    index = {k: i for i, (_, k) in enumerate(ordered)}
+    step = FIELD_BITS // 8
     orbit = [0] * len(sigs)
     rep = [-1] * len(sigs)
-    for i, s in enumerate(sig_ids):
+    # per signature, a mark in the top byte of each member's field
+    marks = [bytearray(n * step) for _ in sigs]
+    for y, k in enumerate(keys):
+        s = index[k]
         orbit[s] += 1
         if rep[s] < 0:
-            rep[s] = i
+            rep[s] = y
+        marks[s][y * step + step - 1] = 0x80
+    members = [int.from_bytes(m, "little") for m in marks]
+    # the exceptional classes each representative contracts: e.x = 0
+    twisted = [pairing_vector(e) for e in enumerate_exceptional(r)]
+    e_ones, e_dots = packed_dots(twisted, [coords[x] for x in rep])
+    e_highs = e_ones << (FIELD_BITS - 1)
+    contracted = []
+    for d in e_dots:
+        # the fields at 0: marked at threshold 0 and not at 1
+        zero = d & e_highs & ~(d - e_ones)
+        found = []
+        while zero:
+            low = zero & -zero
+            found.append(twisted[(low.bit_length() - 1) // FIELD_BITS])
+            zero ^= low
+        contracted.append(found)
+    # per representative x: x.y for every conic y, then, for each class e
+    # that x contracts, the conics y with e.y = 0, which are not finite
+    # partners of x
+    vectors = []
+    for x, found in zip(rep, contracted):
+        vectors.append(pairing_vector(fam[x]))
+        vectors += found
+    ones, dots = packed_dots(coords, vectors)
+    highs = ones << (FIELD_BITS - 1)
     counts: dict[tuple[int, int, int], int] = {}
     max_degree = 0
-    for s, x in enumerate(rep):
-        twisted = pairing_vector(fam[x])
-        mx = cmasks[x]
-        for y, (cy, my, t) in enumerate(zip(coords, cmasks, sig_ids)):
-            if y == x:
-                continue
-            deg = sum(map(mul, twisted, cy))
-            if deg > max_degree:
-                max_degree = deg
-            if deg > 0 and not mx & my:
-                key = (s, t, deg) if s <= t else (t, s, deg)
-                counts[key] = counts.get(key, 0) + orbit[s]
+    for s, found in enumerate(contracted):
+        degrees = next(dots)
+        blocked = 0
+        for _ in found:
+            d = next(dots)
+            blocked |= d & highs & ~(d - ones)
+        finite = highs & ~blocked
+        # y meets x at least degree times; x.x = 0 leaves x itself out
+        degree = 1
+        at_least = (degrees - ones) & highs
+        while at_least:
+            above = (degrees - (degree + 1) * ones) & highs
+            exact = at_least & ~above & finite
+            if exact:
+                for t, m in enumerate(members):
+                    k = (exact & m).bit_count()
+                    if k:
+                        key = (s, t, degree) if s <= t else (t, s, degree)
+                        counts[key] = counts.get(key, 0) + k * orbit[s]
+            at_least = above
+            degree += 1
+        max_degree = max(max_degree, degree - 1)
     entries = tuple(
         PairClassEntry((sigs[a], sigs[b]), deg, total // 2)
         for (a, b, deg), total in sorted(counts.items()))

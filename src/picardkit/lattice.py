@@ -57,7 +57,8 @@ from __future__ import annotations
 
 from math import prod
 from operator import add, attrgetter, mul, neg, sub
-from typing import Callable, Iterable, Sequence
+from struct import pack
+from typing import Callable, Iterable, Iterator, Sequence
 
 BLOWUP = "BlowupP2"
 PRODUCT = "ProductP1"
@@ -103,24 +104,31 @@ class FrozenValue:
     through _store, which __init_subclass__ makes once per class from the
     fields' slot setters.  A subclass with checks defines __init__, runs
     them and calls FrozenValue.__init__ with the field values: directly,
-    since on Python 3.11 super() costs more than the binding.  Assignment and deletion raise AttributeError.  Two
-    values are equal when they are of one class and their fields are equal,
-    and a value hashes as the tuple of its fields.  The repr is
-    Name(field=value, ...), and copy and pickle rebuild a value through its
-    constructor.
+    since on Python 3.11 super() costs more than the binding.  A subclass
+    that declares __slots__ = () adds no field and keeps its base's.
+    Assignment and deletion raise AttributeError.  Two values are equal
+    when they are of one class and their fields are equal, and a value
+    hashes as the tuple of its fields.  The repr is Name(field=value, ...),
+    and copy and pickle rebuild a value through its constructor.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls) -> None:
         super().__init_subclass__()
+        fields = cls.__slots__
+        if not fields:
+            # a subclass that adds no field (__slots__ = ()) keeps its
+            # base's fields, _key, _arity and _store
+            return
+        cls._fields = fields
         # the fields as one tuple, read in C
-        cls._key = attrgetter(*cls.__slots__)
-        cls._arity = len(cls.__slots__)
+        cls._key = attrgetter(*fields)
+        cls._arity = len(fields)
         # getattr, not cls.__dict__: a subclass without __slots__ of its
         # own inherits the descriptors
         cls._store = _storer(tuple(getattr(cls, name).__set__
-                                   for name in cls.__slots__))
+                                   for name in fields))
 
     def __init__(self, *args: object, **kwargs: object) -> None:
         if kwargs or len(args) != self._arity:
@@ -131,7 +139,7 @@ class FrozenValue:
     def _bound(cls, args: tuple, kwargs: dict) -> tuple:
         """One value per field, in field order, from positional and keyword
         arguments; TypeError where a plain function would raise it."""
-        name, fields = cls.__name__, cls.__slots__
+        name, fields = cls.__name__, cls._fields
         if len(args) > len(fields):
             raise TypeError(f"{name}() takes {len(fields)} arguments but "
                             f"{len(args)} were given")
@@ -168,7 +176,7 @@ class FrozenValue:
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}"
-                           for name in self.__slots__)
+                           for name in self._fields)
         return f"{self.__class__.__qualname__}({fields})"
 
     def __reduce__(self):
@@ -383,6 +391,49 @@ def canonical_degree(c: DivisorClass) -> int:
     if model.size == 2:
         return -2 * (x[0] + x[1])
     raise _no_form(model)
+
+
+# packed_dots: the bits of one field, and the bound that every |dot| must
+# stay below.  Each field holds its dot plus 2^(FIELD_BITS - 1), so a caller
+# may also shift every field by a threshold of at most DOT_LIMIT and stay
+# inside [0, 2^FIELD_BITS).
+FIELD_BITS = 16
+DOT_LIMIT = 1 << (FIELD_BITS - 2)
+
+
+def packed_dots(rows: Sequence[Sequence[int]],
+                vectors: Sequence[Sequence[int]]) -> tuple[int, Iterator[int]]:
+    """Every dot product of each vector with every row, packed into one int
+    per vector, FIELD_BITS bits to a field.
+
+    Returns (ones, dots): ones holds 1 in each of the len(rows) fields, and
+    the j-th int of dots holds sum_k vectors[j][k] rows[i][k] +
+    2^(FIELD_BITS - 1) in field i.  With highs = ones << (FIELD_BITS - 1),
+    (d - t * ones) & highs then marks the rows whose dot is at least t, for
+    |t| <= DOT_LIMIT, and the rows whose dot is 0 are those marked at 0 and
+    not at 1.  Each dot is bounded from the coordinates alone, by
+    max |row entry| * max |vector entry| * the number of columns, and
+    ValueError is raised before any packing if that bound reaches DOT_LIMIT.
+    """
+    def top(matrix):
+        return max(max(map(max, matrix), default=0),
+                   -min(map(min, matrix), default=0))
+
+    width = len(rows[0]) if rows else 0
+    reach = top(rows) * top(vectors) * width
+    if reach >= DOT_LIMIT:
+        raise ValueError(f"dot products up to {reach} do not fit "
+                         f"{FIELD_BITS}-bit fields")
+    n = len(rows)
+    ones = ((1 << (FIELD_BITS * n)) - 1) // ((1 << FIELD_BITS) - 1)
+    offset = ones << (FIELD_BITS - 1)
+    # each column's entries as signed fields ("h" is a signed 16-bit field):
+    # the XOR turns two's complement into entry + 2^15, and taking the
+    # offset away leaves each entry signed, a negative one borrowing from
+    # the next field; the offset added back to the sum returns every borrow
+    columns = [(int.from_bytes(pack(f"<{n}h", *col), "little") ^ offset)
+               - offset for col in zip(*rows)]
+    return ones, (sum(map(mul, v, columns), offset) for v in vectors)
 
 
 # Largest matrix _permanent accepts: 2^20 Gray-code steps take a few seconds.

@@ -33,6 +33,13 @@ each step; the library carries the zero sets forward instead.
 exceptional family, with no table; ``finite_pair_groups`` classifies every
 unordered conic pair with it, one pair at a time.
 
+``pair_walk_table`` is the contraction table as the library built it before
+it switched to packed dot products: it walks the exceptional pairs a.b = 1
+and sets two bits on a + b for each, so it never tests e.c = 0.
+``orbit_pair_scan`` is the whole-rank pair scan as the library ran it
+before the same switch, one dot product and one mask test per
+(representative, conic) pair, on the masks of ``pair_walk_table``.
+
 ``weyl_orbit`` is the breadth-first orbit of a class under W(E_r), the
 group generated by the reflections s_a(x) = x + (x.a) a in the simple roots
 a_0 = H - E_1 - E_2 - E_3 (the Cremona reflection) and a_i = E_i - E_{i+1}.
@@ -53,9 +60,14 @@ curve classes built from the package's psef generator table.
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, isqrt
+from operator import add, mul
 
 from picardkit.cones import ConePoly, psef_generators
-from picardkit.lattice import BLOWUP, canonical_class, pairing
+from picardkit.curves import (enumerate_conic, enumerate_exceptional,
+                             orbit_signature)
+from picardkit.fibration import (PairClassEntry, PairScanSummary,
+                                 max_degree_bound)
+from picardkit.lattice import BLOWUP, canonical_class, pairing, pairing_vector
 
 
 def _multisets(k, hi, lo, total, sq_total):
@@ -350,6 +362,74 @@ def finite_pair_groups(conics, exceptional):
         key = (s1, s2, degree)
         groups[key] = groups.get(key, 0) + 1
     return groups
+
+
+def pair_walk_table(r):
+    """{conic coordinates: bitmask over enumerate_exceptional(r)} from the
+    exceptional pairs meeting once, each setting two bits on its sum."""
+    fam = enumerate_exceptional(r)
+    coords = [e.coords for e in fam]
+    # a.b as one dot product of a's pairing vector with b
+    twisted = [pairing_vector(e) for e in fam]
+    masks = {}
+    for i, (a, ta) in enumerate(zip(coords, twisted)):
+        for j in range(i + 1, len(coords)):
+            b = coords[j]
+            if sum(map(mul, ta, b)) == 1:
+                c = tuple(map(add, a, b))
+                masks[c] = masks.get(c, 0) | 1 << i | 1 << j
+    return masks
+
+
+def orbit_pair_scan(r):
+    """(PairScanSummary, entries) of rank r: one representative per orbit
+    signature against every conic, each count weighted by the
+    representative's orbit and halved."""
+    fam = enumerate_conic(r)
+    n = len(fam)
+    if n < 2:
+        return PairScanSummary(r, n, 0, 0, True, 0, ()), ()
+    masks = pair_walk_table(r)
+    coords = [c.coords for c in fam]
+    cmasks = [masks.get(c, 0) for c in coords]
+    # integer signature ids, in signature order
+    keys = [orbit_signature(c) for c in fam]
+    sigs = sorted(set(keys))
+    index = {k: i for i, k in enumerate(sigs)}
+    sig_ids = [index[k] for k in keys]
+    orbit = [0] * len(sigs)
+    rep = [-1] * len(sigs)
+    for i, s in enumerate(sig_ids):
+        orbit[s] += 1
+        if rep[s] < 0:
+            rep[s] = i
+    counts = {}
+    max_degree = 0
+    for s, x in enumerate(rep):
+        twisted = pairing_vector(fam[x])
+        mx = cmasks[x]
+        for y, (cy, my, t) in enumerate(zip(coords, cmasks, sig_ids)):
+            if y == x:
+                continue
+            deg = sum(map(mul, twisted, cy))
+            if deg > max_degree:
+                max_degree = deg
+            if deg > 0 and not mx & my:
+                key = (s, t, deg) if s <= t else (t, s, deg)
+                counts[key] = counts.get(key, 0) + orbit[s]
+    entries = tuple(
+        PairClassEntry((sigs[a], sigs[b]), deg, total // 2)
+        for (a, b, deg), total in sorted(counts.items()))
+    summary = PairScanSummary(
+        rank=r,
+        class_count=n,
+        pair_count=n * (n - 1) // 2,
+        max_degree=max_degree,
+        hodge_holds=max_degree <= max_degree_bound(r),
+        finite_pair_count=sum(e.count for e in entries),
+        finite_degrees=tuple(sorted({e.degree for e in entries})),
+    )
+    return summary, entries
 
 
 def fraction_cover_singular_at(poly, point):

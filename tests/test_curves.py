@@ -1,5 +1,6 @@
 import itertools
 import random
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, strategies as st
@@ -29,6 +30,7 @@ from _oracles import (
     is_exceptional,
     oracle_conic,
     oracle_exceptional,
+    pair_walk_table,
     signature_histogram,
     weyl_orbit,
 )
@@ -365,6 +367,16 @@ def test_contraction_masks_are_the_orthogonal_exceptionals():
             chosen = selected(fam, masks.get(c.coords, 0))
             assert chosen == contracted_by_scan(fam, c)
             assert len(chosen) == 2 * (r - 1)
+
+
+def test_contraction_table_matches_the_pair_walk():
+    # the table tests e.c = 0 in packed fields; the oracle never tests it,
+    # but sets two bits on a + b for each exceptional pair a.b = 1
+    for r in range(9):
+        fam, masks = contraction_table(r)
+        assert type(masks) is MappingProxyType
+        assert fam is enumerate_exceptional(r)
+        assert dict(masks) == pair_walk_table(r), r
 
 
 def test_reducible_fibers_accept_only_the_table_family():

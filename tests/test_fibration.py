@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import (contracted_by_scan, finite_pair_groups, reflect,
-                      weyl_roots)
+from _oracles import (contracted_by_scan, finite_pair_groups,
+                      orbit_pair_scan, reflect, weyl_roots)
 from picardkit import curves, fibration, lattice
 from picardkit.curves import (
     enumerate_conic,
@@ -333,6 +333,16 @@ def test_classify_matches_unweighted_pair_loop():
         assert summary.max_degree == max(
             (pairing(a, b) for a, b in itertools.combinations(conics, 2)),
             default=0)
+
+
+def test_pair_scan_matches_the_per_pair_scan():
+    # the scan counts in packed fields; the oracle takes one dot product
+    # and one contraction-mask test per (representative, conic) pair
+    for r in range(1, 9):
+        summary, entries = orbit_pair_scan(r)
+        assert scan_conic_pairs(r) == summary, r
+        assert classify_finite_pairs(r) == list(entries), r
+        assert repr(scan_conic_pairs(r)) == repr(summary)
 
 
 def test_rank8_partner_counts_depend_only_on_the_orbit_signature():

@@ -9,12 +9,15 @@ from hypothesis import given, strategies as st
 from _oracles import adjunction_genus
 from picardkit import lattice
 from picardkit.lattice import (
+    DOT_LIMIT,
+    FIELD_BITS,
     MAX_PERMANENT_SIZE,
     DivisorClass,
     SurfaceModel,
     canonical_class,
     canonical_degree,
     is_exact_int,
+    packed_dots,
     pairing,
     pairing_vector,
     top_intersection,
@@ -383,3 +386,70 @@ def test_top_intersection_multilinear_first_slot(n, data):
     rhs = (s * top_intersection(model, [u] + rest)
            + t * top_intersection(model, [v] + rest))
     assert lhs == rhs
+
+
+def _fields(packed, n):
+    """The n fields of a packed int, each less the offset 2^(FIELD_BITS-1)."""
+    full = (1 << FIELD_BITS) - 1
+    return [(packed >> (FIELD_BITS * i) & full) - (1 << (FIELD_BITS - 1))
+            for i in range(n)]
+
+
+def _marked(packed, n):
+    """The fields whose top bit is set."""
+    return [i for i in range(n)
+            if packed >> (FIELD_BITS * (i + 1) - 1) & 1]
+
+
+@given(st.data())
+def test_packed_dots_are_the_dot_products(data):
+    width = data.draw(st.integers(1, 9))
+    top = data.draw(st.integers(0, 40))
+    # every dot then stays below DOT_LIMIT: 40 * 45 * 9 < 2^14
+    entry = st.integers(-top, top)
+    rows = data.draw(st.lists(st.tuples(*[entry] * width), max_size=30))
+    vectors = data.draw(st.lists(st.tuples(*[st.integers(-45, 45)] * width),
+                                 max_size=5))
+    ones, dots = packed_dots(rows, vectors)
+    dots = list(dots)
+    n = len(rows)
+    assert len(dots) == len(vectors)
+    assert ones == sum(1 << (FIELD_BITS * i) for i in range(n))
+    highs = ones << (FIELD_BITS - 1)
+    t = data.draw(st.integers(-DOT_LIMIT, DOT_LIMIT))
+    for v, d in zip(vectors, dots):
+        want = [sum(a * b for a, b in zip(v, row)) for row in rows]
+        assert _fields(d, n) == want
+        assert d >> (FIELD_BITS * n) == 0
+        # the threshold and zero tests the helper documents
+        assert _marked((d - t * ones) & highs, n) == \
+            [i for i, x in enumerate(want) if x >= t]
+        assert _marked(d & highs & ~(d - ones), n) == \
+            [i for i, x in enumerate(want) if x == 0]
+
+
+def test_packed_dots_refuse_dots_past_the_field_width():
+    # the bound comes from the coordinates: max |row entry| * max |vector
+    # entry| * columns, which must stay below DOT_LIMIT = 2^14
+    assert DOT_LIMIT == 1 << (FIELD_BITS - 2)
+    edge = DOT_LIMIT - 1
+    ones, dots = packed_dots([(edge,), (-edge,), (0,)], [(1,), (-1,)])
+    assert [_fields(d, 3) for d in dots] == [[edge, -edge, 0],
+                                             [-edge, edge, 0]]
+    for rows, vectors, reach in [
+            ([(DOT_LIMIT,)], [(1,)], DOT_LIMIT),
+            ([(1 << 7,)], [(-(1 << 7),)], DOT_LIMIT),
+            # the dot itself is 0, but the coordinates allow 2^14
+            ([(64, 64)], [(-128, 128)], DOT_LIMIT),
+            ([(11,) * 9] * 3, [(200,) * 9], 11 * 200 * 9)]:
+        with pytest.raises(ValueError) as caught:
+            packed_dots(rows, vectors)
+        assert str(caught.value) == \
+            f"dot products up to {reach} do not fit 16-bit fields"
+
+
+def test_packed_dots_of_nothing():
+    ones, dots = packed_dots([], [(1, 2)])
+    assert ones == 0 and list(dots) == [0]
+    ones, dots = packed_dots([(1, 2)], [])
+    assert ones == 1 and list(dots) == []

@@ -194,6 +194,36 @@ def test_copies_are_equal(_, cls, names, values, text):
         assert pickle.loads(pickle.dumps(x)) == x
 
 
+def test_a_subclass_that_adds_no_field_keeps_its_base_fields():
+    # __slots__ = () adds no field: the subclass binds, stores, compares,
+    # prints and copies through its base's fields
+    class TaggedSignature(OrbitSignature):
+        __slots__ = ()
+
+    class TaggedModel(SurfaceModel):
+        __slots__ = ()
+
+    x = TaggedSignature(2, (1, 1))
+    assert repr(x) == (f"{TaggedSignature.__qualname__}"
+                       f"(degree=2, multiplicities=(1, 1))")
+    assert x == TaggedSignature(multiplicities=(1, 1), degree=2)
+    assert hash(x) == hash((2, (1, 1)))
+    assert x != OrbitSignature(2, (1, 1)) and x < TaggedSignature(3, ())
+    assert copy.copy(x) == x and copy.deepcopy(x) == x
+    assert not hasattr(x, "__dict__")
+    with pytest.raises(TypeError,
+                       match="TaggedSignature\\(\\) missing argument "
+                             "'multiplicities'"):
+        TaggedSignature(2)
+    with pytest.raises(AttributeError):
+        x.degree = 3
+    model = TaggedModel("BlowupP2", 3)
+    assert repr(model) == f"{TaggedModel.__qualname__}(kind='BlowupP2', size=3)"
+    assert (model.kind, model.size, model.rank) == ("BlowupP2", 3, 4)
+    with pytest.raises(ValueError, match="needs 0 <= r <= 8, got 9"):
+        TaggedModel("BlowupP2", 9)
+
+
 def test_multihomog_poly_defaults_its_multidegree_to_its_terms():
     p = MultiHomogPoly(2, {(1, 0, 0, 2): 3})
     assert p.multidegree == (1, 2)
