@@ -222,18 +222,17 @@ def contraction_table(r: int) -> tuple[tuple[DivisorClass, ...],
     ones, dots = packed_dots([pairing_vector(e) for e in fam],
                              [c.coords for c in conics])
     highs = ones << (FIELD_BITS - 1)
-    size = len(fam) * FIELD_BITS // 8
-    # a byte's binary digit: 1 for the byte 0, 0 for any other
-    digits = b"1" + b"0" * 255
+    step = FIELD_BITS // 8
+    size = len(fam) * step
+    # a field's top byte, marked or not, as a binary digit
+    digits = bytes.maketrans(b"\x00\x80", b"01")
     masks: dict[tuple[int, ...], int] = {}
     for c, d in zip(conics, dots):
-        # without the offset a field is 0 exactly where e.c = 0; OR-ing
-        # each field's top byte into its low byte keeps that byte 0 there
-        # alone.  In big-endian order the low bytes run from member n - 1
-        # down to member 0, so as binary digits member i is bit i.
-        z = d ^ highs
-        mask = int((z | z >> 8).to_bytes(size, "big")[1::2].translate(digits),
-                   2)
+        # the fields at 0: marked at threshold 0 and not at 1.  In
+        # big-endian order the top bytes run from member n - 1 down to
+        # member 0, so as binary digits member i is bit i.
+        zero = d & highs & ~(d - ones)
+        mask = int(zero.to_bytes(size, "big")[::step].translate(digits), 2)
         if mask:
             masks[c.coords] = mask
     return fam, MappingProxyType(masks)

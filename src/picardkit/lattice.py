@@ -419,8 +419,10 @@ def packed_dots(rows: Sequence[Sequence[int]],
         return max(max(map(max, matrix), default=0),
                    -min(map(min, matrix), default=0))
 
-    width = len(rows[0]) if rows else 0
-    reach = top(rows) * top(vectors) * width
+    widths = set(map(len, rows)) | set(map(len, vectors))
+    if len(widths) > 1:
+        raise ValueError(f"rows and vectors of lengths {sorted(widths)}")
+    reach = top(rows) * top(vectors) * max(widths, default=0)
     if reach >= DOT_LIMIT:
         raise ValueError(f"dot products up to {reach} do not fit "
                          f"{FIELD_BITS}-bit fields")

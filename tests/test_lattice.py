@@ -448,6 +448,12 @@ def test_packed_dots_refuse_dots_past_the_field_width():
             f"dot products up to {reach} do not fit 16-bit fields"
 
 
+def test_packed_dots_refuse_rows_and_vectors_of_different_lengths():
+    with pytest.raises(ValueError) as caught:
+        packed_dots([(1, 2), (3, 4)], [(1, 2), (1, 2, 3)])
+    assert str(caught.value) == "rows and vectors of lengths [2, 3]"
+
+
 def test_packed_dots_of_nothing():
     ones, dots = packed_dots([], [(1, 2)])
     assert ones == 0 and list(dots) == [0]
