@@ -22,7 +22,8 @@ of the exceptional system automatically has all m_i >= 0: were some
 m_j <= -1, dropping it leaves sum' >= 3d and square budget <= d^2, and
 Cauchy-Schwarz over at most 7 remaining coordinates would force
 9d^2 <= 7d^2, impossible for d >= 1.  The conic system behaves the same
-way ((3d-1)^2 <= 7(d^2-1) has no integer solutions at all).
+way ((3d-1)^2 <= 7(d^2-1) has no integer solutions at all).  So for d >= 1
+the walk searches m_i >= 0 alone; the oracle still searches both signs.
 
 Classes here live purely in the lattice.  Whether a class is realized by an
 actual curve depends on the blown-up points being in general position,
@@ -38,17 +39,23 @@ Contraction: a conic fibration contracts an exceptional class e exactly
 when e.c = 0, and then c - e is exceptional too and meets e once (its square
 is -1, its K-degree -1, and e.(c - e) = 1), so the contracted classes are
 the components of the reducible fibres (Manin, Cubic Forms, ch. IV;
-Dolgachev, Classical Algebraic Geometry, ch. 8).  contraction_table walks
-the exceptional pairs meeting once, once per rank, and records for each
-conic the bitmask of the classes it contracts; selected(fam, mask) decodes
-such a mask into the family's members.  The table is the only route to
-that fact: reducible_fibers and the pair analysis in fibration read it, and
-a family passed to them must equal the table's own.  reducible_fibers
-finds the partner b = c - a of each contracted a among the members c
-contracts (b.c = b.a + b^2 = 0): x -> c - x reverses the lexicographic
-order, so in coordinate order the i-th pairs with the i-th from the end.
-Both take BlowupP2 models only: the rulings of P1 x P1 are conic classes
-too, but no table covers them.
+Dolgachev, Classical Algebraic Geometry, ch. 8).  contraction_table applies
+that test once per rank: for each conic, one packed dot product
+(lattice.packed_dots) gives e.c for the whole exceptional family, and the
+fields at 0 make the conic's bitmask of contracted classes; selected(fam,
+mask) decodes such a mask into the family's members.  The table is the
+route to that fact for a given conic: reducible_fibers and the pair
+analysis in fibration read it, and a family passed to them must equal the
+table's own.  (The whole-rank pair scan of fibration applies the same test
+in bulk, from the side of each contracted class.)  reducible_fibers finds
+the partner b = c - a of each contracted a among the members c contracts
+(b.c = b.a + b^2 = 0): x -> c - x reverses the lexicographic order, so in
+coordinate order the i-th pairs with the i-th from the end.  The table
+tests e.c = 0 and nothing else, so that each fibre's components are
+exceptional and meet once rests on the theorem above;
+test_reducible_fibers_match_direct_scan checks it for every fibre at
+r = 1..8.  Both take BlowupP2 models only: the rulings of P1 x P1 are conic
+classes too, but no table covers them.
 """
 
 from __future__ import annotations
@@ -101,10 +108,11 @@ class ReducibleFiber(FrozenValue):
 
     A fibre built by a caller is checked: a + b = total, a^2 = b^2 = -1
     and a.b = 1.  reducible_fibers builds its fibres through _from_table
-    without that check, because the contraction table fixed all three
-    when it set the bits of total (each bit is a family member a with
-    a.(total - a) = 1); the Tier-1 tests check every fibre of every conic
-    class at r = 1..8 against these equations and a direct scan.
+    without that check.  The contraction table marks each exceptional a
+    with a.total = 0, and the theorem in the module docstring makes
+    total - a exceptional with a.(total - a) = 1; the Tier-1 tests check
+    every fibre of every conic class at r = 1..8 against these equations
+    and a direct scan.
     """
 
     __slots__ = ("total", "components")

@@ -13,23 +13,34 @@ degree at 8 / K^2 for conic pairs (the right side is 16); max_degree_bound
 is that cap, and the pair scan checks its maximum degree against it.
 Pairs live on BlowupP2 models only (see curves).
 
-Which exceptional classes a conic contracts comes from the per-rank
-contraction table of curves (one int bitmask per conic), so the classes
-two conics both contract are the bits of mask1 & mask2.  The whole-rank
-pair scan (rank 8 has 2160 conic classes, about 2.3 million unordered
-pairs) runs once per rank in pure Python and uses the S_r symmetry that
-permutes E_1, ..., E_r: it preserves the pairing and the exceptional
-family, so every class of one orbit signature has the same partners up to
-relabelling.  The scan pairs one representative per signature (15 at rank
-8) with every class and weights each count by the size of the
-representative's orbit.  That counts each unordered pair once from each
-end, so every count is halved.
+For one pair, which exceptional classes a conic contracts comes from the
+per-rank contraction table of curves (one int bitmask per conic), so the
+classes two conics both contract are the bits of mask1 & mask2.  The
+whole-rank pair scan (rank 8 has 2160 conic classes, about 2.3 million
+unordered pairs) runs once per rank in pure Python and uses the S_r
+symmetry that permutes E_1, ..., E_r: it preserves the pairing and the
+exceptional family, so every class of one orbit signature has the same
+partners up to relabelling.  The scan pairs one representative per
+signature (15 at rank 8) with every class and weights each count by the
+size of the representative's orbit.  That counts each unordered pair once
+from each end, so every count is halved.
+
+The scan reads every conic at once, in the packed fields of
+lattice.packed_dots, one field per conic: one packed int holds a
+representative x's degree x.y against every conic y, and for each class e
+that x contracts (e.x = 0), one more marks the conics y with e.y = 0, which
+share e with x and so are not finite partners.  A count per (signature,
+degree) is then the popcount of "degree = v", "finite" and the signature's
+members, one AND each.  The degree loop stops at the largest degree
+present, not at the bound it is checked against.  It builds no
+contraction table, and OrbitSignature records only for the distinct
+signatures.
 """
 
 from __future__ import annotations
 
 from functools import cache
-from operator import neg
+from operator import mul, neg
 
 from .curves import (
     OrbitSignature,
@@ -180,20 +191,11 @@ def _pair_scan(r: int) -> tuple[PairScanSummary, tuple[PairClassEntry, ...]]:
             rep[s] = y
         marks[s][y * step + step - 1] = 0x80
     members = [int.from_bytes(m, "little") for m in marks]
-    # the exceptional classes each representative contracts: e.x = 0
+    # the exceptional classes each representative contracts, e.x = 0, as
+    # the vectors that dot against a conic's coordinates
     twisted = [pairing_vector(e) for e in enumerate_exceptional(r)]
-    e_ones, e_dots = packed_dots(twisted, [coords[x] for x in rep])
-    e_highs = e_ones << (FIELD_BITS - 1)
-    contracted = []
-    for d in e_dots:
-        # the fields at 0: marked at threshold 0 and not at 1
-        zero = d & e_highs & ~(d - e_ones)
-        found = []
-        while zero:
-            low = zero & -zero
-            found.append(twisted[(low.bit_length() - 1) // FIELD_BITS])
-            zero ^= low
-        contracted.append(found)
+    contracted = [[t for t in twisted if sum(map(mul, t, coords[x])) == 0]
+                  for x in rep]
     # per representative x: x.y for every conic y, then, for each class e
     # that x contracts, the conics y with e.y = 0, which are not finite
     # partners of x
@@ -210,6 +212,7 @@ def _pair_scan(r: int) -> tuple[PairScanSummary, tuple[PairClassEntry, ...]]:
         blocked = 0
         for _ in found:
             d = next(dots)
+            # the fields at 0: marked at threshold 0 and not at 1
             blocked |= d & highs & ~(d - ones)
         finite = highs & ~blocked
         # y meets x at least degree times; x.x = 0 leaves x itself out

@@ -20,8 +20,15 @@ no slice is built per call.  canonical_degree(c) is the one home for K.c:
 it reads the degree off c's coordinates (-2 c_0 - sum c_i on BlowupP2,
 -2 sum c_i on ProductP1(2)) without building K or pairing against it.
 
-All coordinates are Python integers, so arithmetic never overflows silently;
-there is no fixed-width fast path anywhere in this module.
+All coordinates are Python integers, so arithmetic never overflows silently.
+The one fixed-width route is packed_dots, which computes many dot products
+at once in 16-bit fields of one Python int (the contraction table and the
+pair scan read every pencil against a whole family through it).  Its width
+is checked once per call, before any packing, from the coordinates alone:
+max |row entry| * max |vector entry| * the number of columns must stay
+below DOT_LIMIT = 2^14, or it raises ValueError; there is no fallback.  No
+coordinate of a conic or exceptional class of BlowupP2(8) passes 11, so
+there the bound is at most 11 * 11 * 9 = 1089.
 
 Values are checked where they enter.  SurfaceModel(...) takes an exact int
 size, and DivisorClass(...) takes exact int coordinates, as many as the
