@@ -120,6 +120,7 @@ def _cmd_enumerate(args) -> int:
     model = SurfaceModel.blowup_p2(rank)
     members = (enumerate_exceptional if args.kind == "exceptional"
                else enumerate_conic)(rank)
+
     def result() -> dict:
         return {
             "basis": list(model.basis_labels),
@@ -257,6 +258,7 @@ def _cmd_cover(args) -> int:
     rho = expected_picard_number(spec)
     fano = is_fano(spec)
     power = anticanonical_power(spec)
+
     def result() -> dict:
         return {
             "n": spec.n,
@@ -317,6 +319,7 @@ def _cmd_singular(args) -> int:
     poly = _load_poly(args.input)
     point = _parse_point(args.at)
     singular = cover_singular_at(poly, point)  # ValueError off the branch
+
     def result() -> dict:
         return {
             "point": [[str(a), str(b)] for a, b in point.pairs],
