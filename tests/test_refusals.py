@@ -5,8 +5,10 @@ orbit_signature, reducible_fibers, FibrationPair, analyze_pair and
 hodge_bound: a non-class in each class slot, a class of another model, a
 ProductP1 model, a wrong family, a class that is not a conic or not
 square-zero, and two equal classes.  contraction_table's rows give the
-ranks it refuses, and rank 0, which it answers with an empty table.  Each row gives the exception type and
-the whole message.  Two acceptance tables follow: classes whose models are
+ranks it refuses, and rank 0, which it answers with an empty table.  The
+product rows give what ProductP1 sizes, the cone reports on them and
+top_intersection refuse.  Each row gives the exception type and the whole
+message; the CLI rows give the exit code and the last stderr line.  Two acceptance tables follow: classes whose models are
 equal but distinct objects, and instances of a DivisorClass subclass, get
 the same answers as plain classes of one model object.
 """
@@ -15,11 +17,13 @@ from types import MappingProxyType, SimpleNamespace
 
 import pytest
 
+from picardkit.cli import main
+from picardkit.cones import psef_generators, surface_cone_report
 from picardkit.curves import (contraction_table, enumerate_exceptional,
                               is_conic, orbit_signature, reducible_fibers)
 from picardkit.fibration import FibrationPair, analyze_pair, hodge_bound
 from picardkit.lattice import (DivisorClass, SurfaceModel, canonical_degree,
-                               pairing)
+                               pairing, top_intersection)
 
 M8 = SurfaceModel("BlowupP2", 8)
 M7 = SurfaceModel("BlowupP2", 7)
@@ -146,6 +150,35 @@ REFUSALS = [
      ValueError, "model size must be an integer, got True"),
     ("contraction_table-float", lambda: contraction_table(8.0),
      ValueError, "model size must be an integer, got 8.0"),
+    # ProductP1 sizes, the cone reports on them, and top_intersection
+    ("SurfaceModel-product-zero", lambda: SurfaceModel("ProductP1", 0),
+     ValueError, "ProductP1 needs n >= 1, got 0"),
+    ("SurfaceModel-product-negative", lambda: SurfaceModel("ProductP1", -1),
+     ValueError, "ProductP1 needs n >= 1, got -1"),
+    ("psef_generators-product-1",
+     lambda: psef_generators(SurfaceModel("ProductP1", 1)),
+     ValueError, "no cone report for ProductP1(1)"),
+    ("psef_generators-product-3",
+     lambda: psef_generators(SurfaceModel("ProductP1", 3)),
+     ValueError, "no cone report for ProductP1(3)"),
+    ("surface_cone_report-product-1",
+     lambda: surface_cone_report(SurfaceModel("ProductP1", 1)),
+     ValueError, "no cone report for ProductP1(1)"),
+    ("surface_cone_report-product-3",
+     lambda: surface_cone_report(SurfaceModel("ProductP1", 3)),
+     ValueError, "no cone report for ProductP1(3)"),
+    ("top_intersection-arity", lambda: top_intersection(P3, [Q, Q]),
+     ValueError, "top_intersection on ProductP1(3) needs exactly 3 classes, "
+                 "got 2"),
+    ("top_intersection-wrong-model",
+     lambda: top_intersection(SurfaceModel("BlowupP2", 2), [Q, Q, Q]),
+     ValueError, "top_intersection needs a ProductP1 model"),
+    ("top_intersection-size",
+     lambda: top_intersection(
+         SurfaceModel("ProductP1", 21),
+         [DivisorClass(SurfaceModel("ProductP1", 21), (1,) * 21)] * 21),
+     ValueError, "permanent of a 21 x 21 matrix: at most 20 rows are "
+                 "supported"),
 ]
 
 
@@ -157,6 +190,24 @@ def test_refusal(call, error, message):
         call()
     assert type(caught.value) is error
     assert str(caught.value) == message
+
+
+# (id, argv, last stderr line); each exits 2
+CLI_REFUSALS = [
+    ("cones-product-rank-1", ["cones", "product", "--rank", "1"],
+     "picardkit: error: no cone report for ProductP1(1)"),
+    ("cones-product-rank-3", ["cones", "product", "--rank", "3"],
+     "picardkit: error: no cone report for ProductP1(3)"),
+]
+
+
+@pytest.mark.parametrize("argv, line", [row[1:] for row in CLI_REFUSALS],
+                         ids=[row[0] for row in CLI_REFUSALS])
+def test_cli_refusal(capsys, argv, line):
+    with pytest.raises(SystemExit) as caught:
+        main(argv)
+    assert caught.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == line
 
 
 def test_contraction_table_at_rank_zero_is_empty():
