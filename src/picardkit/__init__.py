@@ -7,7 +7,6 @@ from .lattice import (
     SurfaceModel,
     canonical_class,
     pairing,
-    top_intersection,
 )
 
 __version__ = "0.1.0"
@@ -17,6 +16,5 @@ __all__ = [
     "SurfaceModel",
     "canonical_class",
     "pairing",
-    "top_intersection",
     "__version__",
 ]

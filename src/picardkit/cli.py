@@ -620,7 +620,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cones", help="nef/psef/mori cone report for a model")
     p.add_argument("kind", choices=["blowup", "product"])
     p.add_argument("--rank", "-r", required=True,
-                   help="blown-up points, or number of line factors")
+                   help="blown-up points, or 2 for P1 x P1")
     _add_io_flags(p)
     p.set_defaults(func=_cmd_cones)
 

@@ -57,8 +57,8 @@ the JSON shows, and nef.rays() builds them on request.  For 3 <= r <= 8 they
 are the conic classes plus the W(E_r) orbit of H: 702 rays at r = 7 and
 19440 at r = 8.
 The Mori cone of a blow-up model is identified with the psef cone (divisor
-and curve classes coincide on a surface); for ProductP1(n) it is the
-nonnegative orthant of curve classes.
+and curve classes coincide on a surface); for P1 x P1 it is the
+nonnegative quadrant spanned by the two rulings.
 On every reported model that orthant has the psef generators too, so the
 report decides Mori simpliciality by is_simplicial on the psef cone
 itself, and psef inside nef by the nef cone's own facet test.
@@ -374,26 +374,30 @@ class ConePoly:
         cone._dual = None
         return cone
 
+    @staticmethod
+    def _read(vecs: Iterable[Sequence], ambient_dim: int | None,
+              empty: str) -> tuple[list[Vec], int]:
+        """The vectors, read once, and ambient_dim, or else the first
+        vector's length (ValueError(empty) when there is none)."""
+        vecs = [tuple(v) for v in vecs]
+        if ambient_dim is None:
+            if not vecs:
+                raise ValueError(empty)
+            ambient_dim = len(vecs[0])
+        return vecs, ambient_dim
+
     @classmethod
     def from_generators(cls, generators: Sequence[Sequence],
                         ambient_dim: int | None = None) -> "ConePoly":
-        # read once, so that the first vector has a length to take
-        generators = [tuple(v) for v in generators]
-        if ambient_dim is None:
-            if not generators:
-                raise ValueError("ambient_dim required for the zero cone")
-            ambient_dim = len(generators[0])
+        generators, ambient_dim = cls._read(
+            generators, ambient_dim, "ambient_dim required for the zero cone")
         return cls(ambient_dim, generators=generators)
 
     @classmethod
     def from_facets(cls, facets: Sequence[Sequence],
                     ambient_dim: int | None = None) -> "ConePoly":
-        # read once, so that the first vector has a length to take
-        facets = [tuple(v) for v in facets]
-        if ambient_dim is None:
-            if not facets:
-                raise ValueError("ambient_dim required without facet data")
-            ambient_dim = len(facets[0])
+        facets, ambient_dim = cls._read(
+            facets, ambient_dim, "ambient_dim required without facet data")
         return cls(ambient_dim, facets=facets)
 
     def rays(self) -> tuple[Vec, ...]:
@@ -513,14 +517,12 @@ def psef_generators(model: SurfaceModel) -> tuple[DivisorClass, ...]:
         if r == 1:
             return (DivisorClass(model, (0, 1)), DivisorClass(model, (1, -1)))
         return enumerate_exceptional(r)
-    if model.size == 2:
-        return (DivisorClass(model, (1, 0)), DivisorClass(model, (0, 1)))
-    raise ValueError(f"no cone report for {model}")
+    return (DivisorClass(model, (1, 0)), DivisorClass(model, (0, 1)))
 
 
 def surface_cone_report(model: SurfaceModel) -> ConeReport:
     """Nef/psef comparison for BlowupP2(r), 0 <= r <= 8, or ProductP1(2)."""
-    gens = psef_generators(model)  # raises for unsupported models
+    gens = psef_generators(model)
     for g in gens:
         if canonical_degree(g) >= 0:
             raise RuntimeError(

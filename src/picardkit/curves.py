@@ -67,8 +67,8 @@ from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .lattice import (BLOWUP, FIELD_BITS, DivisorClass, FrozenValue,
-                      SurfaceModel, canonical_degree, packed_dots, pairing,
-                      pairing_vector)
+                      SurfaceModel, canonical_degree, check_class,
+                      packed_dots, pairing, pairing_vector)
 
 
 @total_ordering
@@ -204,6 +204,8 @@ def enumerate_conic(r: int) -> tuple[DivisorClass, ...]:
 
 def orbit_signature(c: DivisorClass) -> OrbitSignature:
     """Degree plus the sorted multiplicity multiset of a blow-up class."""
+    if c.__class__ is not DivisorClass:
+        check_class(c)
     if c.model.kind != BLOWUP:
         raise ValueError("multiplicities only make sense on BlowupP2")
     coords = c.coords
@@ -256,6 +258,8 @@ def reducible_fibers(c: DivisorClass,
     model, a BlowupP2 (enumerate_exceptional, or a tuple with the same
     members).
     """
+    if c.__class__ is not DivisorClass:
+        check_class(c)
     if c.model.kind != BLOWUP:
         raise ValueError(f"reducible_fibers needs a BlowupP2 model, "
                          f"got {c.model}")

@@ -3,9 +3,9 @@
 A cover is recorded by the type (2*d_1, ..., 2*d_n) of its branch divisor
 on the n-fold product of lines.  The numerical invariants are closed-form
 integer expressions, so they stay exact and cost O(n) for any supported
-branch type; lattice.top_intersection remains the general route that the
-tests check them against.  A branch type has at most MAX_FACTORS entries,
-each at most MAX_BRANCH_ENTRY.
+branch type.  The tests check them against lattice.top_intersection, the
+permanent of n copies of the coordinate row of -K.  A branch type has at
+most MAX_FACTORS entries, each at most MAX_BRANCH_ENTRY.
 
 Branch divisors themselves are multihomogeneous polynomials with rational
 coefficients.  A polynomial in n coordinate pairs keeps its exponent

@@ -51,8 +51,8 @@ from .curves import (
     selected,
 )
 from .lattice import (BLOWUP, FIELD_BITS, DivisorClass, FrozenValue,
-                      SurfaceModel, canonical_degree, is_exact_int,
-                      packed_dots, pairing, pairing_vector)
+                      SurfaceModel, canonical_degree, check_class,
+                      is_exact_int, packed_dots, pairing, pairing_vector)
 
 
 class FibrationPair(FrozenValue):
@@ -67,8 +67,8 @@ class FibrationPair(FrozenValue):
             raise ValueError(f"fibration pairs need a BlowupP2 model, "
                              f"got {model}")
         for c in (c1, c2):
-            if c.model is not model and c.model != model:
-                raise ValueError(f"{c} does not live in {model}")
+            if c.__class__ is not DivisorClass or c.model is not model:
+                check_class(c, model)
             if not is_conic(c):
                 raise ValueError(f"{c} is not a conic fibration class")
         if c1 == c2:
@@ -122,6 +122,8 @@ def analyze_pair(pair: FibrationPair,
     given, must be the exceptional family of the pair's model
     (enumerate_exceptional, or a tuple with the same members).
     """
+    if not isinstance(pair, FibrationPair):
+        raise TypeError(f"expected FibrationPair, got {type(pair).__name__}")
     table_fam, masks = contraction_table(pair.model.size)
     # members carry their model, so this also tells the ranks apart
     if (exceptional is not None and exceptional is not table_fam
@@ -142,8 +144,8 @@ def hodge_bound(model: SurfaceModel, c1: DivisorClass,
     if model.kind != BLOWUP:
         raise ValueError("hodge_bound needs a BlowupP2 model")
     for c in (c1, c2):
-        if c.model is not model and c.model != model:
-            raise ValueError(f"{c} does not live in {model}")
+        if c.__class__ is not DivisorClass or c.model is not model:
+            check_class(c, model)
         if pairing(c, c) != 0:
             raise ValueError(f"{c} is not square-zero")
     lhs = 2 * (9 - model.size) * pairing(c1, c2)

@@ -5,20 +5,24 @@ Two kinds of model are supported:
 * ``BlowupP2(r)``: the Picard lattice of the blow-up of P^2 at r points,
   0 <= r <= 8, with basis (H, E_1, ..., E_r), H^2 = 1, E_i^2 = -1, mixed
   products 0, and canonical class K = -3H + sum E_i.
-* ``ProductP1(n)``: the lattice of (P^1)^n with basis (H_1, ..., H_n) and
-  canonical class K = sum (-2) H_i.  For n >= 3 only the top multilinear
-  form is defined; n = 2 additionally carries the hyperbolic surface pairing
-  H_1.H_2 = 1, H_i^2 = 0.
+* ``ProductP1(2)``: the quadric surface P^1 x P^1, with basis (H_1, H_2),
+  the hyperbolic pairing H_1.H_2 = 1, H_i^2 = 0, and canonical class
+  K = -2H_1 - 2H_2.  No other size is a model: the double covers of
+  (P^1)^n need none, and top_intersection, the top form of (P^1)^n, takes
+  coordinate rows.
 
 The intersection form lives here alone and takes classes only, refusing
-anything else with TypeError through one check, _class: pairing evaluates
-it on two classes, and pairing_vector turns one class into the vector that
-the form dots against, which is how the cone and pair-scan layers read it.
+anything else with TypeError through one check, check_class: pairing
+evaluates it on two classes, and pairing_vector turns one class into the
+vector that the form dots against, which is how the cone and pair-scan
+layers read it.
 On BlowupP2 pairing takes one pass over both coordinate tuples, as
 2 a_0 b_0 - sum_i a_i b_i (the sum over every coordinate, H included), so
 no slice is built per call.  canonical_degree(c) is the one home for K.c:
 it reads the degree off c's coordinates (-2 c_0 - sum c_i on BlowupP2,
 -2 sum c_i on ProductP1(2)) without building K or pairing against it.
+The layers above take their class slots through check_class too, which
+also refuses a class of another model with ValueError.
 
 All coordinates are Python integers, so arithmetic never overflows silently.
 The one fixed-width route is packed_dots, which computes many dot products
@@ -38,8 +42,8 @@ refuse a non-class or a class of another model.  pairing and
 canonical_degree check their arguments in their own frame: two plain
 DivisorClass instances whose model is one object pass at once, and
 anything else (a subclass, a non-class, two equal but distinct models)
-takes the fallback route through _class and _same_model, which keeps the
-isinstance test, model equality and every error.  Wherever two models are
+takes the fallback route through check_class and _same_model, which keeps
+the isinstance test, model equality and every error.  Wherever two models are
 compared, identity is tested before equality.
 
 FrozenValue is the base of the package's value classes, here and in
@@ -54,10 +58,10 @@ fields, as a frozen dataclass's would.  The package imports no dataclasses,
 which would cost every CLI start its code generation and its imports.
 
 is_exact_int is the one test of an exact int used at every boundary: the
-type is int itself, so a bool or an int subclass is refused.  DivisorClass
-and from_curve apply it in bulk, as {int}.issuperset(map(type, values)),
-the same test at about two thirds of the cost; a test pins the two forms
-to each other.
+type is int itself, so a bool or an int subclass is refused.  DivisorClass,
+from_curve and top_intersection apply it in bulk, as
+{int}.issuperset(map(type, values)), the same test at about two thirds of
+the cost; a test pins the two forms to each other.
 """
 
 from __future__ import annotations
@@ -65,7 +69,7 @@ from __future__ import annotations
 from math import prod
 from operator import add, attrgetter, mul, neg, sub
 from struct import pack
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 BLOWUP = "BlowupP2"
 PRODUCT = "ProductP1"
@@ -191,7 +195,8 @@ class FrozenValue:
 
 
 class SurfaceModel(FrozenValue):
-    """A Picard lattice model, identified by kind and size (r or n)."""
+    """A Picard lattice model, identified by kind and size: BlowupP2(r)
+    for 0 <= r <= 8, or ProductP1(2)."""
 
     __slots__ = ("kind", "size")
     kind: str
@@ -204,8 +209,8 @@ class SurfaceModel(FrozenValue):
             if not 0 <= size <= 8:
                 raise ValueError(f"BlowupP2 needs 0 <= r <= 8, got {size}")
         elif kind == PRODUCT:
-            if size < 1:
-                raise ValueError(f"ProductP1 needs n >= 1, got {size}")
+            if size != 2:
+                raise ValueError(f"ProductP1 needs n = 2, got {size}")
         else:
             raise ValueError(f"unknown model kind {kind!r}")
         FrozenValue.__init__(self, kind, size)
@@ -320,45 +325,43 @@ class DivisorClass(FrozenValue):
 
 
 def canonical_class(model: SurfaceModel) -> DivisorClass:
-    """K = -3H + sum E_i on blow-ups, sum (-2) H_i on products.  For K.c
+    """K = -3H + sum E_i on blow-ups, -2H_1 - 2H_2 on P^1 x P^1.  For K.c
     alone, canonical_degree(c) builds no K."""
     if model.kind == BLOWUP:
         return DivisorClass(model, (-3,) + (1,) * model.size)
-    return DivisorClass(model, (-2,) * model.size)
+    return DivisorClass(model, (-2, -2))
 
 
-def _class(c: object) -> DivisorClass:
-    """c, if it is a DivisorClass; TypeError otherwise.  The one check that
-    a function of the form was given a class."""
+def check_class(c: object, model: SurfaceModel | None = None
+                ) -> DivisorClass:
+    """c, if it is a DivisorClass, and of model when one is given: the one
+    check that a function was given a class.  A non-class raises
+    TypeError, a class of another model ValueError."""
     if not isinstance(c, DivisorClass):
         raise TypeError(f"expected DivisorClass, got {type(c).__name__}")
+    if model is not None and c.model is not model and c.model != model:
+        raise ValueError(f"{c} does not live in {model}")
     return c
 
 
 def _same_model(a: DivisorClass, b: DivisorClass) -> SurfaceModel:
     """The model of two classes, which must be one model."""
-    model = _class(a).model
-    if _class(b).model is not model and b.model != model:
+    model = check_class(a).model
+    if check_class(b).model is not model and b.model != model:
         raise ValueError(f"classes live in different models: {model} vs "
                          f"{b.model}")
     return model
-
-
-def _no_form(model: SurfaceModel) -> ValueError:
-    return ValueError(f"pairing is undefined on {model}; use top_intersection")
 
 
 def pairing_vector(c: DivisorClass) -> tuple[int, ...]:
     """The form applied to the class c: the vector v with pairing(c, x) ==
     sum(v_i * x_i) for every class x of c's model.  pairing keeps its own
     inline formula, being the hot path."""
-    x = _class(c).coords
+    x = check_class(c).coords
     model = c.model
     if model.kind == BLOWUP:
         return (x[0],) + tuple(-v for v in x[1:])
-    if model.size == 2:
-        return (x[1], x[0])
-    raise _no_form(model)
+    return (x[1], x[0])
 
 
 def pairing(a: DivisorClass, b: DivisorClass) -> int:
@@ -366,9 +369,8 @@ def pairing(a: DivisorClass, b: DivisorClass) -> int:
 
     On BlowupP2(r) this is the signature-(1, r) form
     a_0 b_0 - sum_{i>=1} a_i b_i, taken in one pass as
-    2 a_0 b_0 - sum_{i>=0} a_i b_i.  On ProductP1(2) the hyperbolic form
-    a_0 b_1 + a_1 b_0 is provided as a convenience; higher products have no
-    meaningful bilinear form and must go through top_intersection.
+    2 a_0 b_0 - sum_{i>=0} a_i b_i.  On ProductP1(2) it is the hyperbolic
+    form a_0 b_1 + a_1 b_0.
     """
     # plain classes of one model object pass here; anything else goes to
     # _same_model, which refuses it or finds the one model
@@ -380,24 +382,20 @@ def pairing(a: DivisorClass, b: DivisorClass) -> int:
     x, y = a.coords, b.coords
     if model.kind == BLOWUP:
         return 2 * x[0] * y[0] - sum(map(mul, x, y))
-    if model.size == 2:
-        return x[0] * y[1] + x[1] * y[0]
-    raise _no_form(model)
+    return x[0] * y[1] + x[1] * y[0]
 
 
 def canonical_degree(c: DivisorClass) -> int:
     """K.c, read off c's coordinates: -2 c_0 - sum_{i>=0} c_i on BlowupP2
     (K = -3H + sum E_i), -2 (c_0 + c_1) on ProductP1(2).  Equal to
-    pairing(canonical_class(c.model), c), and undefined where pairing is."""
+    pairing(canonical_class(c.model), c)."""
     if c.__class__ is not DivisorClass:
-        _class(c)
+        check_class(c)
     x = c.coords
     model = c.model
     if model.kind == BLOWUP:
         return -2 * x[0] - sum(x)
-    if model.size == 2:
-        return -2 * (x[0] + x[1])
-    raise _no_form(model)
+    return -2 * (x[0] + x[1])
 
 
 # packed_dots: the bits of one field, and the bound that every |dot| must
@@ -479,25 +477,19 @@ def _permanent(rows: list[tuple[int, ...]]) -> int:
     return total
 
 
-def top_intersection(model: SurfaceModel,
-                     classes: Iterable[DivisorClass]) -> int:
-    """Top multilinear form H_{i_1}...H_{i_n} on ProductP1(n).
+def top_intersection(rows: Sequence[Sequence[int]]) -> int:
+    """Top multilinear form H_{i_1}...H_{i_n} on (P^1)^n, of the n classes
+    whose coordinate rows (in the basis H_1, ..., H_n) are given.
 
-    Equals the permanent of the n x n matrix whose rows are the coordinate
-    vectors: a product of basis classes is 1 when all indices are distinct
-    and 0 otherwise.  Defined for n <= MAX_PERMANENT_SIZE; larger n raises
-    ValueError.
+    Equals the permanent of the n x n matrix of rows: a product of basis
+    classes is 1 when all indices are distinct and 0 otherwise.  A row of
+    another length than n, an entry that is not an exact int, and
+    n > MAX_PERMANENT_SIZE raise ValueError.
     """
-    if model.kind != PRODUCT:
-        raise ValueError("top_intersection needs a ProductP1 model")
-    rows = []
-    for c in classes:
-        if _class(c).model is not model and c.model != model:
-            raise ValueError(f"class of {c.model} passed to {model}")
-        rows.append(c.coords)
-    if len(rows) != model.size:
-        raise ValueError(
-            f"top_intersection on {model} needs exactly {model.size} classes, "
-            f"got {len(rows)}"
-        )
+    rows = [tuple(row) for row in rows]
+    n = len(rows)
+    for row in rows:
+        if len(row) != n or not {int}.issuperset(map(type, row)):
+            raise ValueError(f"top_intersection needs {n} rows of {n} "
+                             f"integers, got {row!r}")
     return _permanent(rows)

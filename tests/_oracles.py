@@ -460,13 +460,11 @@ def is_exceptional(c):
 
 def mori_cone(model):
     """Cone of curve classes: the psef cone on a blow-up surface, the
-    nonnegative orthant on ProductP1(n)."""
+    nonnegative quadrant on P1 x P1, ProductP1(2)."""
     if model.kind == BLOWUP:
         return ConePoly.from_generators(
             [c.coords for c in psef_generators(model)], model.rank)
-    n = model.size
-    basis = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    return ConePoly.from_generators(basis, n)
+    return ConePoly.from_generators([(1, 0), (0, 1)], 2)
 
 
 if __name__ == "__main__":

@@ -362,7 +362,7 @@ def test_cover_entries_may_carry_spaces(capsys):
 @pytest.mark.parametrize("argv, words", [
     (["enumerate", "conic", "--rank", "-1"], "0 <= r <= 8, got -1"),
     (["pairs", "--rank", "-3"], "1 <= r <= 8, got -3"),
-    (["cones", "product", "--rank", "-1"], "n >= 1, got -1"),
+    (["cones", "product", "--rank", "-1"], "n = 2, got -1"),
     (["cover", "1,-1"], "-1 is not a nonnegative int"),
 ])
 def test_cli_negative_integers_keep_their_range_messages(capsys, argv, words):

@@ -297,8 +297,12 @@ def test_plane_of_lines_with_pointed_quotient():
 
 
 def test_mori_cone_of_products_is_simplicial():
-    for n in (2, 3, 4):
-        cone = mori_cone(_pp(n))
+    # P1 x P1 through the oracle; the orthants of (P^1)^3 and (P^1)^4,
+    # which are no surface model, as plain cones
+    orthants = [ConePoly.from_generators(
+        [tuple(int(i == j) for j in range(n)) for i in range(n)], n)
+        for n in (3, 4)]
+    for n, cone in zip((2, 3, 4), [mori_cone(_pp(2))] + orthants):
         assert is_simplicial(cone)
         assert len(cone.rays()) == n
 
@@ -671,7 +675,7 @@ def test_psef_generator_tables():
     assert [g.coords for g in psef_generators(_bp(1))] == [(0, 1), (1, -1)]
     assert len(psef_generators(_bp(8))) == 240
     assert set(psef_generators(_bp(6))) == set(enumerate_exceptional(6))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="ProductP1 needs n = 2, got 3"):
         psef_generators(_pp(3))
 
 
@@ -702,7 +706,7 @@ def test_weyl_words_preserve_the_cone_report():
 
 
 def test_report_rejects_larger_products():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="ProductP1 needs n = 2, got 4"):
         surface_cone_report(_pp(4))
 
 

@@ -23,7 +23,7 @@ from picardkit.doublecover import (
     parse_rational,
     poly_from_json_dict,
 )
-from picardkit.lattice import DivisorClass, SurfaceModel, top_intersection
+from picardkit.lattice import top_intersection
 
 # branch divisor of type (2, 2, 2) with exactly the origin-like point
 # (0:1) x (0:1) x (0:1) as a singular point of interest
@@ -109,11 +109,10 @@ def test_closed_form_agrees_with_top_intersection():
     # the closed form against the permanent route, on every type in
     # {0..3}^n for n <= 5
     for n in range(1, 6):
-        model = SurfaceModel.product_p1(n)
         for ds in product(range(4), repeat=n):
-            minus_k = DivisorClass(model, tuple(2 - d for d in ds))
+            minus_k = tuple(2 - d for d in ds)
             assert anticanonical_power(DoubleCoverSpec.of(list(ds))) == \
-                2 * top_intersection(model, [minus_k] * n)
+                2 * top_intersection([minus_k] * n)
 
 
 @settings(max_examples=40, deadline=None)

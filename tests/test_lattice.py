@@ -37,8 +37,11 @@ def test_model_validation():
         SurfaceModel.blowup_p2(-1)
     with pytest.raises(ValueError):
         SurfaceModel.product_p1(0)
+    for n in (1, 3):
+        with pytest.raises(ValueError, match=f"n = 2, got {n}"):
+            SurfaceModel.product_p1(n)
     assert SurfaceModel.blowup_p2(3).rank == 4
-    assert SurfaceModel.product_p1(3).rank == 3
+    assert SurfaceModel.product_p1(2).rank == 2
     assert SurfaceModel.blowup_p2(2).basis_labels == ("H", "E1", "E2")
 
 
@@ -55,7 +58,7 @@ def test_canonical_class_is_built_once_per_model():
     k1 = canonical_class(SurfaceModel.blowup_p2(1))
     assert canonical_class(SurfaceModel("BlowupP2", 1)) == k1
     assert str(k1.model) == "BlowupP2(1)"
-    assert canonical_class(SurfaceModel.product_p1(1)) is not k1
+    assert canonical_class(SurfaceModel.product_p1(2)) is not k1
 
 
 def test_divisor_class_validation():
@@ -98,7 +101,7 @@ def test_only_plain_classes_of_one_model_object_skip_the_fallback(
             return check(*args)
         return wrapper
 
-    for name in ("_class", "_same_model"):
+    for name in ("check_class", "_same_model"):
         monkeypatch.setattr(lattice, name, counted(getattr(lattice, name)))
 
     class Sub(DivisorClass):
@@ -109,12 +112,13 @@ def test_only_plain_classes_of_one_model_object_skip_the_fallback(
     assert calls == []
     twin = SurfaceModel.blowup_p2(7)  # equal to DP7, not the same object
     assert pairing(a, DivisorClass(twin, b.coords)) == 1
-    assert calls == ["_same_model", "_class", "_class"]
+    assert calls == ["_same_model", "check_class", "check_class"]
     calls.clear()
     sub = Sub(DP7, b.coords)
     assert (pairing(a, sub), pairing(sub, a), canonical_degree(sub)) == (
         1, 1, -2)
-    assert calls == ["_same_model", "_class", "_class"] * 2 + ["_class"]
+    assert calls == (["_same_model", "check_class", "check_class"] * 2
+                     + ["check_class"])
 
 
 def test_cross_model_classes_never_equal():
@@ -170,9 +174,10 @@ def test_pairing_errors():
     b = cls(SurfaceModel.blowup_p2(2), 1, 0, 0)
     with pytest.raises(ValueError):
         pairing(a, b)
-    p3 = SurfaceModel.product_p1(3)
+    # P1 x P1 and BlowupP2(1) have the same rank, but not the same form
+    p2 = SurfaceModel.product_p1(2)
     with pytest.raises(ValueError):
-        pairing(cls(p3, 1, 0, 0), cls(p3, 0, 1, 0))
+        pairing(cls(p2, 1, 0), a)
     # a non-class is refused alike in either slot
     for args in ((a, (1, 0)), ((1, 0), a)):
         with pytest.raises(TypeError, match="expected DivisorClass, got tuple"):
@@ -193,7 +198,7 @@ def test_canonical_class_examples():
     k8 = canonical_class(SurfaceModel.blowup_p2(8))
     assert k8.coords == (-3,) + (1,) * 8
     assert pairing(k8, k8) == 1
-    assert canonical_class(SurfaceModel.product_p1(3)).coords == (-2, -2, -2)
+    assert canonical_class(SurfaceModel.product_p1(2)).coords == (-2, -2)
 
 
 def test_k_squared_is_nine_minus_r():
@@ -216,43 +221,39 @@ def test_adjunction_genus_examples():
 
 
 def test_top_intersection_examples():
-    p2 = SurfaceModel.product_p1(2)
-    d = cls(p2, 1, 1)
-    assert top_intersection(p2, [d, d]) == 2
+    d = (1, 1)
+    assert top_intersection([d, d]) == 2
 
-    p3 = SurfaceModel.product_p1(3)
-    t = cls(p3, 1, 1, 1)
-    assert top_intersection(p3, [t, t, t]) == 6
+    t = (1, 1, 1)
+    assert top_intersection([t, t, t]) == 6
 
-    q = cls(p2, 2, 1)
-    assert top_intersection(p2, [q, q]) == 4
+    q = (2, 1)
+    assert top_intersection([q, q]) == 4
 
 
 def test_top_intersection_errors():
-    p3 = SurfaceModel.product_p1(3)
-    t = cls(p3, 1, 1, 1)
+    t = (1, 1, 1)
     with pytest.raises(ValueError):
-        top_intersection(p3, [t, t])  # arity
-    with pytest.raises(ValueError):
-        top_intersection(SurfaceModel.blowup_p2(2), [t, t, t])  # wrong model
+        top_intersection([t, t])  # arity
+    with pytest.raises(TypeError):
+        # a class is not a row
+        top_intersection([cls(SurfaceModel.blowup_p2(2), 1, 1, 1)] * 3)
 
 
 def test_top_intersection_size_limit():
     n = MAX_PERMANENT_SIZE + 1
-    model = SurfaceModel.product_p1(n)
-    ones = cls(model, *[1] * n)
+    ones = (1,) * n
     # rejected before any of the 2^n Ryser steps
     with pytest.raises(ValueError, match="at most"):
-        top_intersection(model, [ones] * n)
+        top_intersection([ones] * n)
 
 
 def test_top_intersection_matches_leibniz_expansion():
     # the permanent summed over all 4! permutations, against Ryser's formula
-    model = SurfaceModel.product_p1(4)
     rows = [(2, -1, 0, 3), (1, 1, -2, 0), (0, 3, 1, -1), (-2, 0, 1, 1)]
     leibniz = sum(prod(rows[i][p[i]] for i in range(4))
                   for p in permutations(range(4)))
-    assert top_intersection(model, [cls(model, *r) for r in rows]) == leibniz
+    assert top_intersection(rows) == leibniz
 
 
 coords7 = st.tuples(*[st.integers(-9, 9)] * 8)
@@ -266,7 +267,7 @@ def test_pairing_symmetric_bilinear(xa, xb, xc, s, t):
 
 
 models = st.one_of(st.integers(0, 8).map(SurfaceModel.blowup_p2),
-                  st.integers(1, 4).map(SurfaceModel.product_p1))
+                  st.just(SurfaceModel.product_p1(2)))
 
 
 def _checked(c):
@@ -332,7 +333,7 @@ def test_canonical_degree_examples_and_errors():
     assert canonical_degree(canonical_class(DP7)) == 2
     assert canonical_degree(DivisorClass.from_curve(DP7, 1, (1,))) == -2
     assert canonical_degree(cls(SurfaceModel.product_p1(2), 1, 0)) == -2
-    with pytest.raises(ValueError, match="use top_intersection"):
+    with pytest.raises(ValueError, match="ProductP1 needs n = 2, got 3"):
         canonical_degree(cls(SurfaceModel.product_p1(3), 1, 0, 0))
     with pytest.raises(TypeError):
         canonical_degree((1, 0))
@@ -342,7 +343,7 @@ def test_pairing_vector_examples_and_errors():
     assert pairing_vector(cls(DP7, 3, 0, -1, -1, -1, -1, -1, -2)) == \
         (3, 0, 1, 1, 1, 1, 1, 2)
     assert pairing_vector(cls(SurfaceModel.product_p1(2), 1, 2)) == (2, 1)
-    with pytest.raises(ValueError, match="use top_intersection"):
+    with pytest.raises(ValueError, match="ProductP1 needs n = 2, got 3"):
         pairing_vector(cls(SurfaceModel.product_p1(3), 1, 0, 0))
     with pytest.raises(TypeError, match="expected DivisorClass, got tuple"):
         pairing_vector((1, 0))
@@ -350,41 +351,46 @@ def test_pairing_vector_examples_and_errors():
 
 @given(st.integers(1, 5), st.data())
 def test_top_intersection_permutation_symmetric(n, data):
-    model = SurfaceModel.product_p1(n)
-    vecs = data.draw(st.lists(
+    rows = data.draw(st.lists(
         st.tuples(*[st.integers(-3, 3)] * n), min_size=n, max_size=n))
-    classes = [cls(model, *v) for v in vecs]
-    base = top_intersection(model, classes)
-    perm = data.draw(st.permutations(classes))
-    assert top_intersection(model, perm) == base
+    base = top_intersection(rows)
+    perm = data.draw(st.permutations(rows))
+    assert top_intersection(perm) == base
+
+
+@given(st.integers(1, 5), st.data())
+def test_top_intersection_column_permutation_symmetric(n, data):
+    # relabelling the factors of (P^1)^n permutes every row alike
+    rows = data.draw(st.lists(
+        st.tuples(*[st.integers(-3, 3)] * n), min_size=n, max_size=n))
+    order = data.draw(st.permutations(range(n)))
+    assert top_intersection([[row[j] for j in order] for row in rows]) == \
+        top_intersection(rows)
 
 
 @given(st.integers(1, 6), st.data())
 def test_top_intersection_equal_rows_formula(n, data):
-    model = SurfaceModel.product_p1(n)
     a = data.draw(st.tuples(*[st.integers(-3, 3)] * n))
-    d = cls(model, *a)
     expect = 1
     for v in a:
         expect *= v
     fact = 1
     for i in range(2, n + 1):
         fact *= i
-    assert top_intersection(model, [d] * n) == fact * expect
+    assert top_intersection([a] * n) == fact * expect
 
 
 @given(st.integers(1, 5), st.data())
 def test_top_intersection_multilinear_first_slot(n, data):
-    model = SurfaceModel.product_p1(n)
     draw_vec = st.tuples(*[st.integers(-3, 3)] * n)
-    rest = [cls(model, *data.draw(draw_vec)) for _ in range(n - 1)]
-    u = cls(model, *data.draw(draw_vec))
-    v = cls(model, *data.draw(draw_vec))
+    rest = [data.draw(draw_vec) for _ in range(n - 1)]
+    u = data.draw(draw_vec)
+    v = data.draw(draw_vec)
     s = data.draw(st.integers(-3, 3))
     t = data.draw(st.integers(-3, 3))
-    lhs = top_intersection(model, [s * u + t * v] + rest)
-    rhs = (s * top_intersection(model, [u] + rest)
-           + t * top_intersection(model, [v] + rest))
+    lhs = top_intersection([[s * x + t * y for x, y in zip(u, v)]] + rest)
+    rhs = (s * top_intersection([u] + rest)
+           + t * top_intersection([v] + rest))
     assert lhs == rhs
 
 

@@ -28,7 +28,6 @@ from picardkit.lattice import (DivisorClass, SurfaceModel, canonical_degree,
 M8 = SurfaceModel("BlowupP2", 8)
 M7 = SurfaceModel("BlowupP2", 7)
 P2 = SurfaceModel("ProductP1", 2)
-P3 = SurfaceModel("ProductP1", 3)
 
 
 def cls(model, *coords):
@@ -41,18 +40,24 @@ H = cls(M8, 1, 0, 0, 0, 0, 0, 0, 0, 0)      # square 1
 E1 = cls(M8, 0, 1, 0, 0, 0, 0, 0, 0, 0)     # square -1
 C7 = cls(M7, 1, -1, 0, 0, 0, 0, 0, 0)       # H - E1 on BlowupP2(7)
 R1, R2 = cls(P2, 1, 0), cls(P2, 0, 1)       # the two rulings of P1 x P1
-Q = cls(P3, 1, 0, 0)
 F8 = enumerate_exceptional(8)
 F7 = enumerate_exceptional(7)
 PAIR = FibrationPair(M8, A, B)
 T = A.coords
 # not a class, though it carries a model and coordinates
 DUCK = SimpleNamespace(model=M8, coords=A.coords)
+# not a pair, though it carries a model and two conics
+DUCK_PAIR = SimpleNamespace(model=M8, c1=A, c2=B)
 
-NO_MODEL = "'tuple' object has no attribute 'model'"
+
+def q3():
+    """A class of ProductP1(3), which is no model: building it raises."""
+    return cls(SurfaceModel("ProductP1", 3), 1, 0, 0)
+
+
 NOT_A_CLASS = "expected DivisorClass, got tuple"
 NOT_IN_M8 = "H - E1 does not live in BlowupP2(8)"
-NO_FORM_P3 = "pairing is undefined on ProductP1(3); use top_intersection"
+NO_P3 = "ProductP1 needs n = 2, got 3"
 
 # (id, call, exception type, message)
 REFUSALS = [
@@ -71,21 +76,25 @@ REFUSALS = [
      TypeError, "expected DivisorClass, got SimpleNamespace"),
     ("is_conic-not-a-class", lambda: is_conic(T), TypeError, NOT_A_CLASS),
     ("orbit_signature-not-a-class", lambda: orbit_signature(T),
-     AttributeError, NO_MODEL),
+     TypeError, NOT_A_CLASS),
+    ("orbit_signature-duck", lambda: orbit_signature(DUCK),
+     TypeError, "expected DivisorClass, got SimpleNamespace"),
     ("reducible_fibers-not-a-class", lambda: reducible_fibers(T, F8),
-     AttributeError, NO_MODEL),
+     TypeError, NOT_A_CLASS),
     ("FibrationPair-c1-not-a-class", lambda: FibrationPair(M8, T, B),
-     AttributeError, NO_MODEL),
+     TypeError, NOT_A_CLASS),
     ("FibrationPair-c2-not-a-class", lambda: FibrationPair(M8, A, T),
-     AttributeError, NO_MODEL),
+     TypeError, NOT_A_CLASS),
     ("FibrationPair-duck", lambda: FibrationPair(M8, DUCK, B),
      TypeError, "expected DivisorClass, got SimpleNamespace"),
     ("analyze_pair-not-a-pair", lambda: analyze_pair(T, F8),
-     AttributeError, NO_MODEL),
+     TypeError, "expected FibrationPair, got tuple"),
+    ("analyze_pair-duck", lambda: analyze_pair(DUCK_PAIR),
+     TypeError, "expected FibrationPair, got SimpleNamespace"),
     ("hodge_bound-c1-not-a-class", lambda: hodge_bound(M8, T, B),
-     AttributeError, NO_MODEL),
+     TypeError, NOT_A_CLASS),
     ("hodge_bound-c2-not-a-class", lambda: hodge_bound(M8, A, T),
-     AttributeError, NO_MODEL),
+     TypeError, NOT_A_CLASS),
     ("hodge_bound-duck", lambda: hodge_bound(M8, A, DUCK),
      TypeError, "expected DivisorClass, got SimpleNamespace"),
     # a class of another model
@@ -102,10 +111,10 @@ REFUSALS = [
     ("hodge_bound-c2-other-model", lambda: hodge_bound(M8, A, C7),
      ValueError, NOT_IN_M8),
     # a ProductP1 model
-    ("pairing-product", lambda: pairing(Q, Q), ValueError, NO_FORM_P3),
-    ("canonical_degree-product", lambda: canonical_degree(Q),
-     ValueError, NO_FORM_P3),
-    ("is_conic-product", lambda: is_conic(Q), ValueError, NO_FORM_P3),
+    ("pairing-product", lambda: pairing(q3(), q3()), ValueError, NO_P3),
+    ("canonical_degree-product", lambda: canonical_degree(q3()),
+     ValueError, NO_P3),
+    ("is_conic-product", lambda: is_conic(q3()), ValueError, NO_P3),
     ("orbit_signature-product", lambda: orbit_signature(R1),
      ValueError, "multiplicities only make sense on BlowupP2"),
     ("reducible_fibers-product", lambda: reducible_fibers(R1, F8),
@@ -152,33 +161,40 @@ REFUSALS = [
      ValueError, "model size must be an integer, got 8.0"),
     # ProductP1 sizes, the cone reports on them, and top_intersection
     ("SurfaceModel-product-zero", lambda: SurfaceModel("ProductP1", 0),
-     ValueError, "ProductP1 needs n >= 1, got 0"),
+     ValueError, "ProductP1 needs n = 2, got 0"),
     ("SurfaceModel-product-negative", lambda: SurfaceModel("ProductP1", -1),
-     ValueError, "ProductP1 needs n >= 1, got -1"),
+     ValueError, "ProductP1 needs n = 2, got -1"),
     ("psef_generators-product-1",
      lambda: psef_generators(SurfaceModel("ProductP1", 1)),
-     ValueError, "no cone report for ProductP1(1)"),
+     ValueError, "ProductP1 needs n = 2, got 1"),
     ("psef_generators-product-3",
      lambda: psef_generators(SurfaceModel("ProductP1", 3)),
-     ValueError, "no cone report for ProductP1(3)"),
+     ValueError, NO_P3),
     ("surface_cone_report-product-1",
      lambda: surface_cone_report(SurfaceModel("ProductP1", 1)),
-     ValueError, "no cone report for ProductP1(1)"),
+     ValueError, "ProductP1 needs n = 2, got 1"),
     ("surface_cone_report-product-3",
      lambda: surface_cone_report(SurfaceModel("ProductP1", 3)),
-     ValueError, "no cone report for ProductP1(3)"),
-    ("top_intersection-arity", lambda: top_intersection(P3, [Q, Q]),
-     ValueError, "top_intersection on ProductP1(3) needs exactly 3 classes, "
-                 "got 2"),
-    ("top_intersection-wrong-model",
-     lambda: top_intersection(SurfaceModel("BlowupP2", 2), [Q, Q, Q]),
-     ValueError, "top_intersection needs a ProductP1 model"),
-    ("top_intersection-size",
-     lambda: top_intersection(
-         SurfaceModel("ProductP1", 21),
-         [DivisorClass(SurfaceModel("ProductP1", 21), (1,) * 21)] * 21),
+     ValueError, NO_P3),
+    ("top_intersection-arity",
+     lambda: top_intersection([(1, 0, 0), (0, 1, 0)]),
+     ValueError, "top_intersection needs 2 rows of 2 integers, "
+                 "got (1, 0, 0)"),
+    ("top_intersection-classes-not-rows",
+     lambda: top_intersection([R1, R2]),
+     TypeError, "'DivisorClass' object is not iterable"),
+    ("top_intersection-size", lambda: top_intersection([(1,) * 21] * 21),
      ValueError, "permanent of a 21 x 21 matrix: at most 20 rows are "
                  "supported"),
+    ("top_intersection-not-square",
+     lambda: top_intersection([(1, 0), (0, 1), (1, 1)]),
+     ValueError, "top_intersection needs 3 rows of 3 integers, got (1, 0)"),
+    ("top_intersection-bool", lambda: top_intersection([(1, True), (0, 1)]),
+     ValueError, "top_intersection needs 2 rows of 2 integers, "
+                 "got (1, True)"),
+    ("top_intersection-float", lambda: top_intersection([(1, 0), (1.0, 1)]),
+     ValueError, "top_intersection needs 2 rows of 2 integers, "
+                 "got (1.0, 1)"),
 ]
 
 
@@ -195,9 +211,9 @@ def test_refusal(call, error, message):
 # (id, argv, last stderr line); each exits 2
 CLI_REFUSALS = [
     ("cones-product-rank-1", ["cones", "product", "--rank", "1"],
-     "picardkit: error: no cone report for ProductP1(1)"),
+     "picardkit: error: ProductP1 needs n = 2, got 1"),
     ("cones-product-rank-3", ["cones", "product", "--rank", "3"],
-     "picardkit: error: no cone report for ProductP1(3)"),
+     "picardkit: error: ProductP1 needs n = 2, got 3"),
 ]
 
 

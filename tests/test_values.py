@@ -278,7 +278,7 @@ REFUSALS = [
     (lambda: SurfaceModel("BlowupP2", 9), ValueError,
      "BlowupP2 needs 0 <= r <= 8, got 9"),
     (lambda: SurfaceModel("ProductP1", 0), ValueError,
-     "ProductP1 needs n >= 1, got 0"),
+     "ProductP1 needs n = 2, got 0"),
     (lambda: SurfaceModel("P3", 1), ValueError, "unknown model kind 'P3'"),
     (lambda: DivisorClass(M2, (1, 0.5, 0)), ValueError,
      "divisor class coordinates must be integers"),
