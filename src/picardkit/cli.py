@@ -24,12 +24,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import re
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from math import factorial
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .cones import in_cone_lp, surface_cone_report
 from .curves import (
@@ -67,25 +69,118 @@ INT_PATTERN = re.compile(r"-?[0-9]+")
 MAX_RANK = 8
 
 
+# characters per piece handed to stdout or the --out file
+_PIECE = 1 << 16
+
+
+def _json_pieces(value) -> Iterator[str]:
+    """The text of json.dumps(value, indent=2, sort_keys=True) + "\\n", in
+    pieces of about _PIECE characters.
+
+    A list or tuple of plain ints is joined straight from str; strings and
+    keys go through the C encode_basestring_ascii, as json.dumps does by
+    default; a tuple is written as a list.  A dict key that is not a str,
+    or a value that is neither an int, bool or None nor exactly a dict,
+    list, tuple or str (a float or a Fraction, say), raises TypeError: no
+    result holds one."""
+    out: list[str] = []
+    size = 0
+
+    def walk(v, pad: str) -> Iterator[str]:
+        nonlocal size
+        cls = v.__class__
+        if cls is str:
+            text = encode_basestring_ascii(v)
+        elif v is None or v is True or v is False:
+            text = "null" if v is None else "true" if v else "false"
+        elif cls is not dict and cls is not list and cls is not tuple:
+            if not isinstance(v, int):
+                raise TypeError(f"Object of type {cls.__name__} is not JSON "
+                                f"serializable")
+            text = int.__repr__(v)
+        elif not v:
+            text = "{}" if cls is dict else "[]"
+        elif cls is not dict and {int}.issuperset(map(type, v)):
+            inner = "\n" + pad + "  "
+            text = ("[" + inner + ("," + inner).join(map(str, v))
+                    + "\n" + pad + "]")
+        else:
+            is_dict = cls is dict
+            if is_dict and not {str}.issuperset(map(type, v)):
+                raise TypeError("keys must be str")
+            brackets = "{}" if is_dict else "[]"
+            inner = pad + "  "
+            sep = brackets[0] + "\n" + inner
+            for member in sorted(v) if is_dict else v:
+                if is_dict:  # the key, then its value
+                    sep += encode_basestring_ascii(member) + ": "
+                    member = v[member]
+                out.append(sep)
+                size += len(sep)
+                yield from walk(member, inner)
+                if size >= _PIECE:
+                    yield "".join(out)
+                    out.clear()
+                    size = 0
+                sep = ",\n" + inner
+            text = "\n" + pad + brackets[1]
+        out.append(text)
+        size += len(text)
+
+    yield from walk(value, "")
+    out.append("\n")
+    yield "".join(out)
+
+
+def _text_pieces(lines: list[str]) -> Iterator[str]:
+    """The text of "\\n".join(lines) + "\\n" for a nonempty lines, in pieces
+    of about _PIECE characters."""
+    out: list[str] = []
+    size = 0
+    for line in lines:
+        out += line, "\n"
+        size += len(line) + 1
+        if size >= _PIECE:
+            yield "".join(out)
+            out.clear()
+            size = 0
+    yield "".join(out)
+
+
 def _emit(args, params: dict, result: Callable[[], dict],
           text_lines: Callable[[], list[str]]) -> None:
     """Print, or write to --out, the text or the JSON document of args.
     result and text_lines build the two renderings; only the one asked
-    for is built."""
+    for is built, and in full before stdout or the file is written.
+
+    The document is written as it is rendered, in pieces of about 64 KB,
+    and its bytes are those of json.dumps(indent=2, sort_keys=True) or of
+    the joined lines; a fault found while rendering leaves the pieces
+    written before it.  A reader that closes stdout early gets what it
+    read, and the exit code stays the command's."""
     if args.format == "json":
-        payload = {"command": args.command, "params": params,
-                   "result": result()}
-        rendered = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        pieces = _json_pieces({"command": args.command, "params": params,
+                               "result": result()})
     else:
-        rendered = "\n".join(text_lines()) + "\n"
+        pieces = _text_pieces(text_lines())
     if args.out:
         try:
             with open(args.out, "w") as f:
-                f.write(rendered)
+                for piece in pieces:
+                    f.write(piece)
         except OSError as exc:
             raise ValueError(f"cannot write {args.out}: {exc}") from None
-    else:
-        sys.stdout.write(rendered)
+        return
+    try:
+        for piece in pieces:
+            sys.stdout.write(piece)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout on devnull, so that the flush at interpreter exit, which
+        # still holds the unwritten rest, does not fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _parse_int(text: str, what: str, largest: int) -> int:

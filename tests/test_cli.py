@@ -1,9 +1,12 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from picardkit import cli
 from picardkit.cli import main
@@ -379,6 +382,22 @@ def test_singular_scaled_point_gives_same_answer(capsys, tmp_path):
     assert (code2, doc2["result"]["singular"]) == (0, True)
 
 
+def test_singular_json_is_the_text_of_json_dumps(capsys, tmp_path):
+    # fraction strings, a bool and nested lists of strings
+    path = _write_branch(tmp_path)
+    at = "0:7,0:-3/2,0:5"
+    assert main(["singular", "--input", path, "--at", at,
+                 "--format", "json"]) == 0
+    payload = {
+        "command": "singular",
+        "params": {"input": path, "at": at},
+        "result": {"point": [["0", "7"], ["0", "-3/2"], ["0", "5"]],
+                   "multidegree": [2, 2, 2], "singular": True},
+    }
+    assert capsys.readouterr().out == \
+        json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 # --- verify -----------------------------------------------------------------------
 
 def test_all_verification_suites_pass(capsys):
@@ -451,6 +470,91 @@ def test_out_flag_writes_file_and_keeps_stdout_quiet(capsys, tmp_path):
     assert capsys.readouterr().out == ""
     main(["enumerate", "conic", "--rank", "2", "--format", "json"])
     assert target.read_text() == capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", [
+    "enumerate conic --rank 8 --format json",
+    "enumerate conic --rank 8",
+    "pairs --rank 8 --format json",
+    "pairs --rank 8",
+])
+def test_out_file_holds_the_bytes_of_stdout(capsys, tmp_path, command):
+    # documents of several pieces, in both formats
+    target = tmp_path / "out"
+    assert main(command.split() + ["--out", str(target)]) == 0
+    assert capsys.readouterr().out == ""
+    assert main(command.split()) == 0
+    assert target.read_bytes() == capsys.readouterr().out.encode()
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_a_reader_that_closes_stdout_early_is_no_fault(fmt):
+    # both documents are larger than a pipe's 64 KB buffer, so the command
+    # is still writing when the reader leaves
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "picardkit", "enumerate", "conic", "--rank",
+         "8", "--format", fmt],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        assert len(proc.stdout.read(10)) == 10
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 0
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert err == b""
+
+
+class _Sink:
+    """A stdout that discards what it receives."""
+
+    def write(self, text):
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def test_largest_document_is_written_in_bounded_memory(monkeypatch):
+    # the 721 KB listing of the 2160 rank-8 conic classes; json.dumps with
+    # indent held the whole text, and its chunks, at once (5.9 MB peak)
+    argv = ["enumerate", "conic", "--rank", "8", "--format", "json"]
+    monkeypatch.setattr(sys, "stdout", _Sink())
+    assert main(argv) == 0  # warms the rank-8 family and the parser
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_500_000
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.integers(min_value=-10**80, max_value=10**80)
+    | st.text(st.sampled_from('"\\/\x00\x1f\x7f\n\té \U0001d11e')
+              | st.characters()),
+    lambda inner: (st.lists(inner) | st.lists(inner).map(tuple)
+                   | st.lists(st.integers() | st.booleans())
+                   | st.lists(st.integers()).map(tuple)
+                   | st.dictionaries(st.text(), inner)),
+    max_leaves=40)
+
+
+@given(_JSON_VALUES)
+def test_json_writer_gives_the_text_of_json_dumps(value):
+    assert "".join(cli._json_pieces(value)) == \
+        json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+def test_json_writer_takes_str_keys_and_exact_values_only():
+    # json.dumps would write the key 1 as "1" and the float as 0.5
+    with pytest.raises(TypeError, match="keys must be str"):
+        list(cli._json_pieces({1: 2}))
+    with pytest.raises(TypeError, match="type float is not JSON"):
+        list(cli._json_pieces([1, 0.5]))
 
 
 def test_unwritable_out_path_is_usage_error(capsys, tmp_path):

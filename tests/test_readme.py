@@ -1,0 +1,40 @@
+"""The command lines and suite ids that README.md shows.
+
+Every `picardkit ...` line of README's code blocks runs through cli.main and
+exits 0; the `singular` lines read README's own polynomial document, written
+as branch.json in a temporary directory.  The suite ids that README lists
+are those of `picardkit verify`.
+"""
+
+import re
+import shlex
+from pathlib import Path
+
+import pytest
+
+from picardkit import cli
+
+README = (Path(__file__).parent.parent / "README.md").read_text()
+BLOCKS = re.findall(r"^```\w*\n(.*?)^```", README, re.M | re.S)
+COMMANDS = [line for block in BLOCKS for line in block.splitlines()
+            if line.startswith("picardkit ")]
+
+
+def test_readme_shows_commands_and_one_polynomial_document():
+    assert len(COMMANDS) >= 10
+    assert len([b for b in BLOCKS if '"terms"' in b]) == 1
+
+
+@pytest.mark.parametrize("line", COMMANDS)
+def test_readme_command_exits_zero(capsys, monkeypatch, tmp_path, line):
+    (poly,) = [b for b in BLOCKS if '"terms"' in b]
+    (tmp_path / "branch.json").write_text(poly)
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(shlex.split(line)[1:]) == 0
+    capsys.readouterr()
+
+
+def test_readme_lists_the_suite_ids():
+    (paragraph,) = re.findall(r"The available suite ids are (.*?)\n\n",
+                              README, re.S)
+    assert sorted(re.findall(r"`([^`]+)`", paragraph)) == sorted(cli._SUITES)
