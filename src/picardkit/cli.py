@@ -18,6 +18,9 @@ Exit codes: 0 on success (and for a verification that passed), 1 for a
 verification suite that failed, 2 for usage errors (bad flags, out-of-range
 ranks, malformed input files, an --out path that cannot be written), 3 for
 an internal fault (any other exception, reported on one stderr line).
+Each handler builds its inputs in one step, `with _INPUT:`; only a
+ValueError raised there is a usage error.  One raised later is a fault of
+the program, so it exits 3 like any other exception.
 """
 
 from __future__ import annotations
@@ -71,6 +74,26 @@ MAX_RANK = 8
 
 # characters per piece handed to stdout or the --out file
 _PIECE = 1 << 16
+
+
+class _UsageError(ValueError):
+    """A refusal of the command line's input; main alone turns it into the
+    usage line and exit 2."""
+
+
+class _InputStep:
+    """The context of the step that builds a handler's inputs: a
+    ValueError raised in it leaves as a _UsageError."""
+
+    def __enter__(self) -> None:
+        pass
+
+    def __exit__(self, kind, exc, tb) -> None:
+        if kind is not None and issubclass(kind, ValueError):
+            raise _UsageError(str(exc)) from None
+
+
+_INPUT = _InputStep()
 
 
 def _json_pieces(value) -> Iterator[str]:
@@ -169,7 +192,7 @@ def _emit(args, params: dict, result: Callable[[], dict],
                 for piece in pieces:
                     f.write(piece)
         except OSError as exc:
-            raise ValueError(f"cannot write {args.out}: {exc}") from None
+            raise _UsageError(f"cannot write {args.out}: {exc}") from None
         return
     try:
         for piece in pieces:
@@ -211,10 +234,12 @@ def _signature_entry(sig) -> dict:
 # --- enumerate ---------------------------------------------------------------
 
 def _cmd_enumerate(args) -> int:
-    rank = _parse_int(args.rank, "rank", MAX_RANK)
-    model = SurfaceModel.blowup_p2(rank)
-    members = (enumerate_exceptional if args.kind == "exceptional"
-               else enumerate_conic)(rank)
+    with _INPUT:
+        rank = _parse_int(args.rank, "rank", MAX_RANK)
+        model = SurfaceModel.blowup_p2(rank)
+        # the conic family refuses r = 0 itself
+        members = (enumerate_exceptional if args.kind == "exceptional"
+                   else enumerate_conic)(rank)
 
     def result() -> dict:
         return {
@@ -234,7 +259,9 @@ def _cmd_enumerate(args) -> int:
 # --- pairs -------------------------------------------------------------------
 
 def _cmd_pairs(args) -> int:
-    rank = _parse_int(args.rank, "rank", MAX_RANK)
+    with _INPUT:
+        rank = _parse_int(args.rank, "rank", MAX_RANK)
+        enumerate_conic(rank)  # the family the scan pairs refuses the rank
     summary = scan_conic_pairs(rank)
     rows = classify_finite_pairs(rank)
 
@@ -289,11 +316,12 @@ def _cmd_pairs(args) -> int:
 # --- cones -------------------------------------------------------------------
 
 def _cmd_cones(args) -> int:
-    rank = _parse_int(args.rank, "rank", MAX_RANK)
-    if args.kind == "blowup":
-        model = SurfaceModel.blowup_p2(rank)
-    else:
-        model = SurfaceModel.product_p1(rank)
+    with _INPUT:
+        rank = _parse_int(args.rank, "rank", MAX_RANK)
+        if args.kind == "blowup":
+            model = SurfaceModel.blowup_p2(rank)
+        else:
+            model = SurfaceModel.product_p1(rank)
     report = surface_cone_report(model)
     nef_gens = report.nef_generators  # None at the larger ranks
 
@@ -349,7 +377,8 @@ def _parse_branch(text: str) -> list[int]:
 
 
 def _cmd_cover(args) -> int:
-    spec = DoubleCoverSpec.of(_parse_branch(args.branch))
+    with _INPUT:
+        spec = DoubleCoverSpec.of(_parse_branch(args.branch))
     rho = expected_picard_number(spec)
     fano = is_fano(spec)
     power = anticanonical_power(spec)
@@ -411,9 +440,12 @@ def _load_poly(path: str) -> MultiHomogPoly:
 
 
 def _cmd_singular(args) -> int:
-    poly = _load_poly(args.input)
-    point = _parse_point(args.at)
-    singular = cover_singular_at(poly, point)  # ValueError off the branch
+    with _INPUT:
+        poly = _load_poly(args.input)
+        point = _parse_point(args.at)
+        # a point of another size, or off the branch divisor, is refused
+        # here: the criterion asks about points on the divisor only
+        singular = cover_singular_at(poly, point)
 
     def result() -> dict:
         return {
@@ -748,7 +780,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except _UsageError as exc:
         parser.error(str(exc))  # prints usage to stderr and exits 2
     except Exception as exc:
         # a fault of the program, not of the input: never exit 1, the code

@@ -22,9 +22,28 @@ and the row reduction run on integers and check nothing again.
   (Fukuda & Prodon 1996).  Each halfspace step takes one dot product per
   ray and per lineality direction, and a gcd keeps each new vector
   primitive; a ray already on a halfspace that cuts the lineality stays
-  where it is.  A ConePoly runs the double description of its generators
-  once: the one result is its facet normals and the generators of its dual
-  cone.
+  where it is.
+  One run also gives the double description of its own output, the
+  generators of the cone the normals span, read off its final zero sets
+  the first time it is asked for (_Pending):
+  - a normal that cut nothing when it was processed is a nonnegative
+    combination of earlier ones; the run records it in a bitmask, and it
+    is never a generator;
+  - a kept normal tight on every output ray lies in the lineality space
+    of the cone the normals span, and those normals span it;
+  - any other kept normal is a generator when every kept normal tight on
+    all the rays it is tight on (the AND of their zero sets) stands for
+    the same ray;
+  - with no lines, each normal stands for itself.  Otherwise the lines
+    are the kernel basis of the reduced rows of the output (_rref), one
+    per column that is not a pivot, through _canon_line, and a normal
+    stands for its shift along them onto the pivot columns: the
+    directions and coordinates that a run on the output would pick.
+  So one run on a cone's generators gives its facets, which are its
+  dual's rays, and its minimal generators, which are its double dual's;
+  one run on given facets gives the rays and the minimal facets, which
+  are the dual's rays.  ConePoly keeps both and dual_cone hands them on,
+  so a cone, its dual and its double dual cost one run.
 * Membership and extremality: a phase-I simplex with Bland's rule, pivoting
   over the integers with one common denominator and no artificial
   columns, decides whether a vector is a nonnegative combination of given
@@ -234,23 +253,28 @@ def _phase_one(generators: Sequence[Sequence[int]],
     return True
 
 
-def _dual_description(normals: Sequence[Vec], dim: int) -> tuple[Vec, ...]:
-    """Generators of {x : <x, h> >= 0 for every h}, sorted.
+def _dual_description(normals: Sequence[Vec],
+                      dim: int) -> tuple[tuple[Vec, ...], "_Pending"]:
+    """Generators of {x : <x, h> >= 0 for every h}, sorted, and the run's
+    final state, from which _Pending.read gives the double description of
+    those generators without running again.
 
-    The normals are nonzero primitive integer vectors, as ConePoly keeps
-    them.  The generators are the primitive rays of the pointed part plus
-    each line direction of the lineality space in both signs.
+    The normals are distinct nonzero primitive integer vectors, as
+    ConePoly keeps them.  The generators are the primitive rays of the
+    pointed part plus each line direction of the lineality space in both
+    signs.
     """
     lineality: list[Vec] = [
         tuple(1 if j == i else 0 for j in range(dim)) for i in range(dim)
     ]
     # Slots are append-only: a dropped ray leaves None, and live, the
     # bitmask of the slots holding a ray, masks it out.  zsets[s]: the
-    # processed halfspaces slot s lies on; tight[k]: the slots on k.
+    # processed halfspaces slot s lies on; tight[k]: the slots on k;
+    # redundant: the halfspaces that cut nothing.
     rays: list[Vec | None] = []
     zsets: list[int] = []
     tight: list[int] = []
-    live = 0
+    live = redundant = 0
 
     def place(ray: Vec, zset: int) -> int:
         s = len(rays)
@@ -293,6 +317,7 @@ def _dual_description(normals: Sequence[Vec], dim: int) -> tuple[Vec, ...]:
         # leaving it out of every zero set keeps the adjacency test exact
         if not neg:
             tight.append(0)
+            redundant |= bit
             continue
         pos = [s for s, v in enumerate(vals) if v > 0]
         # Two rays are adjacent when no third ray lies on every halfspace
@@ -329,18 +354,106 @@ def _dual_description(normals: Sequence[Vec], dim: int) -> tuple[Vec, ...]:
         # from each other and from every kept ray
         for w, common in fresh:
             live |= place(w, common | bit)
-    return tuple(sorted([r for r in rays if r is not None]
+    gens = tuple(sorted([r for r in rays if r is not None]
                         + [s for l in lineality for s in (l, _neg(l))]))
+    kept = ((1 << len(normals)) - 1) & ~redundant
+    return gens, _Pending(normals, dim, gens, tight, zsets, live, kept)
+
+
+class _Pending:
+    """The double description of a run's output gens, the generators of
+    cone(normals), read off the state the run ended in the first time it
+    is asked for, by the rules in the module docstring.  Plain data, so a
+    cone holding one copies and pickles.
+    """
+
+    __slots__ = ("normals", "dim", "gens", "tight", "zsets", "live", "kept",
+                 "answer")
+
+    def __init__(self, normals: Sequence[Vec], dim: int,
+                 gens: tuple[Vec, ...], tight: list[int], zsets: list[int],
+                 live: int, kept: int) -> None:
+        self.normals, self.dim, self.gens = normals, dim, gens
+        self.tight, self.zsets, self.live, self.kept = tight, zsets, live, kept
+        self.answer: tuple[Vec, ...] | None = None
+
+    def read(self) -> tuple[Vec, ...]:
+        """_dual_description(gens, dim)[0], derived once."""
+        if self.answer is None:
+            self.answer = self._derive()
+        return self.answer
+
+    def _derive(self) -> tuple[Vec, ...]:
+        tight, zsets, live = self.tight, self.zsets, self.live
+        kept = [k for k in range(len(self.normals)) if self.kept >> k & 1]
+        candidates = [k for k in kept if tight[k] & live != live]
+        lines: list[Vec] = []
+        reps: Sequence[Vec] | dict[int, Vec] = self.normals
+        if len(candidates) < len(kept):  # some normal spans a line
+            lines, reps = self._lines_and_shifts(candidates)
+        mask = 0
+        for k in candidates:
+            mask |= 1 << k
+        out = set()
+        for k in candidates:
+            on_all = mask
+            z = tight[k] & live
+            while z:
+                low = z & -z
+                on_all &= zsets[low.bit_length() - 1]
+                z ^= low
+            rep = reps[k]
+            others = on_all ^ 1 << k
+            while others:
+                low = others & -others
+                if reps[low.bit_length() - 1] != rep:
+                    break
+                others ^= low
+            else:
+                out.add(rep)
+        return tuple(sorted([*out, *lines]))
+
+    def _lines_and_shifts(self, candidates: list[int]
+                          ) -> tuple[list[Vec], dict[int, Vec]]:
+        """The lines of cone(normals) in both signs, and each candidate
+        normal shifted along them onto the pivot columns of gens."""
+        basis = _rref(self.gens)
+        m = lcm(*(row[p] for p, row in basis))
+        scaled = [(p, row, m // row[p]) for p, row in basis]
+        pivots = {p for p, _ in basis}
+        lines: list[Vec] = []
+        for i in range(self.dim):
+            if i not in pivots:
+                line = [0] * self.dim
+                line[i] = m
+                for p, row, f in scaled:
+                    line[p] = -row[i] * f
+                line = _canon_line(line)
+                lines += line, _neg(line)
+        shifts = {}
+        for k in candidates:
+            shift = [0] * self.dim
+            for p, row, f in scaled:
+                shift[p] = sum(map(mul, row, self.normals[k])) * f
+            shifts[k] = _primitive(shift)
+        return lines, shifts
 
 
 class ConePoly:
     """A rational polyhedral cone, described by generators, facet normals,
     or both.  Whichever description is missing is computed on demand by the
-    double description and cached.  The double description of the
-    generators runs at most once per cone: it gives the facet normals when
-    none were given, and the generators of dual_cone(cone) either way.
-    Membership is the facet-sign test; the simplex route
-    in_cone_lp(cone.rays(), x) is the independent check.
+    double description and cached.  Membership is the facet-sign test; the
+    simplex route in_cone_lp(cone.rays(), x) is the independent check.
+
+    Besides the two descriptions a cone keeps two double descriptions,
+    each a tuple, a _Pending not yet read, or None before it is needed:
+    _dual, that of its generators, which is the generators of its dual
+    cone and, for a cone built from generators, its facet normals; and
+    _minimal, that of _dual, which is its own generators in the double
+    description's form.  One run gives both: on a cone built from
+    generators, _dual_rays runs it on them and leaves _minimal pending; on
+    a cone built from facets, rays() runs it on the facets, its output is
+    _minimal and _dual is left pending.
     """
 
     def __init__(self, ambient_dim: int,
@@ -354,7 +467,8 @@ class ConePoly:
         self.ambient_dim = ambient_dim
         self._generators = self._clean(generators)
         self._facets = self._clean(facets)
-        self._dual: tuple[Vec, ...] | None = None
+        self._dual: tuple[Vec, ...] | _Pending | None = None
+        self._minimal: tuple[Vec, ...] | _Pending | None = None
 
     def _clean(self, vecs) -> tuple[Vec, ...] | None:
         if vecs is None:
@@ -365,13 +479,16 @@ class ConePoly:
 
     @classmethod
     def _described(cls, ambient_dim: int, generators: tuple[Vec, ...],
-                   facets: tuple[Vec, ...]) -> "ConePoly":
-        """A cone from two descriptions already clean: distinct nonzero
-        primitive integer vectors."""
+                   facets: tuple[Vec, ...],
+                   dual: tuple[Vec, ...] | _Pending) -> "ConePoly":
+        """A cone from two descriptions already clean, distinct nonzero
+        primitive integer vectors, the generators in the double
+        description's form, and the double description of the
+        generators."""
         cone = cls.__new__(cls)
         cone.ambient_dim, cone._generators, cone._facets = (
             ambient_dim, generators, facets)
-        cone._dual = None
+        cone._dual, cone._minimal = dual, generators
         return cone
 
     @staticmethod
@@ -403,8 +520,9 @@ class ConePoly:
     def rays(self) -> tuple[Vec, ...]:
         """Generators; computed from the facet description if absent."""
         if self._generators is None:
-            self._generators = _dual_description(self._facets,
-                                                 self.ambient_dim)
+            self._generators, self._dual = _dual_description(
+                self._facets, self.ambient_dim)
+            self._minimal = self._generators
         return self._generators
 
     def facet_normals(self) -> tuple[Vec, ...]:
@@ -418,9 +536,13 @@ class ConePoly:
         return self._facets
 
     def _dual_rays(self) -> tuple[Vec, ...]:
-        """The double description of the generators, run once."""
+        """The double description of the generators, run at most once."""
+        gens = self.rays()
         if self._dual is None:
-            self._dual = _dual_description(self.rays(), self.ambient_dim)
+            self._dual, self._minimal = _dual_description(gens,
+                                                          self.ambient_dim)
+        elif self._dual.__class__ is _Pending:
+            self._dual = self._dual.read()
         return self._dual
 
     def contains(self, x: Iterable) -> bool:
@@ -436,15 +558,18 @@ class ConePoly:
 def dual_cone(c: ConePoly) -> ConePoly:
     """The cone {x : <x, g> >= 0 for every generator g of c}.
 
-    The result has c's generators, already clean, as its facet normals and
-    materialized generators: the double description of c's generators, the
-    very tuple c.facet_normals() returns when c was built from generators,
-    so that description is computed once for both.  A cone built from
-    facets runs it afresh on its rays, since given facets may be redundant.
-    A dual under the intersection form is the dual of the generators pushed
+    The result has c's generators, already clean, as its facet normals,
+    and as generators the double description of c's generators: the very
+    tuple c.facet_normals() returns when c was built from generators, or
+    what c's own run left pending when c was built from facets, so minimal
+    even where the given facets were redundant.  Its double description is
+    c's generators in their minimal form, c._minimal, handed on pending,
+    so dual_cone(dual_cone(c)) runs no second double description.  A dual
+    under the intersection form is the dual of the generators pushed
     through lattice.pairing_vector.
     """
-    return ConePoly._described(c.ambient_dim, c._dual_rays(), c.rays())
+    dual = c._dual_rays()
+    return ConePoly._described(c.ambient_dim, dual, c.rays(), c._minimal)
 
 
 def _extremal(gens: Sequence[Vec]) -> Iterator[Vec]:

@@ -50,9 +50,17 @@ MAX_FACTORS = 64
 MAX_BRANCH_ENTRY = 1000
 
 # Bounds on a branch polynomial read from JSON and on a point's
-# coordinates (n is at most MAX_FACTORS there too).  At these sizes the
-# integer gradient of the largest accepted polynomial at the largest
-# accepted point takes under half a second (Python 3.11).
+# coordinates (n is at most MAX_FACTORS there too).  They bound the work
+# of the integer gradient, _value_and_gradient, on any accepted input:
+# - a table of at most 2 * (MAX_POLY_DEGREE + MAX_FACTORS) = 176 powers;
+# - per term, at most MAX_POLY_DEGREE = 24 support variables, so at most
+#   24 prefix products and 24 suffix steps: 5 * 24 + 2 = 122
+#   multiplications with the value and the gradient entries, and at most
+#   MAX_POLY_TERMS * 122 = 124928 over the polynomial;
+# - a scaled coordinate and the scaled coefficient have at most
+#   2 * MAX_COEFF_DIGITS = 100 digits each, so every product has at most
+#   (MAX_POLY_DEGREE + 1) * 100 = 2500 digits, and the value and each
+#   gradient entry, sums over at most 1024 terms, at most 2504.
 MAX_POLY_DEGREE = 24
 MAX_POLY_TERMS = 1024
 MAX_COEFF_DIGITS = 50

@@ -441,6 +441,33 @@ def test_internal_fault_exits_three(capsys, monkeypatch):
                             "integer division or modulo by zero\n")
 
 
+def test_a_value_error_after_the_input_step_exits_three(capsys, monkeypatch):
+    # verify takes no input beyond the suite id, which argparse checked, so
+    # a ValueError from a suite is a fault of the program, not a usage error
+    def broken():
+        raise ValueError("H is not a conic fibration class")
+
+    monkeypatch.setitem(cli._SUITES, "deg2-pairs", broken)
+    assert main(["verify", "deg2-pairs"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("picardkit: internal error: ValueError: "
+                            "H is not a conic fibration class\n")
+
+
+def test_a_value_error_from_a_computation_exits_three(capsys, monkeypatch):
+    # the rank passed the input step; the scan that follows is the program
+    def broken(rank):
+        raise ValueError(f"no scan at rank {rank}")
+
+    monkeypatch.setattr(cli, "scan_conic_pairs", broken)
+    assert main(["pairs", "--rank", "5", "--format", "json"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("picardkit: internal error: ValueError: "
+                            "no scan at rank 5\n")
+
+
 def test_a_fraction_in_a_json_result_is_an_internal_fault(capsys, monkeypatch):
     # results hold only ints, bools, strs and lists; a Fraction is a bug
     monkeypatch.setitem(

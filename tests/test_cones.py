@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 from math import gcd
@@ -167,6 +169,88 @@ def test_dual_of_a_facet_built_cone_drops_redundant_facets():
         assert dual_cone(c).rays() == want
     orthant = ConePoly.from_facets([(1, 0), (0, 1), (1, 1)])
     assert dual_cone(orthant).rays() == ((0, 1), (1, 0))
+
+
+def _counting_runs(monkeypatch):
+    """The normals of every double description run from here on."""
+    runs = []
+    run = cones._dual_description
+
+    def counted(normals, dim):
+        runs.append(normals)
+        return run(normals, dim)
+
+    monkeypatch.setattr(cones, "_dual_description", counted)
+    return runs
+
+
+def test_one_double_description_serves_a_cone_and_its_double_dual(
+        monkeypatch):
+    # the run that gives c's facets also gives the generators of the cone
+    # they span, and a facet-built cone's run also gives its minimal facets
+    gens = [(1, 0, 2), (1, 3, -1), (2, -1, 1), (1, 1, 1), (3, 0, -2),
+            (2, 2, 2)]
+    runs = _counting_runs(monkeypatch)
+    c = ConePoly.from_generators(gens)
+    twice = dual_cone(dual_cone(c))
+    assert len(runs) == 1
+    assert twice.rays() == recomputed_dual_description(
+        recomputed_dual_description(gens, 3), 3)
+    assert twice.facet_normals() == c.facet_normals()
+    assert len(runs) == 1
+    runs.clear()
+    facets = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, -1, 2)]
+    dual = dual_cone(ConePoly.from_facets(facets))
+    assert dual.rays() == ((0, 0, 1), (0, 1, 0), (1, -1, 2), (1, 0, 0))
+    assert len(runs) == 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_a_double_dual_read_off_one_run_equals_two_runs(data):
+    # free, low-rank and line shapes as in the zero-set test, plus a
+    # positive sum of two vectors, which is redundant as a facet and
+    # never extremal as a generator
+    dim = data.draw(st.integers(1, 8))
+    vecs = data.draw(st.lists(
+        st.tuples(*[st.integers(-3, 3)] * dim), min_size=1, max_size=dim + 5))
+    shape = data.draw(st.sampled_from(["free", "low rank", "lines"]))
+    if shape == "low rank" and dim > 1:
+        span = vecs[:data.draw(st.integers(1, dim - 1))]
+        vecs = [tuple(sum(c * v[k] for c, v in zip(coeffs, span))
+                      for k in range(dim))
+                for coeffs in data.draw(st.lists(
+                    st.lists(st.integers(-2, 2), min_size=len(span),
+                             max_size=len(span)),
+                    min_size=1, max_size=dim + 5))]
+    elif shape == "lines":
+        vecs += [tuple(-a for a in v)
+                 for v in vecs[:data.draw(st.integers(1, len(vecs)))]]
+    if len(vecs) >= 2:
+        f, g = data.draw(st.permutations(vecs))[:2]
+        vecs.insert(data.draw(st.integers(0, len(vecs))),
+                    tuple(2 * a + b for a, b in zip(f, g)))
+    want = recomputed_dual_description(
+        recomputed_dual_description(vecs, dim), dim)
+    assert dual_cone(ConePoly.from_facets(vecs, dim)).rays() == want
+    assert dual_cone(dual_cone(
+        ConePoly.from_generators(vecs, dim))).rays() == want
+
+
+def test_copies_of_a_cone_with_a_pending_double_dual_agree():
+    # the pending answer is plain data, so a copy reads the same answer
+    gens = [(1, 0, 0), (-1, 0, 0), (0, 1, 1), (1, 2, 3), (3, 3, 4)]
+    for make in (lambda: dual_cone(ConePoly.from_generators(gens)),
+                 lambda: ConePoly.from_facets(gens)):
+        cone = make()
+        cone.rays()
+        assert type(cone._dual) is cones._Pending
+        want = dual_cone(make()).rays()
+        for copied in (copy.deepcopy(cone),
+                       pickle.loads(pickle.dumps(cone))):
+            assert type(copied._dual) is cones._Pending
+            assert dual_cone(copied).rays() == want
+        assert dual_cone(cone).rays() == want
 
 
 # --- extremal rays and simpliciality ---------------------------------------

@@ -3,7 +3,8 @@
 Every `picardkit ...` line of README's code blocks runs through cli.main and
 exits 0; the `singular` lines read README's own polynomial document, written
 as branch.json in a temporary directory.  The suite ids that README lists
-are those of `picardkit verify`.
+are those of `picardkit verify`, and the input bounds it states are the
+package's constants.
 """
 
 import re
@@ -13,6 +14,9 @@ from pathlib import Path
 import pytest
 
 from picardkit import cli
+from picardkit.doublecover import (MAX_BRANCH_ENTRY, MAX_COEFF_DIGITS,
+                                   MAX_FACTORS, MAX_POLY_DEGREE,
+                                   MAX_POLY_TERMS)
 
 README = (Path(__file__).parent.parent / "README.md").read_text()
 BLOCKS = re.findall(r"^```\w*\n(.*?)^```", README, re.M | re.S)
@@ -38,3 +42,24 @@ def test_readme_lists_the_suite_ids():
     (paragraph,) = re.findall(r"The available suite ids are (.*?)\n\n",
                               README, re.S)
     assert sorted(re.findall(r"`([^`]+)`", paragraph)) == sorted(cli._SUITES)
+
+
+def _stated(phrase):
+    """The integers README writes where phrase has {}, with any run of
+    white space between its words, as one line break in a paragraph."""
+    pattern = r"\s+".join(re.escape(w) for w in phrase.split())
+    (match,) = re.finditer(pattern.replace(re.escape("{}"), r"(\d+)"),
+                           README)
+    return tuple(map(int, match.groups()))
+
+
+def test_readme_states_the_input_bounds_of_the_package():
+    assert _stated("takes the number of blown-up points, {} through {};") \
+        == (0, cli.MAX_RANK)
+    assert _stated("A branch type has at most {} entries, each at most {}") \
+        == (MAX_FACTORS, MAX_BRANCH_ENTRY)
+    assert _stated("A polynomial has at most {} factors, total degree at "
+                   "most {} and at most {} term entries;") \
+        == (MAX_FACTORS, MAX_POLY_DEGREE, MAX_POLY_TERMS)
+    assert _stated("the common denominator of the coefficients have at "
+                   "most {} digits") == (MAX_COEFF_DIGITS,)
