@@ -445,15 +445,11 @@ class ConePoly:
     double description and cached.  Membership is the facet-sign test; the
     simplex route in_cone_lp(cone.rays(), x) is the independent check.
 
-    Besides the two descriptions a cone keeps two double descriptions,
-    each a tuple, a _Pending not yet read, or None before it is needed:
-    _dual, that of its generators, which is the generators of its dual
-    cone and, for a cone built from generators, its facet normals; and
-    _minimal, that of _dual, which is its own generators in the double
-    description's form.  One run gives both: on a cone built from
-    generators, _dual_rays runs it on them and leaves _minimal pending; on
-    a cone built from facets, rays() runs it on the facets, its output is
-    _minimal and _dual is left pending.
+    A cone also keeps two double descriptions, each a tuple, a _Pending
+    not yet read, or None until needed: _dual, that of its generators (its
+    dual's generators, and its facets when it was built from generators),
+    and _minimal, that of _dual (its own generators in the double
+    description's form).  One run gives both, as the module docstring says.
     """
 
     def __init__(self, ambient_dim: int,
