@@ -533,11 +533,12 @@ class ConePoly:
 
     def _dual_rays(self) -> tuple[Vec, ...]:
         """The double description of the generators, run at most once."""
-        gens = self.rays()
         if self._dual is None:
-            self._dual, self._minimal = _dual_description(gens,
-                                                          self.ambient_dim)
-        elif self._dual.__class__ is _Pending:
+            gens = self.rays()  # a cone built from facets sets _dual here
+            if self._dual is None:
+                self._dual, self._minimal = _dual_description(
+                    gens, self.ambient_dim)
+        if self._dual.__class__ is _Pending:
             self._dual = self._dual.read()
         return self._dual
 
