@@ -171,8 +171,11 @@ def test_dual_of_a_facet_built_cone_drops_redundant_facets():
     assert dual_cone(orthant).rays() == ((0, 1), (1, 0))
 
 
-def _counting_runs(monkeypatch):
-    """The normals of every double description run from here on."""
+def test_one_double_description_serves_a_cone_and_its_double_dual(
+        monkeypatch):
+    # the run on c's generators also gives them back in minimal form, the
+    # rays of the double dual; a run on facets also gives the minimal
+    # facets, the rays of the dual
     runs = []
     run = cones._dual_description
 
@@ -181,16 +184,8 @@ def _counting_runs(monkeypatch):
         return run(normals, dim)
 
     monkeypatch.setattr(cones, "_dual_description", counted)
-    return runs
-
-
-def test_one_double_description_serves_a_cone_and_its_double_dual(
-        monkeypatch):
-    # the run that gives c's facets also gives the generators of the cone
-    # they span, and a facet-built cone's run also gives its minimal facets
     gens = [(1, 0, 2), (1, 3, -1), (2, -1, 1), (1, 1, 1), (3, 0, -2),
             (2, 2, 2)]
-    runs = _counting_runs(monkeypatch)
     c = ConePoly.from_generators(gens)
     twice = dual_cone(dual_cone(c))
     assert len(runs) == 1
