@@ -4,8 +4,10 @@ One table row per refusal of pairing, canonical_degree, is_conic,
 orbit_signature, reducible_fibers, FibrationPair, analyze_pair and
 hodge_bound: a non-class in each class slot, a class of another model, a
 ProductP1 model, a wrong family, a class that is not a conic or not
-square-zero, and two equal classes.  contraction_table's rows give the
-ranks it refuses, and rank 0, which it answers with an empty table.  The
+square-zero, and two equal classes.  The rank rows give the ranks that
+contraction_table, the two families and the pair scan refuse: -1, 9, True
+and 8.0, and 0 for the conic family and the scan; contraction_table
+answers rank 0 with an empty table.  The
 product rows give what ProductP1 sizes, the cone reports on them and
 top_intersection refuse.  Each row gives the exception type and the whole
 message; the CLI rows give the exit code and the last stderr line.  Two acceptance tables follow: classes whose models are
@@ -19,9 +21,12 @@ import pytest
 
 from picardkit.cli import main
 from picardkit.cones import psef_generators, surface_cone_report
-from picardkit.curves import (contraction_table, enumerate_exceptional,
-                              is_conic, orbit_signature, reducible_fibers)
-from picardkit.fibration import FibrationPair, analyze_pair, hodge_bound
+from picardkit.curves import (contraction_table, enumerate_conic,
+                              enumerate_exceptional, is_conic,
+                              orbit_signature, reducible_fibers)
+from picardkit.fibration import (FibrationPair, analyze_pair,
+                                 classify_finite_pairs, hodge_bound,
+                                 scan_conic_pairs)
 from picardkit.lattice import (DivisorClass, SurfaceModel, canonical_degree,
                                pairing, top_intersection)
 
@@ -58,6 +63,15 @@ def q3():
 NOT_A_CLASS = "expected DivisorClass, got tuple"
 NOT_IN_M8 = "H - E1 does not live in BlowupP2(8)"
 NO_P3 = "ProductP1 needs n = 2, got 3"
+
+# (case, rank, message) for every function that pairs or lists conic classes
+CONIC_RANK_REFUSALS = [
+    ("below-range", -1, "conic enumeration needs 1 <= r <= 8, got -1"),
+    ("zero", 0, "conic enumeration needs 1 <= r <= 8, got 0"),
+    ("above-range", 9, "conic enumeration needs 1 <= r <= 8, got 9"),
+    ("bool", True, "model size must be an integer, got True"),
+    ("float", 8.0, "model size must be an integer, got 8.0"),
+]
 
 # (id, call, exception type, message)
 REFUSALS = [
@@ -159,6 +173,19 @@ REFUSALS = [
      ValueError, "model size must be an integer, got True"),
     ("contraction_table-float", lambda: contraction_table(8.0),
      ValueError, "model size must be an integer, got 8.0"),
+    ("enumerate_exceptional-below-range", lambda: enumerate_exceptional(-1),
+     ValueError, "BlowupP2 needs 0 <= r <= 8, got -1"),
+    ("enumerate_exceptional-above-range", lambda: enumerate_exceptional(9),
+     ValueError, "BlowupP2 needs 0 <= r <= 8, got 9"),
+    ("enumerate_exceptional-bool", lambda: enumerate_exceptional(True),
+     ValueError, "model size must be an integer, got True"),
+    ("enumerate_exceptional-float", lambda: enumerate_exceptional(8.0),
+     ValueError, "model size must be an integer, got 8.0"),
+    *[(f"{name}-{case}", lambda f=f, r=r: f(r), ValueError, message)
+      for name, f in [("enumerate_conic", enumerate_conic),
+                      ("scan_conic_pairs", scan_conic_pairs),
+                      ("classify_finite_pairs", classify_finite_pairs)]
+      for case, r, message in CONIC_RANK_REFUSALS],
     # ProductP1 sizes, the cone reports on them, and top_intersection
     ("SurfaceModel-product-zero", lambda: SurfaceModel("ProductP1", 0),
      ValueError, "ProductP1 needs n = 2, got 0"),
