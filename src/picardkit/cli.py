@@ -38,6 +38,7 @@ from typing import Callable, Iterator, Sequence
 
 from .cones import in_cone_lp, surface_cone_report
 from .curves import (
+    conic_coords,
     enumerate_conic,
     enumerate_exceptional,
     orbit_signature,
@@ -261,7 +262,7 @@ def _cmd_enumerate(args) -> int:
 def _cmd_pairs(args) -> int:
     with _INPUT:
         rank = _parse_int(args.rank, "rank", MAX_RANK)
-        enumerate_conic(rank)  # the family the scan pairs refuses the rank
+        conic_coords(rank)  # the family the scan pairs refuses the rank
     summary = scan_conic_pairs(rank)
     rows = classify_finite_pairs(rank)
 

@@ -12,8 +12,12 @@ Cauchy-Schwarz caps the degree: (3d-1)^2 <= r(d^2+1) for exceptional
 classes and (3d-2)^2 <= r d^2 for conic classes, and each multiplicity by
 m_i^2 <= d^2 + 1.  The search is a positional depth-first walk over
 multiplicity vectors inside those bounds, pruned by feasibility of the
-remaining sum and square sum; the independent test oracle walks descending
-multisets instead, so the two routes share no loop structure.
+remaining sum and square sum.  It is a plain recursive function that
+appends each finished vector to one list, and it solves the last entry
+rather than searching it: v = target sum - the others, kept when it lies
+in the box and the square sum matches.  The independent test oracle walks
+descending multisets instead, so the two routes share no loop structure,
+and a property test checks the walker against a filter over the whole box.
 
 Degrees below zero are not curve classes and are never searched.  At d = 0
 the exceptional equations admit only the basis classes E_i: a sum of -1
@@ -33,7 +37,15 @@ Output order is lexicographic on (d, multiplicity vector), so reports and
 JSON renderings are stable across runs.  A family is a plain tuple of
 classes, built once per rank and shared, so every caller gets the same
 object; each class carries its model, so two families are equal exactly
-when they have the same model and members.
+when they have the same model and members.  The conic coordinates come
+first: conic_coords(r) is the tuple of coordinate tuples, cached per rank
+and refusing what enumerate_conic refuses, and enumerate_conic(r) builds
+one checked DivisorClass on each, sharing the tuple.  Who reads which:
+the pencil queries, orbit signatures, the cone layer and the CLI listings
+read classes; the contraction table, the whole-rank pair scan of
+fibration and the rank check of the CLI's pairs command read coordinates
+alone, so a cold pair scan builds one class per orbit signature and the
+table none.
 
 Contraction: a conic fibration contracts an exceptional class e exactly
 when e.c = 0, and then c - e is exceptional too and meets e once (its square
@@ -108,11 +120,12 @@ class ReducibleFiber(FrozenValue):
 
     A fibre built by a caller is checked: a + b = total, a^2 = b^2 = -1
     and a.b = 1.  reducible_fibers builds its fibres through _from_table
-    without that check.  The contraction table marks each exceptional a
-    with a.total = 0, and the theorem in the module docstring makes
-    total - a exceptional with a.(total - a) = 1; the Tier-1 tests check
-    every fibre of every conic class at r = 1..8 against these equations
-    and a direct scan.
+    without that check, storing the fields through the class's _store
+    with no argument binding.  The contraction table marks each
+    exceptional a with a.total = 0, and the theorem in the module
+    docstring makes total - a exceptional with a.(total - a) = 1; the
+    Tier-1 tests check every fibre of every conic class at r = 1..8
+    against these equations and a direct scan.
     """
 
     __slots__ = ("total", "components")
@@ -133,7 +146,7 @@ class ReducibleFiber(FrozenValue):
                     b: DivisorClass) -> "ReducibleFiber":
         """The fibre a + b of total, read from the contraction table."""
         fiber = object.__new__(cls)
-        FrozenValue.__init__(fiber, total, (a, b))
+        cls._store(fiber, (total, (a, b)))
         return fiber
 
 
@@ -141,19 +154,29 @@ def is_conic(c: DivisorClass) -> bool:
     return canonical_degree(c) == -2 and pairing(c, c) == 0
 
 
-def _mult_vectors(r: int, target_sum: int, target_sq: int, low: int):
+def _mult_vectors(r: int, target_sum: int, target_sq: int,
+                  low: int) -> list[tuple[int, ...]]:
     """Positional DFS, in lexicographic order, over integer vectors m with
     the given sum and square sum (>= 0), entries low <= m_i <=
-    isqrt(target_sq), with low = 0 or -isqrt(target_sq)."""
+    isqrt(target_sq), with low = 0 or -isqrt(target_sq).  The last entry
+    is solved, not searched: it is target_sum less the others."""
     bound = isqrt(target_sq)
+    out: list[tuple[int, ...]] = []
+    if not r:
+        if target_sum == target_sq == 0:
+            out.append(())
+        return out
     prefix = [0] * r
+    last = r - 1
 
-    def rec(i: int, s: int, q: int):
-        if i == r:
-            if s == target_sum and q == target_sq:
-                yield tuple(prefix)
+    def rec(i: int, s: int, q: int) -> None:
+        if i == last:
+            v = target_sum - s
+            if low <= v <= bound and q + v * v == target_sq:
+                prefix[i] = v
+                out.append(tuple(prefix))
             return
-        k = r - i - 1  # entries after this one
+        k = last - i  # entries after this one
         for v in range(low, bound + 1):
             q2 = q + v * v
             if q2 > target_sq:
@@ -166,40 +189,55 @@ def _mult_vectors(r: int, target_sum: int, target_sq: int, low: int):
             if rem_q > k * bound * bound:
                 continue  # not enough coordinates left to burn the budget
             prefix[i] = v
-            yield from rec(i + 1, s2, q2)
-        prefix[i] = 0
+            rec(i + 1, s2, q2)
 
-    yield from rec(0, 0, 0)
+    rec(0, 0, 0)
+    return out
 
 
-def _family(r: int, k: int, eps: int, d0: int) -> tuple[DivisorClass, ...]:
-    """The classes c = dH - sum(m_i E_i) of BlowupP2(r) with -K.c = k and
-    c^2 = -eps, i.e. sum m_i = 3d - k and sum m_i^2 = d^2 + eps, for d >= d0
-    while Cauchy-Schwarz allows them, in lexicographic order."""
-    model = SurfaceModel.blowup_p2(r)
-    members = []
+def _family_coords(r: int, k: int, eps: int,
+                   d0: int) -> tuple[tuple[int, ...], ...]:
+    """The coordinates (d, -m_1, ..., -m_r) of the classes c = dH -
+    sum(m_i E_i) of BlowupP2(r) with -K.c = k and c^2 = -eps, i.e. sum m_i
+    = 3d - k and sum m_i^2 = d^2 + eps, for d >= d0 while Cauchy-Schwarz
+    allows them, in lexicographic order on (d, m)."""
+    out = []
     d = d0
     while (3 * d - k) ** 2 <= r * (d * d + eps):
         # no multiplicity is negative once d >= 1 (see the module docstring)
         low = 0 if d else -isqrt(d * d + eps)
-        members += [DivisorClass.from_curve(model, d, m)
-                    for m in _mult_vectors(r, 3 * d - k, d * d + eps, low)]
+        out += [(d, *map(neg, m))
+                for m in _mult_vectors(r, 3 * d - k, d * d + eps, low)]
         d += 1
-    return tuple(members)
+    return tuple(out)
 
 
 @cache
 def enumerate_exceptional(r: int) -> tuple[DivisorClass, ...]:
     """All classes with c^2 = c.K = -1 on BlowupP2(r), 0 <= r <= 8."""
-    return _family(r, 1, 1, 0)
+    model = SurfaceModel.blowup_p2(r)
+    return tuple([DivisorClass(model, x)
+                  for x in _family_coords(r, 1, 1, 0)])
+
+
+@cache
+def conic_coords(r: int) -> tuple[tuple[int, ...], ...]:
+    """The coordinates of enumerate_conic(r), in its order: one tuple per
+    conic class of BlowupP2(r), 1 <= r <= 8, built once per rank and
+    shared.  It refuses what enumerate_conic refuses."""
+    if not 1 <= r <= 8:
+        raise ValueError(f"conic enumeration needs 1 <= r <= 8, got {r}")
+    SurfaceModel.blowup_p2(r)  # refuses True, 8.0 and other non-ints
+    return _family_coords(r, 2, 0, 1)
 
 
 @cache
 def enumerate_conic(r: int) -> tuple[DivisorClass, ...]:
-    """All classes with c^2 = 0, c.K = -2 on BlowupP2(r), 1 <= r <= 8."""
-    if not 1 <= r <= 8:
-        raise ValueError(f"conic enumeration needs 1 <= r <= 8, got {r}")
-    return _family(r, 2, 0, 1)
+    """All classes with c^2 = 0, c.K = -2 on BlowupP2(r), 1 <= r <= 8;
+    each class's coords is the tuple conic_coords(r) holds."""
+    coords = conic_coords(r)
+    model = SurfaceModel.blowup_p2(r)
+    return tuple([DivisorClass(model, x) for x in coords])
 
 
 def orbit_signature(c: DivisorClass) -> OrbitSignature:
@@ -227,10 +265,9 @@ def contraction_table(r: int) -> tuple[tuple[DivisorClass, ...],
     fam = enumerate_exceptional(r)
     if not fam:  # P^2 has no exceptional class, and no conic class
         return fam, MappingProxyType({})
-    conics = enumerate_conic(r)
+    conics = conic_coords(r)
     # e.c as the dot product of e's pairing vector with c
-    ones, dots = packed_dots([pairing_vector(e) for e in fam],
-                             [c.coords for c in conics])
+    ones, dots = packed_dots([pairing_vector(e) for e in fam], conics)
     highs = ones << (FIELD_BITS - 1)
     step = FIELD_BITS // 8
     size = len(fam) * step
@@ -244,7 +281,7 @@ def contraction_table(r: int) -> tuple[tuple[DivisorClass, ...],
         zero = d & highs & ~(d - ones)
         mask = int(zero.to_bytes(size, "big")[::step].translate(digits), 2)
         if mask:
-            masks[c.coords] = mask
+            masks[c] = mask
     return fam, MappingProxyType(masks)
 
 

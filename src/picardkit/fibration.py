@@ -25,8 +25,12 @@ signature (15 at rank 8) with every class and weights each count by the
 size of the representative's orbit.  That counts each unordered pair once
 from each end, so every count is halved.
 
-The scan reads every conic at once, in the packed fields of
-lattice.packed_dots, one field per conic: one packed int holds a
+The scan reads conic coordinates (curves.conic_coords), not classes, and
+builds a DivisorClass for its representatives alone; the contraction
+table's keys are conic coordinates too, so neither calls enumerate_conic,
+while analyze_pair reads the pair's classes.  The scan reads every conic
+at once, in the packed fields of lattice.packed_dots, one field per
+conic: one packed int holds a
 representative x's degree x.y against every conic y, and for each class e
 that x contracts (e.x = 0), one more marks the conics y with e.y = 0, which
 share e with x and so are not finite partners.  A count per (signature,
@@ -44,8 +48,8 @@ from operator import mul, neg
 
 from .curves import (
     OrbitSignature,
+    conic_coords,
     contraction_table,
-    enumerate_conic,
     enumerate_exceptional,
     is_conic,
     selected,
@@ -168,11 +172,10 @@ def _pair_scan(r: int) -> tuple[PairScanSummary, tuple[PairClassEntry, ...]]:
     all conics at once in packed fields; see the module docstring for the
     weighting.
     """
-    fam = enumerate_conic(r)
-    n = len(fam)
+    coords = conic_coords(r)
+    n = len(coords)
     if n < 2:
         return PairScanSummary(r, n, 0, 0, True, 0, ()), ()
-    coords = [c.coords for c in fam]
     # orbit signatures as plain (degree, ascending E-coordinates) tuples;
     # records are built for the distinct ones alone, and ordered as
     # OrbitSignature orders them
@@ -201,9 +204,11 @@ def _pair_scan(r: int) -> tuple[PairScanSummary, tuple[PairClassEntry, ...]]:
     # per representative x: x.y for every conic y, then, for each class e
     # that x contracts, the conics y with e.y = 0, which are not finite
     # partners of x
+    model = SurfaceModel.blowup_p2(r)
     vectors = []
     for x, found in zip(rep, contracted):
-        vectors.append(pairing_vector(fam[x]))
+        # the one class the scan builds per signature
+        vectors.append(pairing_vector(DivisorClass(model, coords[x])))
         vectors += found
     ones, dots = packed_dots(coords, vectors)
     highs = ones << (FIELD_BITS - 1)

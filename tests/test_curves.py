@@ -1,13 +1,16 @@
 import itertools
 import random
+from math import isqrt
 from types import MappingProxyType
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from picardkit import curves
 from picardkit.curves import (
     OrbitSignature,
     ReducibleFiber,
+    conic_coords,
     contraction_table,
     enumerate_conic,
     enumerate_exceptional,
@@ -114,6 +117,24 @@ def test_enumerated_multiplicities_nonnegative_for_positive_degree():
         for c in enumerate_conic(r):
             assert c.degree >= 1
             assert min(c.multiplicities()) >= 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(r=st.integers(0, 4), target_sum=st.integers(-9, 9),
+       target_sq=st.integers(0, 16), negative=st.booleans())
+@example(r=0, target_sum=0, target_sq=0, negative=False)  # [()]
+@example(r=0, target_sum=1, target_sq=1, negative=False)  # empty
+@example(r=2, target_sum=1, target_sq=1, negative=False)  # last entry low
+@example(r=3, target_sum=-1, target_sq=3, negative=True)
+def test_mult_vectors_match_a_filter_over_the_box(r, target_sum, target_sq,
+                                                  negative):
+    # the walker solves its last entry; the box filter searches every entry
+    bound = isqrt(target_sq)
+    low = -bound if negative else 0
+    box = itertools.product(range(low, bound + 1), repeat=r)
+    expected = [m for m in box if sum(m) == target_sum
+                and sum(v * v for v in m) == target_sq]
+    assert curves._mult_vectors(r, target_sum, target_sq, low) == expected
 
 
 def test_enumeration_order_deterministic():
@@ -310,6 +331,12 @@ def test_families_are_built_once_per_rank():
     assert enumerate_exceptional(7) is enumerate_exceptional(7)
     assert enumerate_conic(8) is enumerate_conic(8)
     assert contraction_table(7)[0] is enumerate_exceptional(7)
+    for r in range(1, 9):
+        coords = conic_coords(r)
+        assert conic_coords(r) is coords
+        assert coords == tuple(c.coords for c in enumerate_conic(r))
+        # each class holds the cached tuple itself
+        assert all(c.coords is x for c, x in zip(enumerate_conic(r), coords))
 
 
 def test_reducible_fibers_match_direct_scan():

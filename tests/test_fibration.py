@@ -1,6 +1,7 @@
 import itertools
 import random
 from collections import Counter
+from functools import cache
 
 import pytest
 from hypothesis import given, settings
@@ -157,6 +158,32 @@ def test_hodge_bound_and_is_conic_pairing_counts(pairing_calls):
     pairing_calls.clear()
     assert not is_conic(curve(DP7, 2, (2,)))
     assert len(pairing_calls) <= 1
+
+
+def test_scan_and_table_build_classes_only_for_representatives(monkeypatch):
+    enumerate_exceptional(8)  # shared by the scan and the table, and warm
+    # cold conic families, in every module that reads one
+    for name in ("conic_coords", "enumerate_conic"):
+        fresh = cache(getattr(curves, name).__wrapped__)
+        for module in (curves, fibration):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, fresh)
+    built = []
+    init = DivisorClass.__init__
+
+    def counted(self, model, coords):
+        built.append(coords)
+        init(self, model, coords)
+
+    monkeypatch.setattr(DivisorClass, "__init__", counted)
+    summary, _ = fibration._pair_scan.__wrapped__(8)
+    # one class per orbit signature, of 2160 conics
+    assert summary.class_count == 2160
+    assert len(built) == 15
+    built.clear()
+    fam, masks = curves.contraction_table.__wrapped__(8)
+    assert built == []
+    assert fam is enumerate_exceptional(8) and len(masks) == 2160
 
 
 def test_max_degree_bound():

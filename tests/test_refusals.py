@@ -5,9 +5,10 @@ orbit_signature, reducible_fibers, FibrationPair, analyze_pair and
 hodge_bound: a non-class in each class slot, a class of another model, a
 ProductP1 model, a wrong family, a class that is not a conic or not
 square-zero, and two equal classes.  The rank rows give the ranks that
-contraction_table, the two families and the pair scan refuse: -1, 9, True
-and 8.0, and 0 for the conic family and the scan; contraction_table
-answers rank 0 with an empty table.  The
+contraction_table, the two families, the conic coordinates and the pair
+scan refuse: -1, 9, True and 8.0, and 0 for the conic family, its
+coordinates and the scan; contraction_table answers rank 0 with an empty
+table.  The
 product rows give what ProductP1 sizes, the cone reports on them and
 top_intersection refuse.  Each row gives the exception type and the whole
 message; the CLI rows give the exit code and the last stderr line.  Two acceptance tables follow: classes whose models are
@@ -21,9 +22,9 @@ import pytest
 
 from picardkit.cli import main
 from picardkit.cones import psef_generators, surface_cone_report
-from picardkit.curves import (contraction_table, enumerate_conic,
-                              enumerate_exceptional, is_conic,
-                              orbit_signature, reducible_fibers)
+from picardkit.curves import (conic_coords, contraction_table,
+                              enumerate_conic, enumerate_exceptional,
+                              is_conic, orbit_signature, reducible_fibers)
 from picardkit.fibration import (FibrationPair, analyze_pair,
                                  classify_finite_pairs, hodge_bound,
                                  scan_conic_pairs)
@@ -182,7 +183,8 @@ REFUSALS = [
     ("enumerate_exceptional-float", lambda: enumerate_exceptional(8.0),
      ValueError, "model size must be an integer, got 8.0"),
     *[(f"{name}-{case}", lambda f=f, r=r: f(r), ValueError, message)
-      for name, f in [("enumerate_conic", enumerate_conic),
+      for name, f in [("conic_coords", conic_coords),
+                      ("enumerate_conic", enumerate_conic),
                       ("scan_conic_pairs", scan_conic_pairs),
                       ("classify_finite_pairs", classify_finite_pairs)]
       for case, r, message in CONIC_RANK_REFUSALS],
