@@ -47,6 +47,7 @@ from .curves import (
 from .doublecover import (
     MAX_BRANCH_ENTRY,
     MAX_FACTORS,
+    MAX_POLY_CHARS,
     DoubleCoverSpec,
     MultiHomogPoly,
     ProductPoint,
@@ -156,37 +157,22 @@ def _json_pieces(value) -> Iterator[str]:
     yield "".join(out)
 
 
-def _text_pieces(lines: list[str]) -> Iterator[str]:
-    """The text of "\\n".join(lines) + "\\n" for a nonempty lines, in pieces
-    of about _PIECE characters."""
-    out: list[str] = []
-    size = 0
-    for line in lines:
-        out += line, "\n"
-        size += len(line) + 1
-        if size >= _PIECE:
-            yield "".join(out)
-            out.clear()
-            size = 0
-    yield "".join(out)
-
-
 def _emit(args, params: dict, result: Callable[[], dict],
           text_lines: Callable[[], list[str]]) -> None:
     """Print, or write to --out, the text or the JSON document of args.
     result and text_lines build the two renderings; only the one asked
     for is built, and in full before stdout or the file is written.
 
-    The document is written as it is rendered, in pieces of about 64 KB,
-    and its bytes are those of json.dumps(indent=2, sort_keys=True) or of
-    the joined lines; a fault found while rendering leaves the pieces
-    written before it.  A reader that closes stdout early gets what it
-    read, and the exit code stays the command's."""
+    The text is written as one piece.  The JSON document is written as it
+    is rendered, in pieces of about 64 KB, with the bytes of
+    json.dumps(indent=2, sort_keys=True); a fault found while rendering
+    leaves the pieces written before it.  A reader that closes stdout
+    early gets what it read, and the exit code stays the command's."""
     if args.format == "json":
         pieces = _json_pieces({"command": args.command, "params": params,
                                "result": result()})
     else:
-        pieces = _text_pieces(text_lines())
+        pieces = ("\n".join(text_lines()) + "\n",)
     if args.out:
         try:
             with open(args.out, "w") as f:
@@ -430,13 +416,19 @@ def _parse_point(text: str) -> ProductPoint:
 def _load_poly(path: str) -> MultiHomogPoly:
     try:
         with open(path) as f:
-            obj = json.load(f)
+            # one character past the bound tells a longer file
+            text = f.read(MAX_POLY_CHARS + 1)
+        too_long = len(text) > MAX_POLY_CHARS
+        obj = None if too_long else json.loads(text)
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from None
     except (ValueError, RecursionError) as exc:
-        # a syntax error, an integer past Python's 4300-digit conversion
-        # limit, or nesting deeper than the decoder's recursion limit
+        # undecodable text, a syntax error, an integer past Python's 4300
+        # digits, or nesting deeper than the decoder's recursion limit
         raise ValueError(f"{path} is not valid JSON: {exc}") from None
+    if too_long:
+        raise ValueError(f"{path} has more than {MAX_POLY_CHARS} "
+                         f"characters")
     return poly_from_json_dict(obj)
 
 

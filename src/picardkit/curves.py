@@ -51,16 +51,15 @@ Contraction: a conic fibration contracts an exceptional class e exactly
 when e.c = 0, and then c - e is exceptional too and meets e once (its square
 is -1, its K-degree -1, and e.(c - e) = 1), so the contracted classes are
 the components of the reducible fibres (Manin, Cubic Forms, ch. IV;
-Dolgachev, Classical Algebraic Geometry, ch. 8).  contraction_table applies
-that test once per rank: for each conic, one packed dot product
-(lattice.packed_dots) gives e.c for the whole exceptional family, and the
-fields at 0 make the conic's bitmask of contracted classes; selected(fam,
-mask) decodes such a mask into the family's members.  The table is the
-route to that fact for a given conic: reducible_fibers and the pair
-analysis in fibration read it, and a family passed to them must equal the
-table's own.  (The whole-rank pair scan of fibration applies the same test
-in bulk, from the side of each contracted class.)  reducible_fibers finds
-the partner b = c - a of each contracted a among the members c contracts
+Dolgachev, Classical Algebraic Geometry, ch. 8).  lattice.zero_masks is
+the one route to the test e.c = 0: contraction_table takes from it, once
+per rank, each conic's bitmask of the exceptional classes it contracts
+(bit i is member i of the family), and the pair scan of fibration its
+representatives' masks.  selected(fam, mask) decodes a mask into the
+family's members.  The table is the route to that fact for a given conic:
+reducible_fibers and the pair analysis in fibration read it, and a family
+passed to them must equal the table's own.  reducible_fibers finds the
+partner b = c - a of each contracted a among the members c contracts
 (b.c = b.a + b^2 = 0): x -> c - x reverses the lexicographic order, so in
 coordinate order the i-th pairs with the i-th from the end.  The table
 tests e.c = 0 and nothing else, so that each fibre's components are
@@ -78,9 +77,9 @@ from operator import attrgetter, neg
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
-from .lattice import (BLOWUP, FIELD_BITS, DivisorClass, FrozenValue,
-                      SurfaceModel, canonical_degree, check_class,
-                      packed_dots, pairing, pairing_vector)
+from .lattice import (BLOWUP, DivisorClass, FrozenValue, SurfaceModel,
+                      canonical_degree, check_class, pairing, pairing_vector,
+                      zero_masks)
 
 
 @total_ordering
@@ -103,10 +102,9 @@ class OrbitSignature(FrozenValue):
         return f"({self.degree}; {','.join(map(str, self.multiplicities))})"
 
 
-def selected(fam: tuple[DivisorClass, ...],
-             mask: int) -> tuple[DivisorClass, ...]:
-    """The members of fam whose bit is set in mask (bit i is member i), in
-    family order."""
+def selected(fam: tuple, mask: int) -> tuple:
+    """The members of fam, a family of classes or of their vectors, whose
+    bit is set in mask (bit i is member i), in family order."""
     out = []
     while mask:
         low = mask & -mask
@@ -259,30 +257,17 @@ def contraction_table(r: int) -> tuple[tuple[DivisorClass, ...],
 
     The map is keyed by conic coordinates; a conic absent from it has no
     reducible fibre and contracts nothing.  Built once per rank from the
-    test e.c = 0, each conic against the whole family at once in packed
-    fields, and shared by every caller as a read-only mapping.
+    test e.c = 0 (lattice.zero_masks), and shared by every caller as a
+    read-only mapping.
     """
     fam = enumerate_exceptional(r)
     if not fam:  # P^2 has no exceptional class, and no conic class
         return fam, MappingProxyType({})
     conics = conic_coords(r)
     # e.c as the dot product of e's pairing vector with c
-    ones, dots = packed_dots([pairing_vector(e) for e in fam], conics)
-    highs = ones << (FIELD_BITS - 1)
-    step = FIELD_BITS // 8
-    size = len(fam) * step
-    # a field's top byte, marked or not, as a binary digit
-    digits = bytes.maketrans(b"\x00\x80", b"01")
-    masks: dict[tuple[int, ...], int] = {}
-    for c, d in zip(conics, dots):
-        # the fields at 0: marked at threshold 0 and not at 1.  In
-        # big-endian order the top bytes run from member n - 1 down to
-        # member 0, so as binary digits member i is bit i.
-        zero = d & highs & ~(d - ones)
-        mask = int(zero.to_bytes(size, "big")[::step].translate(digits), 2)
-        if mask:
-            masks[c] = mask
-    return fam, MappingProxyType(masks)
+    masks = zero_masks([pairing_vector(e) for e in fam], conics)
+    return fam, MappingProxyType({c: mask for c, mask in zip(conics, masks)
+                                  if mask})
 
 
 def reducible_fibers(c: DivisorClass,

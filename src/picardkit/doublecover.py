@@ -63,6 +63,9 @@ MAX_BRANCH_ENTRY = 1000
 #   gradient entry, sums over at most 1024 terms, at most 2504.
 MAX_POLY_DEGREE = 24
 MAX_POLY_TERMS = 1024
+# Characters read from a polynomial file, at most: a near-worst accepted
+# document (1024 terms, 50-digit fractions) has 2.7 million at indent=4.
+MAX_POLY_CHARS = 1 << 23
 MAX_COEFF_DIGITS = 50
 _COEFF_BOUND = 10 ** MAX_COEFF_DIGITS
 

@@ -28,23 +28,22 @@ from each end, so every count is halved.
 The scan reads conic coordinates (curves.conic_coords), not classes, and
 builds a DivisorClass for its representatives alone; the contraction
 table's keys are conic coordinates too, so neither calls enumerate_conic,
-while analyze_pair reads the pair's classes.  The scan reads every conic
-at once, in the packed fields of lattice.packed_dots, one field per
-conic: one packed int holds a
-representative x's degree x.y against every conic y, and for each class e
-that x contracts (e.x = 0), one more marks the conics y with e.y = 0, which
-share e with x and so are not finite partners.  A count per (signature,
-degree) is then the popcount of "degree = v", "finite" and the signature's
-members, one AND each.  The degree loop stops at the largest degree
-present, not at the bound it is checked against.  It builds no
-contraction table, and OrbitSignature records only for the distinct
-signatures.
+while analyze_pair reads the pair's classes.  The scan deals in bitmasks
+over the conics (bit y is conic y), read off one lattice.packed_dots call:
+per representative x, the conics y at each degree x.y, less those with
+e.y = 0 for a class e that x contracts, which share e with x and so are
+not finite partners.  The classes x contracts come from lattice.zero_masks,
+the contraction table's route to e.c = 0.  A count per (signature, degree)
+is then the popcount of that level's mask and the signature's members.
+The degree loop stops at the largest degree present, not at the bound it
+is checked against.  It builds no contraction table, and OrbitSignature
+records only for the distinct signatures.
 """
 
 from __future__ import annotations
 
 from functools import cache
-from operator import mul, neg
+from operator import neg
 
 from .curves import (
     OrbitSignature,
@@ -54,9 +53,10 @@ from .curves import (
     is_conic,
     selected,
 )
-from .lattice import (BLOWUP, FIELD_BITS, DivisorClass, FrozenValue,
-                      SurfaceModel, canonical_degree, check_class,
-                      is_exact_int, packed_dots, pairing, pairing_vector)
+from .lattice import (BLOWUP, DivisorClass, FrozenValue, SurfaceModel,
+                      canonical_degree, check_class, dense_mask,
+                      fields_at_least, is_exact_int, packed_dots, pairing,
+                      pairing_vector, zero_fields, zero_masks)
 
 
 class FibrationPair(FrozenValue):
@@ -169,8 +169,7 @@ def _pair_scan(r: int) -> tuple[PairScanSummary, tuple[PairClassEntry, ...]]:
     """The scan summary and the finite-pair classification of one rank.
 
     Pairs one representative per orbit signature with every conic class,
-    all conics at once in packed fields; see the module docstring for the
-    weighting.
+    all conics at once; see the module docstring for the weighting.
     """
     coords = conic_coords(r)
     n = len(coords)
@@ -184,23 +183,21 @@ def _pair_scan(r: int) -> tuple[PairScanSummary, tuple[PairClassEntry, ...]]:
                      for k in set(keys))
     sigs = [sig for sig, _ in ordered]
     index = {k: i for i, (_, k) in enumerate(ordered)}
-    step = FIELD_BITS // 8
     orbit = [0] * len(sigs)
     rep = [-1] * len(sigs)
-    # per signature, a mark in the top byte of each member's field
-    marks = [bytearray(n * step) for _ in sigs]
+    # per signature, the bitmask of its members (bit y is conic y)
+    members = [0] * len(sigs)
     for y, k in enumerate(keys):
         s = index[k]
         orbit[s] += 1
         if rep[s] < 0:
             rep[s] = y
-        marks[s][y * step + step - 1] = 0x80
-    members = [int.from_bytes(m, "little") for m in marks]
+        members[s] |= 1 << y
     # the exceptional classes each representative contracts, e.x = 0, as
     # the vectors that dot against a conic's coordinates
-    twisted = [pairing_vector(e) for e in enumerate_exceptional(r)]
-    contracted = [[t for t in twisted if sum(map(mul, t, coords[x])) == 0]
-                  for x in rep]
+    twisted = tuple(pairing_vector(e) for e in enumerate_exceptional(r))
+    contracted = [selected(twisted, mask) for mask in
+                  zero_masks(twisted, [coords[x] for x in rep])]
     # per representative x: x.y for every conic y, then, for each class e
     # that x contracts, the conics y with e.y = 0, which are not finite
     # partners of x
@@ -211,23 +208,19 @@ def _pair_scan(r: int) -> tuple[PairScanSummary, tuple[PairClassEntry, ...]]:
         vectors.append(pairing_vector(DivisorClass(model, coords[x])))
         vectors += found
     ones, dots = packed_dots(coords, vectors)
-    highs = ones << (FIELD_BITS - 1)
     counts: dict[tuple[int, int, int], int] = {}
     max_degree = 0
     for s, found in enumerate(contracted):
         degrees = next(dots)
         blocked = 0
         for _ in found:
-            d = next(dots)
-            # the fields at 0: marked at threshold 0 and not at 1
-            blocked |= d & highs & ~(d - ones)
-        finite = highs & ~blocked
+            blocked |= zero_fields(next(dots), ones)
         # y meets x at least degree times; x.x = 0 leaves x itself out
         degree = 1
-        at_least = (degrees - ones) & highs
+        at_least = fields_at_least(degrees, ones, 1)
         while at_least:
-            above = (degrees - (degree + 1) * ones) & highs
-            exact = at_least & ~above & finite
+            above = fields_at_least(degrees, ones, degree + 1)
+            exact = dense_mask(at_least & ~(above | blocked), n)
             if exact:
                 for t, m in enumerate(members):
                     k = (exact & m).bit_count()

@@ -25,14 +25,12 @@ The layers above take their class slots through check_class too, which
 also refuses a class of another model with ValueError.
 
 All coordinates are Python integers, so arithmetic never overflows silently.
-The one fixed-width route is packed_dots, which computes many dot products
-at once in 16-bit fields of one Python int (the contraction table and the
-pair scan read every pencil against a whole family through it).  Its width
-is checked once per call, before any packing, from the coordinates alone:
-max |row entry| * max |vector entry| * the number of columns must stay
-below DOT_LIMIT = 2^14, or it raises ValueError; there is no fallback.  No
-coordinate of a conic or exceptional class of BlowupP2(8) passes 11, so
-there the bound is at most 11 * 11 * 9 = 1089.
+The one fixed-width route is packed_dots, many dot products at once in
+the fields of one int.  The field layout is known here alone: the
+contraction table of curves and the pair scan of fibration deal in row
+bitmasks (bit i stands for row i), read off the packed ints by
+fields_at_least, zero_fields and dense_mask, and both take the test
+e.c = 0 from zero_masks.
 
 Values are checked where they enter.  SurfaceModel(...) takes an exact int
 size, and DivisorClass(...) takes exact int coordinates, as many as the
@@ -46,16 +44,10 @@ takes the fallback route through check_class and _same_model, which keeps
 the isinstance test, model equality and every error.  Wherever two models are
 compared, identity is tested before equality.
 
-FrozenValue is the base of the package's value classes, here and in
-curves, fibration, cones and doublecover.  Each is a slotted frozen value,
-not a dataclass: it lists its fields in __slots__, and FrozenValue's
-__init__, the one code that stores fields, binds the constructor's
-arguments to them in order and stores them through a function made once
-per class, when the class is defined.  A class with checks runs them in
-its own __init__ and then calls FrozenValue's; afterwards assignment and
-deletion raise AttributeError.  Equality, hash, repr and copying come from the
-fields, as a frozen dataclass's would.  The package imports no dataclasses,
-which would cost every CLI start its code generation and its imports.
+FrozenValue, whose docstring gives its rules, is the base of the
+package's value classes, here and in curves, fibration, cones and
+doublecover: slotted frozen values, not dataclasses, whose imports and
+code generation would cost every CLI start.
 
 is_exact_int is the one test of an exact int used at every boundary: the
 type is int itself, so a bool or an int subclass is refused.  DivisorClass,
@@ -398,12 +390,14 @@ def canonical_degree(c: DivisorClass) -> int:
     return -2 * (x[0] + x[1])
 
 
-# packed_dots: the bits of one field, and the bound that every |dot| must
-# stay below.  Each field holds its dot plus 2^(FIELD_BITS - 1), so a caller
-# may also shift every field by a threshold of at most DOT_LIMIT and stay
-# inside [0, 2^FIELD_BITS).
+# The bits of one field, and the bound on every |dot|.  Each field holds its
+# dot plus 2^(FIELD_BITS - 1), so fields_at_least may shift it by up to
+# DOT_LIMIT and stay inside [0, 2^FIELD_BITS).
 FIELD_BITS = 16
 DOT_LIMIT = 1 << (FIELD_BITS - 2)
+# the bytes of one field, and a top byte as the binary digit of its top bit
+_STEP = FIELD_BITS // 8
+_DIGITS = b"0" * 128 + b"1" * 128
 
 
 def packed_dots(rows: Sequence[Sequence[int]],
@@ -413,12 +407,13 @@ def packed_dots(rows: Sequence[Sequence[int]],
 
     Returns (ones, dots): ones holds 1 in each of the len(rows) fields, and
     the j-th int of dots holds sum_k vectors[j][k] rows[i][k] +
-    2^(FIELD_BITS - 1) in field i.  With highs = ones << (FIELD_BITS - 1),
-    (d - t * ones) & highs then marks the rows whose dot is at least t, for
-    |t| <= DOT_LIMIT, and the rows whose dot is 0 are those marked at 0 and
-    not at 1.  Each dot is bounded from the coordinates alone, by
+    2^(FIELD_BITS - 1) in field i.  fields_at_least and zero_fields read
+    them.  Each dot is bounded from the coordinates alone, by
     max |row entry| * max |vector entry| * the number of columns, and
-    ValueError is raised before any packing if that bound reaches DOT_LIMIT.
+    ValueError is raised before any packing if that bound reaches
+    DOT_LIMIT = 2^14; there is no fallback.  No coordinate of a conic or
+    exceptional class of BlowupP2(8) passes 11, so there the bound is at
+    most 11 * 11 * 9 = 1089.
     """
     def top(matrix):
         return max(max(map(max, matrix), default=0),
@@ -441,6 +436,38 @@ def packed_dots(rows: Sequence[Sequence[int]],
     columns = [(int.from_bytes(pack(f"<{n}h", *col), "little") ^ offset)
                - offset for col in zip(*rows)]
     return ones, (sum(map(mul, v, columns), offset) for v in vectors)
+
+
+def fields_at_least(d: int, ones: int, t: int) -> int:
+    """The fields of d, an int of packed_dots with its ones, whose dot is
+    at least t, for |t| <= DOT_LIMIT: each has its top bit set, and no
+    other bit is."""
+    return (d - t * ones) & (ones << (FIELD_BITS - 1))
+
+
+def zero_fields(d: int, ones: int) -> int:
+    """The fields of d whose dot is 0, by their top bits (at least 0, not
+    at least 1); the lower bits are junk, which dense_mask never reads."""
+    return d & ~(d - ones)
+
+
+def dense_mask(marks: int, n: int) -> int:
+    """The row bitmask of the first n fields of marks, a nonnegative int
+    below 2^(FIELD_BITS * n): bit i is the top bit of field i."""
+    # in big-endian order the top bytes run from field n - 1 down to field
+    # 0, so as binary digits field i is bit i
+    digits = marks.to_bytes(n * _STEP, "big")[::_STEP].translate(_DIGITS)
+    return int(digits or b"0", 2)
+
+
+def zero_masks(rows: Sequence[Sequence[int]],
+               vectors: Sequence[Sequence[int]]) -> list[int]:
+    """Per vector, the bitmask of the rows it is orthogonal to: bit i is
+    set when its dot with rows[i] is 0.  packed_dots computes the dots, and
+    its refusals apply."""
+    ones, dots = packed_dots(rows, vectors)
+    n = len(rows)
+    return [dense_mask(zero_fields(d, ones), n) for d in dots]
 
 
 # Largest matrix _permanent accepts: 2^20 Gray-code steps take a few seconds.

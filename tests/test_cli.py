@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from picardkit import cli
 from picardkit.cli import main
+from picardkit.doublecover import MAX_POLY_CHARS
 
 BRANCH_JSON = {
     "n": 3,
@@ -277,6 +278,26 @@ def test_singular_oversized_or_broken_input_gets_one_line(capsys, tmp_path):
     line = _bad_input_line(capsys, ["singular", "--input", str(deep),
                                     "--at", "0:1"])
     assert "not valid JSON" in line
+    # a valid document padded with white space one character past the
+    # bound, and an endless file, are refused after MAX_POLY_CHARS + 1
+    # characters; at the bound the padded document is read
+    padded = tmp_path / "padded.json"
+    padded.write_text(json.dumps(BRANCH_JSON).ljust(MAX_POLY_CHARS + 1))
+    tracemalloc.start()
+    try:
+        for path in (str(padded), "/dev/zero"):
+            line = _bad_input_line(capsys, ["singular", "--input", path,
+                                            "--at", "0:1,0:1,0:1"])
+            assert line.endswith(f"{path} has more than {MAX_POLY_CHARS} "
+                                 f"characters")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * MAX_POLY_CHARS
+    padded.write_text(json.dumps(BRANCH_JSON).ljust(MAX_POLY_CHARS))
+    assert main(["singular", "--input", str(padded),
+                 "--at", "0:1,0:1,0:1"]) == 0
+    capsys.readouterr()
     path = _write_branch(tmp_path)
     for at, words in (("1/0:1,0:1,0:1", "zero denominator"),
                       ("1:" + "7" * 60 + ",0:1,0:1", "digits"),

@@ -1,15 +1,16 @@
 """Source hygiene of the package, read with the standard ast module.
 
-Five rules over every module of picardkit: each imported name is used (a
+Six rules over every module of picardkit: each imported name is used (a
 name listed in __all__ counts as used), no module imports another module's
 private name (one that starts with a single underscore), no module reads a
 private attribute that only another module defines (x._name, other than on
 self or cls), and every public top-level function or class serves the
 package or the benchmark, as does every public method or property of a
 package class, read as an attribute somewhere in the package or in bench/,
-and no float is made: no true division, float literal, float() or round()
-call, since every result is exact.  A route that only the tests call
-belongs in tests/_oracles.py.  The
+no float is made: no true division, float literal, float() or round()
+call, since every result is exact, and no module but lattice imports the
+packed-field format, FIELD_BITS or DOT_LIMIT (tests may).  A route that
+only the tests call belongs in tests/_oracles.py.  The
 attribute rule keeps trusted constructors such as
 ReducibleFiber._from_table, which skip validation, inside their own modules.
 """
@@ -191,6 +192,15 @@ def _float_sources(tree):
     return out
 
 
+def _field_format_imports(sources):
+    """(module, name) for each module other than lattice that imports the
+    packed-field format, FIELD_BITS or DOT_LIMIT."""
+    return [(p.stem, a.name) for p in sources if p.stem != "lattice"
+            for node in ast.walk(_tree(p))
+            if isinstance(node, ast.ImportFrom)
+            for a in node.names if a.name in ("FIELD_BITS", "DOT_LIMIT")]
+
+
 def test_every_module_is_checked():
     names = {p.stem for p in SOURCES}
     assert {"cli", "cones", "curves", "fibration", "lattice"} <= names
@@ -215,6 +225,20 @@ def test_no_private_name_crosses_modules(path):
 def test_no_float_is_made(path):
     made = _float_sources(_tree(path))
     assert not made, f"{path.name} makes floats at {made}"
+
+
+def test_the_field_format_stays_in_lattice():
+    leaks = _field_format_imports(SOURCES)
+    assert not leaks, f"the packed-field format leaves lattice: {leaks}"
+
+
+def test_the_field_format_check_sees_an_import(tmp_path):
+    (tmp_path / "lattice.py").write_text("FIELD_BITS = 16\nDOT_LIMIT = 1\n")
+    (tmp_path / "curves.py").write_text("from .lattice import FIELD_BITS\n")
+    (tmp_path / "cones.py").write_text(
+        "from .lattice import DOT_LIMIT as limit, pairing\n")
+    assert _field_format_imports(sorted(tmp_path.glob("*.py"))) \
+        == [("cones", "DOT_LIMIT"), ("curves", "FIELD_BITS")]
 
 
 def test_no_module_reads_another_modules_private_attributes():

@@ -16,11 +16,15 @@ from picardkit.lattice import (
     SurfaceModel,
     canonical_class,
     canonical_degree,
+    dense_mask,
+    fields_at_least,
     is_exact_int,
     packed_dots,
     pairing,
     pairing_vector,
     top_intersection,
+    zero_fields,
+    zero_masks,
 )
 
 DP7 = SurfaceModel.blowup_p2(7)
@@ -411,11 +415,14 @@ def _marked(packed, n):
 def test_packed_dots_are_the_dot_products(data):
     width = data.draw(st.integers(1, 9))
     top = data.draw(st.integers(0, 40))
-    # every dot then stays below DOT_LIMIT: 40 * 45 * 9 < 2^14
+    # a drawn bound on the vectors too, so that small dots, 0 and 1
+    # among them, come often; every dot stays below DOT_LIMIT:
+    # 40 * 45 * 9 < 2^14
+    reach = data.draw(st.integers(0, 45))
     entry = st.integers(-top, top)
     rows = data.draw(st.lists(st.tuples(*[entry] * width), max_size=30))
-    vectors = data.draw(st.lists(st.tuples(*[st.integers(-45, 45)] * width),
-                                 max_size=5))
+    vectors = data.draw(st.lists(
+        st.tuples(*[st.integers(-reach, reach)] * width), max_size=5))
     ones, dots = packed_dots(rows, vectors)
     dots = list(dots)
     n = len(rows)
@@ -432,6 +439,14 @@ def test_packed_dots_are_the_dot_products(data):
             [i for i, x in enumerate(want) if x >= t]
         assert _marked(d & highs & ~(d - ones), n) == \
             [i for i, x in enumerate(want) if x == 0]
+        # the helpers that hold those tests, as row bitmasks
+        assert dense_mask(fields_at_least(d, ones, t), n) == \
+            sum(1 << i for i, x in enumerate(want) if x >= t)
+        assert dense_mask(zero_fields(d, ones), n) == \
+            sum(1 << i for i, x in enumerate(want) if x == 0)
+    assert zero_masks(rows, vectors) == \
+        [sum(1 << i for i, row in enumerate(rows)
+             if sum(a * b for a, b in zip(v, row)) == 0) for v in vectors]
 
 
 def test_packed_dots_refuse_dots_past_the_field_width():
@@ -442,6 +457,9 @@ def test_packed_dots_refuse_dots_past_the_field_width():
     ones, dots = packed_dots([(edge,), (-edge,), (0,)], [(1,), (-1,)])
     assert [_fields(d, 3) for d in dots] == [[edge, -edge, 0],
                                              [-edge, edge, 0]]
+    # the zero test at the edges of the width, and next to 0
+    assert zero_masks([(edge,), (-edge,), (0,), (1,), (-1,)], [(1,)]) \
+        == [0b100]
     for rows, vectors, reach in [
             ([(DOT_LIMIT,)], [(1,)], DOT_LIMIT),
             ([(1 << 7,)], [(-(1 << 7),)], DOT_LIMIT),
@@ -463,5 +481,6 @@ def test_packed_dots_refuse_rows_and_vectors_of_different_lengths():
 def test_packed_dots_of_nothing():
     ones, dots = packed_dots([], [(1, 2)])
     assert ones == 0 and list(dots) == [0]
+    assert zero_masks([], [(1, 2)]) == [0]
     ones, dots = packed_dots([(1, 2)], [])
     assert ones == 1 and list(dots) == []

@@ -15,8 +15,8 @@ import pytest
 
 from picardkit import cli
 from picardkit.doublecover import (MAX_BRANCH_ENTRY, MAX_COEFF_DIGITS,
-                                   MAX_FACTORS, MAX_POLY_DEGREE,
-                                   MAX_POLY_TERMS)
+                                   MAX_FACTORS, MAX_POLY_CHARS,
+                                   MAX_POLY_DEGREE, MAX_POLY_TERMS)
 
 README = (Path(__file__).parent.parent / "README.md").read_text()
 BLOCKS = re.findall(r"^```\w*\n(.*?)^```", README, re.M | re.S)
@@ -63,3 +63,5 @@ def test_readme_states_the_input_bounds_of_the_package():
         == (MAX_FACTORS, MAX_POLY_DEGREE, MAX_POLY_TERMS)
     assert _stated("the common denominator of the coefficients have at "
                    "most {} digits") == (MAX_COEFF_DIGITS,)
+    assert _stated("A polynomial file has at most {} characters") \
+        == (MAX_POLY_CHARS,)
