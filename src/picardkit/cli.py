@@ -1,8 +1,11 @@
 """Command-line front end.
 
 Subcommands expose the enumeration, pair-classification, cone, and
-double-cover layers, plus named verification suites that re-run the
-package's frozen cross-checks and report case-by-case comparisons.
+double-cover layers, plus named verification suites (picardkit.suites) that
+re-run the package's frozen cross-checks and report case-by-case
+comparisons.  A command imports the layers it runs when it runs: this
+module loads lattice alone, and each handler and input parser imports the
+rest in its own body.
 
 Output is text by default; --format json emits a deterministic document
 {"command", "params", "result"} with sorted keys, so identical invocations
@@ -26,52 +29,22 @@ the program, so it exits 3 like any other exception.
 from __future__ import annotations
 
 import argparse
-import json
 import os
-import random
 import re
 import sys
-from fractions import Fraction
-from json.encoder import encode_basestring_ascii
-from math import factorial
-from typing import Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
-from .cones import in_cone_lp, surface_cone_report
-from .curves import (
-    conic_coords,
-    enumerate_conic,
-    enumerate_exceptional,
-    orbit_signature,
-    reducible_fibers,
-)
-from .doublecover import (
-    MAX_BRANCH_ENTRY,
-    MAX_FACTORS,
-    MAX_POLY_CHARS,
-    DoubleCoverSpec,
-    MultiHomogPoly,
-    ProductPoint,
-    anticanonical_power,
-    cover_singular_at,
-    expected_picard_number,
-    is_fano,
-    parse_rational,
-    poly_from_json_dict,
-    short_repr,
-)
-from .fibration import (
-    FibrationPair,
-    analyze_pair,
-    classify_finite_pairs,
-    max_degree_bound,
-    scan_conic_pairs,
-)
-from .lattice import (BLOWUP, DivisorClass, SurfaceModel, canonical_class,
-                      pairing)
+from .lattice import BLOWUP, DivisorClass, SurfaceModel, short_repr
+
+if TYPE_CHECKING:
+    from .doublecover import MultiHomogPoly, ProductPoint
 
 INT_PATTERN = re.compile(r"-?[0-9]+")
 # no subcommand takes a rank above 8, the largest blow-up
 MAX_RANK = 8
+# the ids of the suites in picardkit.suites, sorted, for the verify parser
+SUITE_IDS = ("branch-singular", "cone-dp", "deg2-pairs", "double-cover-k",
+             "fiber-counts", "hodge-bound", "quadric-target")
 
 
 # characters per piece handed to stdout or the --out file
@@ -108,6 +81,8 @@ def _json_pieces(value) -> Iterator[str]:
     or a value that is neither an int, bool or None nor exactly a dict,
     list, tuple or str (a float or a Fraction, say), raises TypeError: no
     result holds one."""
+    from json.encoder import encode_basestring_ascii
+
     out: list[str] = []
     size = 0
 
@@ -221,6 +196,8 @@ def _signature_entry(sig) -> dict:
 # --- enumerate ---------------------------------------------------------------
 
 def _cmd_enumerate(args) -> int:
+    from .curves import enumerate_conic, enumerate_exceptional
+
     with _INPUT:
         rank = _parse_int(args.rank, "rank", MAX_RANK)
         model = SurfaceModel.blowup_p2(rank)
@@ -246,6 +223,10 @@ def _cmd_enumerate(args) -> int:
 # --- pairs -------------------------------------------------------------------
 
 def _cmd_pairs(args) -> int:
+    from .curves import conic_coords
+    from .fibration import (classify_finite_pairs, max_degree_bound,
+                            scan_conic_pairs)
+
     with _INPUT:
         rank = _parse_int(args.rank, "rank", MAX_RANK)
         conic_coords(rank)  # the family the scan pairs refuses the rank
@@ -303,6 +284,8 @@ def _cmd_pairs(args) -> int:
 # --- cones -------------------------------------------------------------------
 
 def _cmd_cones(args) -> int:
+    from .cones import surface_cone_report
+
     with _INPUT:
         rank = _parse_int(args.rank, "rank", MAX_RANK)
         if args.kind == "blowup":
@@ -354,6 +337,8 @@ def _cmd_cones(args) -> int:
 def _parse_branch(text: str) -> list[int]:
     """The comma-separated entries of a branch type; an empty entry, as in
     '1,,0', '1,1,' or '', is a usage error that gives its position."""
+    from .doublecover import MAX_BRANCH_ENTRY
+
     entries = []
     for k, tok in enumerate(map(str.strip, text.split(",")), 1):
         if not tok:
@@ -364,6 +349,9 @@ def _parse_branch(text: str) -> list[int]:
 
 
 def _cmd_cover(args) -> int:
+    from .doublecover import (DoubleCoverSpec, anticanonical_power,
+                              expected_picard_number, is_fano)
+
     with _INPUT:
         spec = DoubleCoverSpec.of(_parse_branch(args.branch))
     rho = expected_picard_number(spec)
@@ -398,6 +386,8 @@ def _cmd_cover(args) -> int:
 # --- singular ----------------------------------------------------------------
 
 def _parse_point(text: str) -> ProductPoint:
+    from .doublecover import MAX_FACTORS, ProductPoint, parse_rational
+
     toks = text.split(",")
     if len(toks) > MAX_FACTORS:
         raise ValueError(f"point has {len(toks)} coordinate pairs; at most "
@@ -414,6 +404,10 @@ def _parse_point(text: str) -> ProductPoint:
 
 
 def _load_poly(path: str) -> MultiHomogPoly:
+    import json
+
+    from .doublecover import MAX_POLY_CHARS, poly_from_json_dict
+
     try:
         with open(path) as f:
             # one character past the bound tells a longer file
@@ -433,6 +427,8 @@ def _load_poly(path: str) -> MultiHomogPoly:
 
 
 def _cmd_singular(args) -> int:
+    from .doublecover import cover_singular_at
+
     with _INPUT:
         poly = _load_poly(args.input)
         point = _parse_point(args.at)
@@ -460,236 +456,11 @@ def _cmd_singular(args) -> int:
 
 # --- verify ------------------------------------------------------------------
 
-def _detail(case: str, expected, got) -> dict:
-    return {"case": case, "expected": expected, "got": got}
-
-
-def _suite_deg2_pairs() -> list[dict]:
-    # ruling analysis on the blow-up at 7 points: partners of c1 = H - E1
-    model = SurfaceModel.blowup_p2(7)
-    c1 = DivisorClass.from_curve(model, 1, [1])
-    finite = []
-    for c2 in enumerate_conic(7):
-        if c2 == c1:
-            continue
-        rep = analyze_pair(FibrationPair(model, c1, c2))
-        if rep.is_finite:
-            finite.append((c2, rep.degree))
-    by_sig: dict = {}
-    for c2, degree in finite:
-        sig = orbit_signature(c2)
-        by_sig.setdefault((sig.degree, sig.multiplicities), []).append((c2, degree))
-    details = [
-        _detail("finite partner signatures",
-                [[3, [2, 1, 1, 1, 1, 1, 0]], [4, [2, 2, 2, 1, 1, 1, 1]],
-                 [5, [2, 2, 2, 2, 2, 2, 1]]],
-                sorted([d, list(m)] for d, m in by_sig)),
-        _detail("finite partner count by degree: cubics", 6,
-                len(by_sig.get((3, (2, 1, 1, 1, 1, 1, 0)), []))),
-        _detail("finite partner count by degree: quartics", 20,
-                len(by_sig.get((4, (2, 2, 2, 1, 1, 1, 1)), []))),
-        _detail("finite partner count by degree: quintics", 7,
-                len(by_sig.get((5, (2, 2, 2, 2, 2, 2, 1)), []))),
-        _detail("cubic partner degrees", [3],
-                sorted({d for _, d in by_sig.get((3, (2, 1, 1, 1, 1, 1, 0)), [])})),
-        _detail("quartic partner degrees", [3],
-                sorted({d for _, d in by_sig.get((4, (2, 2, 2, 1, 1, 1, 1)), [])})),
-        _detail("quintic partner degrees", [3, 4],
-                sorted({d for _, d in by_sig.get((5, (2, 2, 2, 2, 2, 2, 1)), [])})),
-        _detail("quintic degree 4 exactly when E1-coefficient is 1", True,
-                all((d == 4) == (c2.multiplicities()[0] == 1)
-                    for c2, d in by_sig.get((5, (2, 2, 2, 2, 2, 2, 1)), []))),
-    ]
-    # excluded families: each member shares a contracted curve with the ruling
-    line_p1p2 = DivisorClass.from_curve(model, 1, [1, 1])
-    e6 = DivisorClass.from_curve(model, 0, [0, 0, 0, 0, 0, -1])
-    excluded = [
-        ("excluded: lines through p2 contract the line through p1 p2",
-         DivisorClass.from_curve(model, 1, [0, 1]), line_p1p2),
-        ("excluded: conics through p1..p4 contract E6",
-         DivisorClass.from_curve(model, 2, [1, 1, 1, 1]), e6),
-        ("excluded: cubics double at p1 contract the line through p1 p2",
-         DivisorClass.from_curve(model, 3, [2, 1, 1, 1, 1, 1]), line_p1p2),
-        ("excluded: quartics double at p1 p2 p3 contract the line through p1 p2",
-         DivisorClass.from_curve(model, 4, [2, 2, 2, 1, 1, 1, 1]), line_p1p2),
-    ]
-    for case, c2, named in excluded:
-        rep = analyze_pair(FibrationPair(model, c1, c2))
-        details.append(_detail(case, True,
-                               (not rep.is_finite)
-                               and named in rep.common_contracted))
-    return details
-
-
-def _suite_quadric_target() -> list[dict]:
-    details = []
-    summaries = {r: scan_conic_pairs(r) for r in range(1, 9)}
-    for r, summary in summaries.items():
-        details.append(_detail(f"rank {r} finite pairs exist", r in (5, 7, 8),
-                               summary.finite_pair_count > 0))
-    details.append(_detail("rank 5 finite degrees", [2],
-                           list(summaries[5].finite_degrees)))
-    details.append(_detail("rank 5 degree bound", 2, max_degree_bound(5)))
-    return details
-
-
-def _suite_hodge_bound() -> list[dict]:
-    details = []
-    for r in range(1, 9):
-        summary = scan_conic_pairs(r)
-        details.append(_detail(f"rank {r} hodge bound holds", True,
-                               summary.hodge_holds))
-        finite_max = max(summary.finite_degrees, default=0)
-        details.append(_detail(f"rank {r} finite degrees within bound", True,
-                               finite_max <= max_degree_bound(r)))
-    return details
-
-
-def _suite_cone_dp() -> list[dict]:
-    details = []
-    models = [SurfaceModel.blowup_p2(r) for r in range(9)]
-    for model in models + [SurfaceModel.product_p1(2)]:
-        report = surface_cone_report(model)
-        # nef equals psef on P^2 and P1 x P1 only
-        plane_or_quadric = model.kind != BLOWUP or model.size == 0
-        details.append(_detail(f"nef equals psef on {model}",
-                               plane_or_quadric, report.equal))
-        if plane_or_quadric:
-            continue  # the checks below are for BlowupP2(1..8)
-        mk = -canonical_class(model)
-        details.append(_detail(
-            f"{model} -K pairs positively with every psef generator",
-            True,
-            all(pairing(mk, DivisorClass(model, g)) > 0
-                for g in report.psef.rays())))
-        e1 = tuple(1 if i == 1 else 0 for i in range(model.rank))
-        details.append(_detail(
-            f"{model} E1 lies in psef but not in nef", True,
-            in_cone_lp(report.psef.rays(), e1)
-            and not report.nef.contains(e1)))
-    return details
-
-
-def _suite_double_cover_k() -> list[dict]:
-    details = [
-        _detail("surface cover of type (2,2)", 4,
-                anticanonical_power(DoubleCoverSpec.of([1, 1]))),
-        _detail("threefold cover of type (2,2,2)", 12,
-                anticanonical_power(DoubleCoverSpec.of([1, 1, 1]))),
-        _detail("unbranched-type surface cover (0,0)", 16,
-                anticanonical_power(DoubleCoverSpec.of([0, 0]))),
-    ]
-    for n in range(1, 7):
-        details.append(_detail(f"all-ones type, n={n}", 2 * factorial(n),
-                               anticanonical_power(DoubleCoverSpec.of([1] * n))))
-    from itertools import product as iproduct
-    agree = all(
-        is_fano(DoubleCoverSpec.of(list(ds)))
-        == (anticanonical_power(DoubleCoverSpec.of(list(ds))) > 0)
-        for n in range(1, 6) for ds in iproduct((0, 1, 2), repeat=n))
-    details.append(_detail(
-        "fano iff positive anticanonical power on {0,1,2}^n, n <= 5", True,
-        agree))
-    return details
-
-
-_BRANCH_FIXTURE = {
-    (2, 0, 2, 0, 0, 2): 1,
-    (0, 2, 0, 2, 2, 0): 1,
-    (1, 1, 0, 2, 1, 1): 1,
-    (0, 2, 1, 1, 1, 1): 1,
-}
-
-
-def _suite_branch_singular() -> list[dict]:
-    poly = MultiHomogPoly(3, _BRANCH_FIXTURE)
-    marked = ProductPoint.of([(0, 1), (0, 1), (0, 1)])
-    partials = [poly.partial_derivative(v) for v in range(6)]
-    details = [
-        _detail("fixture vanishes at the marked point", "0",
-                str(poly.evaluate(marked))),
-        _detail("fixture singular at the marked point", True,
-                cover_singular_at(poly, marked)),
-        _detail("every partial vanishes at the marked point", True,
-                all(d.evaluate(marked) == 0 for d in partials)),
-        _detail("smooth control point on a (2,2) branch", False,
-                cover_singular_at(MultiHomogPoly(2, {(1, 1, 1, 1): 1}),
-                                  ProductPoint.of([(0, 1), (1, 1)]))),
-        _detail("non-reduced square branch is singular on its support", True,
-                cover_singular_at(MultiHomogPoly(2, {(2, 0, 2, 0): 1}),
-                                  ProductPoint.of([(0, 1), (1, 0)]))),
-    ]
-    rng = random.Random(1729)
-    lams = [Fraction(2), Fraction(3), Fraction(1, 2), Fraction(-1),
-            Fraction(5, 3), Fraction(-2, 7)]
-    ok = True
-    for _ in range(50):
-        pairs = []
-        for _ in range(3):
-            a, b = rng.randint(-4, 4), rng.randint(-4, 4)
-            if a == 0 and b == 0:
-                b = 1
-            pairs.append((a, b))
-        pt = ProductPoint.of(pairs)
-        scaled = pt
-        chosen = [rng.choice(lams) for _ in range(3)]
-        for k, lam in enumerate(chosen):
-            scaled = scaled.scaled(k, lam)
-        for d in partials:
-            factor = Fraction(1)
-            for lam, m in zip(chosen, d.multidegree):
-                factor *= lam ** m
-            if d.evaluate(scaled) != factor * d.evaluate(pt):
-                ok = False
-    details.append(_detail(
-        "gradient rescaling law on 50 random points", True, ok))
-    return details
-
-
-def _suite_fiber_counts() -> list[dict]:
-    details = []
-    for r in range(1, 9):
-        family = enumerate_exceptional(r)
-        counts = {len(reducible_fibers(c, family)) for c in enumerate_conic(r)}
-        details.append(_detail(f"rank {r} reducible fiber count", [r - 1],
-                               sorted(counts)))
-    # quartic pencil on the blow-up at 8 points: its 7 decompositions
-    model = SurfaceModel.blowup_p2(8)
-    pencil = DivisorClass.from_curve(model, 4, [0, 1, 1, 1, 1, 2, 2, 2])
-    fibers = reducible_fibers(pencil, enumerate_exceptional(8))
-    got = sorted(sorted([list(f.components[0].coords),
-                         list(f.components[1].coords)]) for f in fibers)
-    expected_pairs = [
-        # E1 with the residual quartic
-        [[0, 1, 0, 0, 0, 0, 0, 0, 0], [4, -1, -1, -1, -1, -1, -2, -2, -2]],
-        # line through two of p6 p7 p8 with a cubic double at the third
-        [[1, 0, 0, 0, 0, 0, 0, -1, -1], [3, 0, -1, -1, -1, -1, -2, -1, -1]],
-        [[1, 0, 0, 0, 0, 0, -1, 0, -1], [3, 0, -1, -1, -1, -1, -1, -2, -1]],
-        [[1, 0, 0, 0, 0, 0, -1, -1, 0], [3, 0, -1, -1, -1, -1, -1, -1, -2]],
-        # two conics splitting p2..p5 between them, both through p6 p7 p8
-        [[2, 0, -1, -1, 0, 0, -1, -1, -1], [2, 0, 0, 0, -1, -1, -1, -1, -1]],
-        [[2, 0, -1, 0, -1, 0, -1, -1, -1], [2, 0, 0, -1, 0, -1, -1, -1, -1]],
-        [[2, 0, -1, 0, 0, -1, -1, -1, -1], [2, 0, 0, -1, -1, 0, -1, -1, -1]],
-    ]
-    details.append(_detail("quartic pencil fiber decompositions",
-                           sorted(expected_pairs), got))
-    return details
-
-
-_SUITES: dict[str, Callable[[], list[dict]]] = {
-    "deg2-pairs": _suite_deg2_pairs,
-    "quadric-target": _suite_quadric_target,
-    "hodge-bound": _suite_hodge_bound,
-    "cone-dp": _suite_cone_dp,
-    "double-cover-k": _suite_double_cover_k,
-    "branch-singular": _suite_branch_singular,
-    "fiber-counts": _suite_fiber_counts,
-}
-
-
 def _cmd_verify(args) -> int:
+    from .suites import SUITES
+
     lemma_id = args.lemma_id
-    details = sorted(_SUITES[lemma_id](), key=lambda d: d["case"])
+    details = sorted(SUITES[lemma_id](), key=lambda d: d["case"])
     passed = all(d["expected"] == d["got"] for d in details)
 
     def result() -> dict:
@@ -761,7 +532,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_singular)
 
     p = sub.add_parser("verify", help="run a named verification suite")
-    p.add_argument("lemma_id", choices=sorted(_SUITES))
+    p.add_argument("lemma_id", choices=SUITE_IDS)
     _add_io_flags(p)
     p.set_defaults(func=_cmd_verify)
 

@@ -40,7 +40,7 @@ from math import factorial, lcm, prod
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
-from .lattice import FrozenValue, is_exact_int
+from .lattice import FrozenValue, is_exact_int, short_repr
 
 COEFF_PATTERN = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
@@ -345,15 +345,6 @@ def cover_singular_at(poly: MultiHomogPoly, point: ProductPoint) -> bool:
     if value:
         raise ValueError("point does not lie on the branch divisor")
     return not any(grad)
-
-
-def short_repr(raw) -> str:
-    """repr of raw, cut short enough for a one-line message."""
-    try:
-        text = repr(raw)
-    except ValueError:  # holds an int past Python's 4300-digit str limit
-        return "(a very long integer)"
-    return text if len(text) <= 24 else text[:20] + "..."
 
 
 def _expect_int(value, what: str, limit: int) -> int:

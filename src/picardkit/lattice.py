@@ -53,7 +53,10 @@ is_exact_int is the one test of an exact int used at every boundary: the
 type is int itself, so a bool or an int subclass is refused.  DivisorClass,
 from_curve and top_intersection apply it in bulk, as
 {int}.issuperset(map(type, values)), the same test at about two thirds of
-the cost; a test pins the two forms to each other.
+the cost; a test pins the two forms to each other.  short_repr shows a
+refused value in a one-line message.  It lives here because every command
+loads lattice: the CLI's number parser, which every command runs, and
+doublecover's input checks take it from here.
 """
 
 from __future__ import annotations
@@ -71,6 +74,15 @@ def is_exact_int(x: object) -> bool:
     """Whether x is an int and no subclass: bool is one, and True would
     otherwise count as 1."""
     return type(x) is int
+
+
+def short_repr(raw) -> str:
+    """repr of raw, cut short enough for a one-line message."""
+    try:
+        text = repr(raw)
+    except ValueError:  # holds an int past Python's 4300-digit str limit
+        return "(a very long integer)"
+    return text if len(text) <= 24 else text[:20] + "..."
 
 
 def _storer(setters: tuple) -> Callable[[object, tuple], None]:

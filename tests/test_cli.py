@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from picardkit import cli
+from picardkit import cli, fibration, suites
 from picardkit.cli import main
 from picardkit.doublecover import MAX_POLY_CHARS
 
@@ -422,7 +422,7 @@ def test_singular_json_is_the_text_of_json_dumps(capsys, tmp_path):
 # --- verify -----------------------------------------------------------------------
 
 def test_all_verification_suites_pass(capsys):
-    for lemma_id in sorted(cli._SUITES):
+    for lemma_id in sorted(suites.SUITES):
         assert main(["verify", lemma_id]) == 0, lemma_id
         out = capsys.readouterr().out
         assert out.splitlines()[0] == f"{lemma_id}: PASS"
@@ -442,8 +442,8 @@ def test_verify_json_report_shape(capsys):
 
 def test_verify_failure_exits_one(capsys, monkeypatch):
     monkeypatch.setitem(
-        cli._SUITES, "hodge-bound",
-        lambda: [cli._detail("forced", 1, 2)])
+        suites.SUITES, "hodge-bound",
+        lambda: [suites._detail("forced", 1, 2)])
     assert main(["verify", "hodge-bound"]) == 1
     out = capsys.readouterr().out
     assert out.splitlines()[0] == "hodge-bound: FAIL"
@@ -454,7 +454,7 @@ def test_internal_fault_exits_three(capsys, monkeypatch):
     def broken():
         return 1 // 0
 
-    monkeypatch.setitem(cli._SUITES, "hodge-bound", broken)
+    monkeypatch.setitem(suites.SUITES, "hodge-bound", broken)
     assert main(["verify", "hodge-bound"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -468,7 +468,7 @@ def test_a_value_error_after_the_input_step_exits_three(capsys, monkeypatch):
     def broken():
         raise ValueError("H is not a conic fibration class")
 
-    monkeypatch.setitem(cli._SUITES, "deg2-pairs", broken)
+    monkeypatch.setitem(suites.SUITES, "deg2-pairs", broken)
     assert main(["verify", "deg2-pairs"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -481,7 +481,7 @@ def test_a_value_error_from_a_computation_exits_three(capsys, monkeypatch):
     def broken(rank):
         raise ValueError(f"no scan at rank {rank}")
 
-    monkeypatch.setattr(cli, "scan_conic_pairs", broken)
+    monkeypatch.setattr(fibration, "scan_conic_pairs", broken)
     assert main(["pairs", "--rank", "5", "--format", "json"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -492,14 +492,19 @@ def test_a_value_error_from_a_computation_exits_three(capsys, monkeypatch):
 def test_a_fraction_in_a_json_result_is_an_internal_fault(capsys, monkeypatch):
     # results hold only ints, bools, strs and lists; a Fraction is a bug
     monkeypatch.setitem(
-        cli._SUITES, "hodge-bound",
-        lambda: [cli._detail("forced", 1, Fraction(1, 2))])
+        suites.SUITES, "hodge-bound",
+        lambda: [suites._detail("forced", 1, Fraction(1, 2))])
     assert main(["verify", "hodge-bound", "--format", "json"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1
     assert captured.err.startswith("picardkit: internal error: TypeError: ")
     assert "Traceback" not in captured.err
+
+
+def test_the_verify_parser_offers_every_suite_in_sorted_order():
+    # cli keeps the ids, so that it need not import the suites to parse
+    assert cli.SUITE_IDS == tuple(sorted(suites.SUITES))
 
 
 def test_verify_unknown_id_is_usage_error(capsys):
@@ -645,3 +650,36 @@ def test_cli_import_needs_no_numpy():
          "import sys, picardkit.cli; print('numpy' in sys.modules)"],
         capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "False"
+
+
+_BASE = {"picardkit", "picardkit.cli", "picardkit.lattice"}
+
+
+def _loaded(code):
+    """The picardkit modules a fresh interpreter holds after running code."""
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         code + "; import sys; print(' '.join(m for m in sys.modules "
+                "if m.split('.')[0] == 'picardkit'))"],
+        capture_output=True, text=True, check=True)
+    return set(proc.stdout.split())
+
+
+def test_cli_import_loads_lattice_alone():
+    assert _loaded("import picardkit.cli") == _BASE
+
+
+@pytest.mark.parametrize("command, layers", [
+    ("cover 1,0,1", "doublecover"),
+    ("singular --input BRANCH --at 0:1,0:1,0:1", "doublecover"),
+    ("enumerate exceptional --rank 7", "curves"),
+    ("pairs --rank 7", "curves fibration"),
+    ("cones blowup --rank 8", "cones curves"),
+    ("verify fiber-counts", "curves suites"),
+])
+def test_a_command_loads_only_the_layers_it_runs(tmp_path, command, layers):
+    branch = str(_write_branch(tmp_path))
+    argv = [branch if a == "BRANCH" else a for a in command.split()]
+    argv += ["--out", str(tmp_path / "out")]
+    assert _loaded(f"from picardkit import cli; assert cli.main({argv!r}) == 0"
+                   ) == _BASE | {f"picardkit.{m}" for m in layers.split()}

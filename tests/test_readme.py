@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from picardkit import cli
+from picardkit import cli, suites
 from picardkit.doublecover import (MAX_BRANCH_ENTRY, MAX_COEFF_DIGITS,
                                    MAX_FACTORS, MAX_POLY_CHARS,
                                    MAX_POLY_DEGREE, MAX_POLY_TERMS)
@@ -41,7 +41,7 @@ def test_readme_command_exits_zero(capsys, monkeypatch, tmp_path, line):
 def test_readme_lists_the_suite_ids():
     (paragraph,) = re.findall(r"The available suite ids are (.*?)\n\n",
                               README, re.S)
-    assert sorted(re.findall(r"`([^`]+)`", paragraph)) == sorted(cli._SUITES)
+    assert sorted(re.findall(r"`([^`]+)`", paragraph)) == sorted(suites.SUITES)
 
 
 def _stated(phrase):
