@@ -4,7 +4,7 @@ Each test prints a single ACCEPTANCE line on success and enforces its time
 budget.  Every comparison is exact; nothing here is tolerance-based.
 Criteria 3 to 8 run the verify suites that the CLI ships, whose outputs
 test_golden freezes, so each of the paper's cases is written once, in
-picardkit.cli; criteria 4 and 7 add checks that no suite makes.
+picardkit.suites; criteria 4 and 7 add checks that no suite makes.
 """
 
 import json
