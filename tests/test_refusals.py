@@ -10,7 +10,9 @@ scan refuse: -1, 9, True and 8.0, and 0 for the conic family, its
 coordinates and the scan; contraction_table answers rank 0 with an empty
 table.  The
 product rows give what ProductP1 sizes, the cone reports on them and
-top_intersection refuse.  Each row gives the exception type and the whole
+top_intersection refuse.  The long-input rows give what the value
+constructors, ConePoly and max_degree_bound say of a refused value of
+100 000 characters or entries.  Each row gives the exception type and the whole
 message; the CLI rows give the exit code and the last stderr line.  Two acceptance tables follow: classes whose models are
 equal but distinct objects, and instances of a DivisorClass subclass, get
 the same answers as plain classes of one model object.
@@ -21,13 +23,14 @@ from types import MappingProxyType, SimpleNamespace
 import pytest
 
 from picardkit.cli import main
-from picardkit.cones import psef_generators, surface_cone_report
+from picardkit.cones import ConePoly, psef_generators, surface_cone_report
 from picardkit.curves import (conic_coords, contraction_table,
                               enumerate_conic, enumerate_exceptional,
                               is_conic, orbit_signature, reducible_fibers)
+from picardkit.doublecover import DoubleCoverSpec, ProductPoint
 from picardkit.fibration import (FibrationPair, analyze_pair,
                                  classify_finite_pairs, hodge_bound,
-                                 scan_conic_pairs)
+                                 max_degree_bound, scan_conic_pairs)
 from picardkit.lattice import (DivisorClass, SurfaceModel, canonical_degree,
                                pairing, top_intersection)
 
@@ -64,6 +67,7 @@ def q3():
 NOT_A_CLASS = "expected DivisorClass, got tuple"
 NOT_IN_M8 = "H - E1 does not live in BlowupP2(8)"
 NO_P3 = "ProductP1 needs n = 2, got 3"
+LONG = 100_000
 
 # (case, rank, message) for every function that pairs or lists conic classes
 CONIC_RANK_REFUSALS = [
@@ -224,6 +228,20 @@ REFUSALS = [
     ("top_intersection-float", lambda: top_intersection([(1, 0), (1.0, 1)]),
      ValueError, "top_intersection needs 2 rows of 2 integers, "
                  "got (1.0, 1)"),
+    # a refused value of LONG characters or entries
+    ("SurfaceModel-long-size", lambda: SurfaceModel("BlowupP2", "x" * LONG),
+     ValueError, f"model size must be an integer, got {'x' * LONG!r}"),
+    ("SurfaceModel-long-kind", lambda: SurfaceModel("y" * LONG, 2),
+     ValueError, f"unknown model kind {'y' * LONG!r}"),
+    ("DoubleCoverSpec-long-entry", lambda: DoubleCoverSpec(1, ["x" * LONG]),
+     ValueError, f"branch-type entry {'x' * LONG!r} is not a nonnegative int"),
+    ("ProductPoint-long-pair", lambda: ProductPoint(1, [[0] * LONG]),
+     ValueError, f"coordinate pair {[0] * LONG!r} must have length 2"),
+    ("ConePoly-long-dimension", lambda: ConePoly("z" * LONG, [(1,)]),
+     ValueError, "ambient dimension must be a nonnegative integer, "
+                 f"got {'z' * LONG!r}"),
+    ("max_degree_bound-long-rank", lambda: max_degree_bound("q" * LONG),
+     ValueError, f"need 1 <= r <= 8, got {'q' * LONG!r}"),
 ]
 
 
