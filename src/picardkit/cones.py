@@ -29,21 +29,17 @@ and the row reduction run on integers and check nothing again.
   - a normal that cut nothing when it was processed is a nonnegative
     combination of earlier ones; the run records it in a bitmask, and it
     is never a generator;
-  - a kept normal tight on every output ray lies in the lineality space
-    of the cone the normals span, and those normals span it;
-  - any other kept normal is a generator when every kept normal tight on
-    all the rays it is tight on (the AND of their zero sets) stands for
-    the same ray;
-  - with no lines, each normal stands for itself.  Otherwise the lines
-    are the kernel basis of the reduced rows of the output (_rref), one
-    per column that is not a pivot, through _canon_line, and a normal
-    stands for its shift along them onto the pivot columns: the
-    directions and coordinates that a run on the output would pick.
+  - a kept normal is a generator when it is the only kept normal tight
+    on all the rays it is tight on (the AND of their zero sets), unless
+    some kept normal is tight on every output ray: that normal lies in
+    the lineality space of the cone the normals span, so the cone has a
+    line, and a second run, on the output, gives its generators.
   So one run on a cone's generators gives its facets, which are its
   dual's rays, and its minimal generators, which are its double dual's;
   one run on given facets gives the rays and the minimal facets, which
   are the dual's rays.  ConePoly keeps both and dual_cone hands them on,
-  so a cone, its dual and its double dual cost one run.
+  so a cone, its dual and its double dual cost one run, or two when the
+  cone the normals span has a line.
 * Membership and extremality: a phase-I simplex with Bland's rule, pivoting
   over the integers with one common denominator and no artificial
   columns, decides whether a vector is a nonnegative combination of given
@@ -93,7 +89,8 @@ from typing import Iterable, Iterator, Sequence
 
 from .curves import enumerate_exceptional
 from .lattice import (BLOWUP, DivisorClass, FrozenValue, SurfaceModel,
-                      canonical_degree, is_exact_int, pairing_vector)
+                      canonical_degree, is_exact_int, pairing_vector,
+                      short_repr)
 
 Vec = tuple[int, ...]
 
@@ -363,7 +360,8 @@ def _dual_description(normals: Sequence[Vec],
 class _Pending:
     """The double description of a run's output gens, the generators of
     cone(normals), read off the state the run ended in the first time it
-    is asked for, by the rules in the module docstring.  Plain data, so a
+    is asked for, by the rules in the module docstring.  When cone(normals)
+    has a line, reading it is a second run, on gens.  Plain data, so a
     cone holding one copies and pickles.
     """
 
@@ -384,59 +382,22 @@ class _Pending:
         return self.answer
 
     def _derive(self) -> tuple[Vec, ...]:
-        tight, zsets, live = self.tight, self.zsets, self.live
-        kept = [k for k in range(len(self.normals)) if self.kept >> k & 1]
-        candidates = [k for k in kept if tight[k] & live != live]
-        lines: list[Vec] = []
-        reps: Sequence[Vec] | dict[int, Vec] = self.normals
-        if len(candidates) < len(kept):  # some normal spans a line
-            lines, reps = self._lines_and_shifts(candidates)
-        mask = 0
-        for k in candidates:
-            mask |= 1 << k
-        out = set()
-        for k in candidates:
-            on_all = mask
+        tight, zsets, live, kept = self.tight, self.zsets, self.live, self.kept
+        out = []
+        for k, h in enumerate(self.normals):
+            if not kept >> k & 1:
+                continue
             z = tight[k] & live
+            if z == live:  # the normals span a line
+                return _dual_description(self.gens, self.dim)[0]
+            on_all = kept
             while z:
                 low = z & -z
                 on_all &= zsets[low.bit_length() - 1]
                 z ^= low
-            rep = reps[k]
-            others = on_all ^ 1 << k
-            while others:
-                low = others & -others
-                if reps[low.bit_length() - 1] != rep:
-                    break
-                others ^= low
-            else:
-                out.add(rep)
-        return tuple(sorted([*out, *lines]))
-
-    def _lines_and_shifts(self, candidates: list[int]
-                          ) -> tuple[list[Vec], dict[int, Vec]]:
-        """The lines of cone(normals) in both signs, and each candidate
-        normal shifted along them onto the pivot columns of gens."""
-        basis = _rref(self.gens)
-        m = lcm(*(row[p] for p, row in basis))
-        scaled = [(p, row, m // row[p]) for p, row in basis]
-        pivots = {p for p, _ in basis}
-        lines: list[Vec] = []
-        for i in range(self.dim):
-            if i not in pivots:
-                line = [0] * self.dim
-                line[i] = m
-                for p, row, f in scaled:
-                    line[p] = -row[i] * f
-                line = _canon_line(line)
-                lines += line, _neg(line)
-        shifts = {}
-        for k in candidates:
-            shift = [0] * self.dim
-            for p, row, f in scaled:
-                shift[p] = sum(map(mul, row, self.normals[k])) * f
-            shifts[k] = _primitive(shift)
-        return lines, shifts
+            if on_all == 1 << k:
+                out.append(h)
+        return tuple(sorted(out))
 
 
 class ConePoly:
@@ -459,7 +420,7 @@ class ConePoly:
             raise ValueError("a cone needs generators or facet normals")
         if not (is_exact_int(ambient_dim) and ambient_dim >= 0):
             raise ValueError(f"ambient dimension must be a nonnegative "
-                             f"integer, got {ambient_dim!r}")
+                             f"integer, got {short_repr(ambient_dim)}")
         self.ambient_dim = ambient_dim
         self._generators = self._clean(generators)
         self._facets = self._clean(facets)
@@ -561,7 +522,8 @@ def dual_cone(c: ConePoly) -> ConePoly:
     what c's own run left pending when c was built from facets, so minimal
     even where the given facets were redundant.  Its double description is
     c's generators in their minimal form, c._minimal, handed on pending,
-    so dual_cone(dual_cone(c)) runs no second double description.  A dual
+    so dual_cone(dual_cone(c)) runs a second double description only
+    when the normals of c's run span a line.  A dual
     under the intersection form is the dual of the generators pushed
     through lattice.pairing_vector.
     """

@@ -106,7 +106,8 @@ class DoubleCoverSpec(FrozenValue):
             raise ValueError("one branch-type entry per factor required")
         for d in branch_type:
             if not is_exact_int(d) or d < 0:
-                raise ValueError(f"branch-type entry {d!r} is not a nonnegative int")
+                raise ValueError(f"branch-type entry {short_repr(d)} is not a "
+                                 "nonnegative int")
             if d > MAX_BRANCH_ENTRY:
                 raise ValueError(f"branch-type entry {d} exceeds "
                                  f"{MAX_BRANCH_ENTRY}")
@@ -161,7 +162,8 @@ class ProductPoint(FrozenValue):
         clean = []
         for pair in pairs:
             if len(pair) != 2:
-                raise ValueError(f"coordinate pair {pair!r} must have length 2")
+                raise ValueError(f"coordinate pair {short_repr(pair)} must have "
+                                 "length 2")
             a, b = _exact(pair[0], "coordinate"), _exact(pair[1], "coordinate")
             if a == 0 and b == 0:
                 raise ValueError("a coordinate pair cannot be (0, 0)")

@@ -56,7 +56,8 @@ from .curves import (
 from .lattice import (BLOWUP, DivisorClass, FrozenValue, SurfaceModel,
                       canonical_degree, check_class, dense_mask,
                       fields_at_least, is_exact_int, packed_dots, pairing,
-                      pairing_vector, zero_fields, zero_masks)
+                      pairing_vector, short_repr, zero_fields,
+                      zero_masks)
 
 
 class FibrationPair(FrozenValue):
@@ -160,7 +161,7 @@ def hodge_bound(model: SurfaceModel, c1: DivisorClass,
 def max_degree_bound(r: int) -> int:
     """Degree cap floor(8 / K^2) for finite conic pairs on BlowupP2(r)."""
     if not (is_exact_int(r) and 1 <= r <= 8):
-        raise ValueError(f"need 1 <= r <= 8, got {r!r}")
+        raise ValueError(f"need 1 <= r <= 8, got {short_repr(r)}")
     return 8 // (9 - r)
 
 
@@ -173,8 +174,6 @@ def _pair_scan(r: int) -> tuple[PairScanSummary, tuple[PairClassEntry, ...]]:
     """
     coords = conic_coords(r)
     n = len(coords)
-    if n < 2:
-        return PairScanSummary(r, n, 0, 0, True, 0, ()), ()
     # orbit signatures as plain (degree, ascending E-coordinates) tuples;
     # records are built for the distinct ones alone, and ordered as
     # OrbitSignature orders them

@@ -208,7 +208,8 @@ class SurfaceModel(FrozenValue):
 
     def __init__(self, kind: str, size: int) -> None:
         if not is_exact_int(size):
-            raise ValueError(f"model size must be an integer, got {size!r}")
+            raise ValueError(f"model size must be an integer, "
+                             f"got {short_repr(size)}")
         if kind == BLOWUP:
             if not 0 <= size <= 8:
                 raise ValueError(f"BlowupP2 needs 0 <= r <= 8, got {size}")
@@ -216,7 +217,7 @@ class SurfaceModel(FrozenValue):
             if size != 2:
                 raise ValueError(f"ProductP1 needs n = 2, got {size}")
         else:
-            raise ValueError(f"unknown model kind {kind!r}")
+            raise ValueError(f"unknown model kind {short_repr(kind)}")
         FrozenValue.__init__(self, kind, size)
 
     @staticmethod

@@ -200,6 +200,24 @@ def test_one_double_description_serves_a_cone_and_its_double_dual(
     assert len(runs) == 1
 
 
+def test_a_double_dual_with_a_line_takes_a_second_run(monkeypatch):
+    # generators spanning a line are read off by running the double
+    # description on the dual's rays, not from the first run's zero sets
+    runs = []
+    run = cones._dual_description
+
+    def counted(normals, dim):
+        runs.append(normals)
+        return run(normals, dim)
+
+    monkeypatch.setattr(cones, "_dual_description", counted)
+    gens = [(1, 0, 0), (-1, 0, 0), (0, 1, 1), (1, 2, 3)]
+    c = ConePoly.from_generators(gens)
+    assert dual_cone(dual_cone(c)).rays() == recomputed_dual_description(
+        recomputed_dual_description(gens, 3), 3)
+    assert len(runs) == 2
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_a_double_dual_read_off_one_run_equals_two_runs(data):
