@@ -523,9 +523,9 @@ def dual_cone(c: ConePoly) -> ConePoly:
     even where the given facets were redundant.  Its double description is
     c's generators in their minimal form, c._minimal, handed on pending,
     so dual_cone(dual_cone(c)) runs a second double description only
-    when the normals of c's run span a line.  A dual
-    under the intersection form is the dual of the generators pushed
-    through lattice.pairing_vector.
+    when the normals of c's run span a line.  A dual under the
+    intersection form is the dual of the generators pushed through
+    lattice.pairing_vector.
     """
     dual = c._dual_rays()
     return ConePoly._described(c.ambient_dim, dual, c.rays(), c._minimal)
