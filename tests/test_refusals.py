@@ -27,7 +27,8 @@ from picardkit.cones import ConePoly, psef_generators, surface_cone_report
 from picardkit.curves import (conic_coords, contraction_table,
                               enumerate_conic, enumerate_exceptional,
                               is_conic, orbit_signature, reducible_fibers)
-from picardkit.doublecover import DoubleCoverSpec, ProductPoint
+from picardkit.doublecover import (DoubleCoverSpec, MultiHomogPoly,
+                                   ProductPoint)
 from picardkit.fibration import (FibrationPair, analyze_pair,
                                  classify_finite_pairs, hodge_bound,
                                  max_degree_bound, scan_conic_pairs)
@@ -57,6 +58,10 @@ T = A.coords
 DUCK = SimpleNamespace(model=M8, coords=A.coords)
 # not a pair, though it carries a model and two conics
 DUCK_PAIR = SimpleNamespace(model=M8, c1=A, c2=B)
+
+
+class BigInt(int):
+    """An int subclass, which class multiples refuse."""
 
 
 def q3():
@@ -243,6 +248,17 @@ REFUSALS = [
                  "got 'zzzzzzzzzzzzzzzzzzz..."),
     ("max_degree_bound-long-rank", lambda: max_degree_bound("q" * LONG),
      ValueError, "need 1 <= r <= 8, got 'qqqqqqqqqqqqqqqqqqq..."),
+    ("ProductPoint-long-factor",
+     lambda: ProductPoint.of([(1, 1)]).scaled("f" * LONG, 1),
+     ValueError, f"factor {'f' * LONG!r} is not in 0..0"),
+    ("MultiHomogPoly-long-variable",
+     lambda: MultiHomogPoly(1, {(1, 0): 1}).partial_derivative("v" * LONG),
+     ValueError, f"variable index {'v' * LONG!r} out of range"),
+    # the repr of an int past 4300 digits raises in place of the refusal
+    ("DivisorClass-long-multiple", lambda: E1 * BigInt(10 ** LONG),
+     ValueError, "Exceeds the limit (4300 digits) for integer string "
+                 "conversion; use sys.set_int_max_str_digits() to increase "
+                 "the limit"),
 ]
 
 
