@@ -140,11 +140,13 @@ class ReducibleFiber(FrozenValue):
         FrozenValue.__init__(self, total, (a, b))
 
     @classmethod
-    def _from_table(cls, total: DivisorClass, a: DivisorClass,
-                    b: DivisorClass) -> "ReducibleFiber":
-        """The fibre a + b of total, read from the contraction table."""
+    def _from_table(cls, total: DivisorClass,
+                    components: tuple[DivisorClass, DivisorClass]
+                    ) -> "ReducibleFiber":
+        """The fibre of total whose components are the pair (a, b), read
+        from the contraction table; the pair is stored as it is."""
         fiber = object.__new__(cls)
-        cls._store(fiber, (total, (a, b)))
+        cls._store(fiber, (total, components))
         return fiber
 
 
@@ -270,6 +272,23 @@ def contraction_table(r: int) -> tuple[tuple[DivisorClass, ...],
                                   if mask})
 
 
+@cache
+def _fiber_pairs(r: int, coords: tuple[int, ...]
+                 ) -> tuple[tuple[DivisorClass, DivisorClass], ...]:
+    """The components (a, b) of each reducible fibre of the conic class
+    of BlowupP2(r) with these coordinates, ordered by a's coordinates:
+    read once per conic from the contraction table, and shared."""
+    fam, masks = contraction_table(r)
+    # partners pair off from the two ends of the coordinate order (see the
+    # module docstring); the table fixed the fibre equations, and the
+    # Tier-1 tests check them
+    contracted = sorted(selected(fam, masks.get(coords, 0)),
+                        key=attrgetter("coords"))
+    n = len(contracted)
+    return tuple([(contracted[i], contracted[n - 1 - i])
+                  for i in range(n // 2)])
+
+
 def reducible_fibers(c: DivisorClass,
                      fam: tuple[DivisorClass, ...]) -> list[ReducibleFiber]:
     """All splittings c = A + B into two exceptional classes with A.B = 1.
@@ -278,7 +297,8 @@ def reducible_fibers(c: DivisorClass,
     smaller component.  The components are the classes c contracts, read
     from the contraction table; fam must be the exceptional family of c's
     model, a BlowupP2 (enumerate_exceptional, or a tuple with the same
-    members).
+    members).  The list is new on every call, and each fibre's total is
+    c itself.
     """
     if c.__class__ is not DivisorClass:
         check_class(c)
@@ -287,16 +307,13 @@ def reducible_fibers(c: DivisorClass,
                          f"got {c.model}")
     if not is_conic(c):
         raise ValueError(f"{c} is not a conic fibration class")
-    table_fam, masks = contraction_table(c.model.size)
+    r = c.model.size
+    table_fam = contraction_table(r)[0]
     # members carry their model, so this also tells the ranks apart
     if fam is not table_fam and fam != table_fam:
         raise ValueError("reducible_fibers needs the exceptional family of "
                          "the class's model")
-    # partners pair off from the two ends of the coordinate order (see the
-    # module docstring); the table fixed the fibre equations, and the
-    # Tier-1 tests check them
-    contracted = sorted(selected(fam, masks.get(c.coords, 0)),
-                        key=attrgetter("coords"))
-    n = len(contracted)
-    return [ReducibleFiber._from_table(c, contracted[i], contracted[n - 1 - i])
-            for i in range(n // 2)]
+    # only a checked conic reaches the cache, so it holds one entry per
+    # conic class at most
+    from_table = ReducibleFiber._from_table
+    return [from_table(c, pair) for pair in _fiber_pairs(r, c.coords)]

@@ -180,7 +180,8 @@ class ProductPoint(FrozenValue):
     def scaled(self, factor: int, lam) -> "ProductPoint":
         """The same point with pair factor (0 <= factor < n) times lam."""
         if not (is_exact_int(factor) and 0 <= factor < self.n):
-            raise ValueError(f"factor {factor!r} is not in 0..{self.n - 1}")
+            raise ValueError(f"factor {short_repr(factor)} is not in "
+                             f"0..{self.n - 1}")
         lam = _exact(lam, "scaling factor")
         if lam == 0:
             raise ValueError("scaling factor must be nonzero")
@@ -274,7 +275,8 @@ class MultiHomogPoly(FrozenValue):
         at zero.
         """
         if not (is_exact_int(var) and 0 <= var < 2 * self.n):
-            raise ValueError(f"variable index {var!r} out of range")
+            raise ValueError(f"variable index {short_repr(var)} "
+                             "out of range")
         out: dict[tuple[int, ...], Fraction] = {}
         for exps, coeff in self.terms.items():
             e = exps[var]

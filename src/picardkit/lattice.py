@@ -311,7 +311,7 @@ class DivisorClass(FrozenValue):
             return NotImplemented
         if not is_exact_int(scalar):
             raise ValueError(f"class multiples must be integers, "
-                             f"got {scalar!r}")
+                             f"got {short_repr(scalar)}")
         return DivisorClass(self.model, tuple(scalar * a for a in self.coords))
 
     __rmul__ = __mul__
