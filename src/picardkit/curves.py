@@ -42,10 +42,11 @@ first: conic_coords(r) is the tuple of coordinate tuples, cached per rank
 and refusing what enumerate_conic refuses, and enumerate_conic(r) builds
 one checked DivisorClass on each, sharing the tuple.  Who reads which:
 the pencil queries, orbit signatures, the cone layer and the CLI listings
-read classes; the contraction table, the whole-rank pair scan of
-fibration and the rank check of the CLI's pairs command read coordinates
-alone, so a cold pair scan builds one class per orbit signature and the
-table none.
+read classes; the contraction table, the fibre pairs that
+reducible_fibers keeps per conic (keyed by rank and coordinates), the
+whole-rank pair scan of fibration and the rank check of the CLI's pairs
+command read coordinates alone, so a cold pair scan builds one class per
+orbit signature, and the table and the fibre pairs build none.
 
 Contraction: a conic fibration contracts an exceptional class e exactly
 when e.c = 0, and then c - e is exceptional too and meets e once (its square
@@ -61,7 +62,13 @@ reducible_fibers and the pair analysis in fibration read it, and a family
 passed to them must equal the table's own.  reducible_fibers finds the
 partner b = c - a of each contracted a among the members c contracts
 (b.c = b.a + b^2 = 0): x -> c - x reverses the lexicographic order, so in
-coordinate order the i-th pairs with the i-th from the end.  The table
+coordinate order the i-th pairs with the i-th from the end.  It pairs each
+conic once: _fiber_pairs(r, coords) keeps the (a, b) pairs, filled on
+first use, and reducible_fibers asks it only after checking the class,
+the model, that the class is a conic and the family, so it holds at most
+one entry per conic class (2334 over r = 1..8).  A call builds only its
+records, each with the caller's class as total and a cached pair as
+components, in a new list; the records are not cached.  The table
 tests e.c = 0 and nothing else, so that each fibre's components are
 exceptional and meet once rests on the theorem above;
 test_reducible_fibers_match_direct_scan checks it for every fibre at
@@ -118,12 +125,13 @@ class ReducibleFiber(FrozenValue):
 
     A fibre built by a caller is checked: a + b = total, a^2 = b^2 = -1
     and a.b = 1.  reducible_fibers builds its fibres through _from_table
-    without that check, storing the fields through the class's _store
-    with no argument binding.  The contraction table marks each
-    exceptional a with a.total = 0, and the theorem in the module
-    docstring makes total - a exceptional with a.(total - a) = 1; the
-    Tier-1 tests check every fibre of every conic class at r = 1..8
-    against these equations and a direct scan.
+    without that check: it stores the caller's total and one (a, b) pair
+    of _fiber_pairs, as it is, through the class's _store with no
+    argument binding, so every call on one conic shares those pairs.
+    The contraction table marks each exceptional a with a.total = 0, and
+    the theorem in the module docstring makes total - a exceptional with
+    a.(total - a) = 1; the Tier-1 tests check every fibre of every conic
+    class at r = 1..8 against these equations and a direct scan.
     """
 
     __slots__ = ("total", "components")
