@@ -420,3 +420,67 @@ def test_reducible_fibers_accept_only_the_table_family():
         reducible_fibers(quartic, low)
     with pytest.raises(ValueError):
         reducible_fibers(quartic, enumerate_exceptional(7))
+
+
+def test_equal_conics_get_equal_fibres_each_with_its_own_total():
+    # the cache holds each conic's pairs, not its records
+    dp8 = SurfaceModel.blowup_p2(8)
+    fam = enumerate_exceptional(8)
+    first = DivisorClass.from_curve(dp8, 4, (0, 1, 1, 1, 1, 2, 2, 2))
+    second = DivisorClass(SurfaceModel("BlowupP2", 8), first.coords)
+    assert first == second and first is not second
+    fibers = reducible_fibers(first, fam)
+    again = reducible_fibers(second, fam)
+    assert fibers == again and len(fibers) == 7
+    assert all(f.total is first for f in fibers)
+    assert all(f.total is second for f in again)
+    assert all(f is not g and f.components is g.components
+               for f, g in zip(fibers, again))
+
+
+def test_a_returned_fibre_list_is_the_callers_own():
+    fam = enumerate_exceptional(7)
+    ruling = DivisorClass.from_curve(SurfaceModel.blowup_p2(7), 1, (1,))
+    fibers = reducible_fibers(ruling, fam)
+    want = list(fibers)
+    fibers.pop()
+    fibers.reverse()
+    fibers.append("not a fibre")
+    assert reducible_fibers(ruling, fam) == want
+    assert reducible_fibers(ruling, fam) is not reducible_fibers(ruling, fam)
+
+
+def test_a_refused_input_adds_no_fibre_pairs():
+    dp7 = SurfaceModel.blowup_p2(7)
+    refused = [
+        # not a conic
+        (DivisorClass(dp7, (0, 1, 0, 0, 0, 0, 0, 0)), enumerate_exceptional(7)),
+        # a ruling of P1 x P1: a conic class, but no table covers it
+        (DivisorClass(SurfaceModel.product_p1(2), (1, 0)),
+         enumerate_exceptional(2)),
+        # a conic, with the wrong family
+        (DivisorClass.from_curve(dp7, 1, (1,)), enumerate_conic(7)),
+    ]
+    curves._fiber_pairs.cache_clear()
+    for c, family in refused:
+        with pytest.raises(ValueError):
+            reducible_fibers(c, family)
+        assert curves._fiber_pairs.cache_info().currsize == 0, c
+
+
+def test_the_fibre_pairs_hold_one_entry_per_conic_class():
+    curves._fiber_pairs.cache_clear()
+    for r in range(1, 9):
+        fam = enumerate_exceptional(r)
+        model = SurfaceModel("BlowupP2", r)
+        for c in enumerate_conic(r):
+            reducible_fibers(c, fam)
+            # the same conic as a distinct object, with a copy of the family
+            twin = DivisorClass(model, c.coords)
+            for f in reducible_fibers(twin, tuple(list(fam))):
+                assert f.total is twin
+        with pytest.raises(ValueError):
+            reducible_fibers(fam[0], fam)  # exceptional, so not a conic
+        assert curves._fiber_pairs.cache_info().currsize \
+            == sum(CONIC_COUNTS[k] for k in range(1, r + 1))
+    assert curves._fiber_pairs.cache_info().currsize == 2334

@@ -1,6 +1,6 @@
 """Source hygiene of the package, read with the standard ast module.
 
-Six rules over every module of picardkit: each imported name is used (a
+Seven rules over every module of picardkit: each imported name is used (a
 name listed in __all__ counts as used), no module imports another module's
 private name (one that starts with a single underscore), no module reads a
 private attribute that only another module defines (x._name, other than on
@@ -9,10 +9,12 @@ package or the benchmark, as does every public method or property of a
 package class, read as an attribute somewhere in the package or in bench/,
 no float is made: no true division, float literal, float() or round()
 call, since every result is exact, and no module but lattice imports the
-packed-field format, FIELD_BITS or DOT_LIMIT (tests may).  A route that
-only the tests call belongs in tests/_oracles.py.  The
-attribute rule keeps trusted constructors such as
-ReducibleFiber._from_table, which skip validation, inside their own modules.
+packed-field format, FIELD_BITS or DOT_LIMIT (tests may), and every
+functools cache is listed in CACHES with the bound of its key, since a
+cache keyed by what callers pass grows with them.  A route that only the
+tests call belongs in tests/_oracles.py.  The attribute rule keeps trusted
+constructors inside their own modules: ReducibleFiber._from_table skips
+validation and stores a cached pair of components as it is.
 """
 
 import ast
@@ -24,6 +26,16 @@ import picardkit
 from test_bench_api import BENCH, USED
 
 SOURCES = sorted(Path(picardkit.__file__).parent.glob("*.py"))
+# (module, function) of every functools cache in the package, and the bound
+# of its key; only checked arguments reach each one
+CACHES = {
+    ("curves", "conic_coords"): "rank, 1..8",
+    ("curves", "contraction_table"): "rank, 0..8",
+    ("curves", "enumerate_conic"): "rank, 1..8",
+    ("curves", "enumerate_exceptional"): "rank, 0..8",
+    ("curves", "_fiber_pairs"): "rank and conic class: 2334 over ranks 1..8",
+    ("fibration", "_pair_scan"): "rank, 1..8",
+}
 
 
 def _tree(path):
@@ -201,6 +213,35 @@ def _field_format_imports(sources):
             for a in node.names if a.name in ("FIELD_BITS", "DOT_LIMIT")]
 
 
+def _caches(sources):
+    """(module, function) for each function wrapped in functools' cache or
+    lru_cache, as a decorator or by assignment, under any import name."""
+    out = []
+    for p in sources:
+        tree = _tree(p)
+        names = {"cache", "lru_cache"} | {
+            a.asname or a.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "functools"
+            for a in node.names if a.name in ("cache", "lru_cache")}
+
+        def is_cache(node):
+            if isinstance(node, ast.Call):  # lru_cache(maxsize=...)
+                node = node.func
+            return (node.attr if isinstance(node, ast.Attribute)
+                    else getattr(node, "id", None)) in names
+
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                    and any(map(is_cache, node.decorator_list)):
+                out.append((p.stem, node.name))
+            elif isinstance(node, ast.Assign) \
+                    and isinstance(node.value, ast.Call) \
+                    and is_cache(node.value.func):
+                out += [(p.stem, t.id) for t in node.targets
+                        if isinstance(t, ast.Name)]
+    return sorted(out)
+
+
 def test_every_module_is_checked():
     names = {p.stem for p in SOURCES}
     assert {"cli", "cones", "curves", "fibration", "lattice"} <= names
@@ -241,6 +282,29 @@ def test_the_field_format_check_sees_an_import(tmp_path):
         == [("cones", "DOT_LIMIT"), ("curves", "FIELD_BITS")]
 
 
+def test_every_cache_is_listed_with_the_bound_of_its_key():
+    assert _caches(SOURCES) == sorted(CACHES), (
+        "list each functools cache in CACHES with the bound of its key, "
+        "and drop the rows of caches that are gone")
+
+
+def test_the_cache_check_sees_every_cache(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "import functools\n"
+        "from functools import cache, lru_cache as lru, total_ordering\n"
+        "@cache\ndef plain(r): pass\n"
+        "@functools.lru_cache(maxsize=None)\ndef sized(r): pass\n"
+        "@lru(8)\ndef renamed(r): pass\n"
+        "class C:\n    @functools.cache\n    def method(self): pass\n"
+        "@total_ordering\nclass D: pass\n"
+        "def uncached(r): pass\n"
+        "wrapped = functools.cache(uncached)\n")
+    (tmp_path / "b.py").write_text("from .a import plain\n")
+    assert _caches(sorted(tmp_path.glob("*.py"))) == [
+        ("a", "method"), ("a", "plain"), ("a", "renamed"), ("a", "sized"),
+        ("a", "wrapped")]
+
+
 def test_no_module_reads_another_modules_private_attributes():
     crossing = _foreign_private_reads(SOURCES)
     assert not crossing, f"private attributes read across modules: {crossing}"
@@ -254,7 +318,7 @@ def test_the_private_attribute_check_sees_a_trusted_constructor(tmp_path):
     assert _foreign_private_reads(sorted(tmp_path.glob("*.py"))) == []
     with open(tmp_path / "fibration.py", "a") as f:
         f.write("\n\ndef split(c, a, b):\n"
-                "    return ReducibleFiber._from_table(c, a, b)\n")
+                "    return ReducibleFiber._from_table(c, (a, b))\n")
     assert _foreign_private_reads(sorted(tmp_path.glob("*.py"))) \
         == [("fibration", "_from_table")]
 
