@@ -292,9 +292,7 @@ def _fiber_pairs(r: int, coords: tuple[int, ...]
     # Tier-1 tests check them
     contracted = sorted(selected(fam, masks.get(coords, 0)),
                         key=attrgetter("coords"))
-    n = len(contracted)
-    return tuple([(contracted[i], contracted[n - 1 - i])
-                  for i in range(n // 2)])
+    return tuple(zip(contracted[:len(contracted) // 2], reversed(contracted)))
 
 
 def reducible_fibers(c: DivisorClass,
