@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -557,6 +558,24 @@ def test_a_reader_that_closes_stdout_early_is_no_fault(fmt):
         proc.kill()
         proc.stderr.close()
     assert err == b""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("command", [
+    "cover 1,0,1",
+    "cover 1,0,1 --format json",
+    "enumerate conic --rank 8 --format json",
+])
+def test_a_full_stdout(command):
+    # every write to /dev/full fails with ENOSPC
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "picardkit", *command.split()],
+            stdout=full, stderr=subprocess.PIPE, text=True, timeout=60)
+    assert proc.returncode == 3
+    assert proc.stderr.splitlines() == [
+        "picardkit: internal error: OSError: [Errno 28] No space left on "
+        "device"]
 
 
 class _Sink:

@@ -12,8 +12,9 @@ table.  The
 product rows give what ProductP1 sizes, the cone reports on them and
 top_intersection refuse.  The long-input rows give the one-line
 messages of the value constructors, ConePoly, max_degree_bound,
-ProductPoint.scaled, MultiHomogPoly.partial_derivative and a class
-multiple for a refused value of 100 000 characters, entries or digits.  Each row gives the exception type and the whole
+ProductPoint.scaled, MultiHomogPoly.partial_derivative, a class
+multiple, a cone's vectors and a polynomial's exponents and factor degrees
+for a refused value of 100 000 characters, entries or digits.  Each row gives the exception type and the whole
 message; the CLI rows give the exit code and the last stderr line.  Two acceptance tables follow: classes whose models are
 equal but distinct objects, and instances of a DivisorClass subclass, get
 the same answers as plain classes of one model object.
@@ -74,6 +75,9 @@ NOT_A_CLASS = "expected DivisorClass, got tuple"
 NOT_IN_M8 = "H - E1 does not live in BlowupP2(8)"
 NO_P3 = "ProductP1 needs n = 2, got 3"
 LONG = 100_000
+# Python's own refusal to write an int of more than 4300 digits
+INT_LIMIT = ("Exceeds the limit (4300 digits) for integer string conversion; "
+             "use sys.set_int_max_str_digits() to increase the limit")
 
 # (case, rank, message) for every function that pairs or lists conic classes
 CONIC_RANK_REFUSALS = [
@@ -259,6 +263,20 @@ REFUSALS = [
     ("DivisorClass-long-multiple", lambda: E1 * BigInt(10 ** LONG),
      ValueError, "class multiples must be integers, got (a very long "
                  "integer)"),
+    ("ConePoly-long-vector", lambda: ConePoly(1, [(0,) * LONG]),
+     ValueError, f"vector {(0,) * LONG} does not have dimension 1"),
+    ("MultiHomogPoly-long-exponents",
+     lambda: MultiHomogPoly(1, {(0,) * LONG: 1}),
+     ValueError, f"exponent tuple {(0,) * LONG} must have length 2"),
+    ("MultiHomogPoly-long-exponent",
+     lambda: MultiHomogPoly(1, {("e" * LONG, 0): 1}),
+     ValueError, f"exponents must be nonnegative ints: {('e' * LONG, 0)}"),
+    ("MultiHomogPoly-huge-exponent",
+     lambda: MultiHomogPoly(1, {(-10 ** LONG, 0): 1}),
+     ValueError, INT_LIMIT),
+    ("MultiHomogPoly-huge-degree",
+     lambda: MultiHomogPoly(1, {(10 ** LONG, 0): 1, (1, 0): 1}),
+     ValueError, INT_LIMIT),
 ]
 
 
