@@ -109,7 +109,8 @@ def _integral(vecs: Iterable[Iterable], dim: int) -> list[Vec]:
     vecs = [tuple(v) for v in vecs]
     for v in vecs:
         if len(v) != dim:
-            raise ValueError(f"vector {v} does not have dimension {dim}")
+            raise ValueError(f"vector {short_repr(v)} does not have "
+                             f"dimension {dim}")
     kinds = set(map(type, chain.from_iterable(vecs)))
     if kinds <= {int}:
         return vecs

@@ -216,16 +216,19 @@ class MultiHomogPoly(FrozenValue):
         for exps, coeff in terms.items():
             exps = tuple(exps)
             if len(exps) != 2 * n:
-                raise ValueError(f"exponent tuple {exps} must have length {2 * n}")
+                raise ValueError(f"exponent tuple {short_repr(exps)} must "
+                                 f"have length {2 * n}")
             if any(not is_exact_int(e) or e < 0 for e in exps):
-                raise ValueError(f"exponents must be nonnegative ints: {exps}")
+                raise ValueError(f"exponents must be nonnegative ints: "
+                                 f"{short_repr(exps)}")
             coeff = _exact(coeff, "coefficient")
             this = tuple(exps[2 * k] + exps[2 * k + 1] for k in range(n))
             if degree is None:
                 degree = this
             elif this != degree:
                 raise ValueError(
-                    f"term {exps} has factor degrees {this}, expected {degree}")
+                    f"term {short_repr(exps)} has factor degrees "
+                    f"{short_repr(this)}, expected {short_repr(degree)}")
             if coeff:
                 clean[exps] = clean.get(exps, Fraction(0)) + coeff
         clean = {e: c for e, c in clean.items() if c}

@@ -1,14 +1,18 @@
+import ast
+import gc
 import json
 import os
 import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import picardkit
 from picardkit import cli, fibration, suites
 from picardkit.cli import main
 from picardkit.doublecover import MAX_POLY_CHARS
@@ -566,16 +570,19 @@ def test_a_reader_that_closes_stdout_early_is_no_fault(fmt):
     "cover 1,0,1 --format json",
     "enumerate conic --rank 8 --format json",
 ])
-def test_a_full_stdout(command):
-    # every write to /dev/full fails with ENOSPC
+def test_a_full_stdout_is_refused_like_an_unwritable_out_path(command):
+    # every write to /dev/full fails with ENOSPC; the flush at exit, which
+    # still holds the unwritten text, must not fail a second time
     with open("/dev/full", "w") as full:
         proc = subprocess.run(
             [sys.executable, "-m", "picardkit", *command.split()],
             stdout=full, stderr=subprocess.PIPE, text=True, timeout=60)
-    assert proc.returncode == 3
-    assert proc.stderr.splitlines() == [
-        "picardkit: internal error: OSError: [Errno 28] No space left on "
-        "device"]
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines()[-1] == (
+        "picardkit: error: cannot write stdout: [Errno 28] No space left on "
+        "device")
+    assert "Traceback" not in proc.stderr
+    assert "Exception ignored" not in proc.stderr
 
 
 class _Sink:
@@ -647,6 +654,73 @@ def test_module_entrypoint_runs():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "exceptional classes on BlowupP2(0): 0"
+
+
+def test_module_entry_writes_the_bytes_of_main(capsys, tmp_path):
+    target = tmp_path / "out.json"
+    argv = ["verify", "double-cover-k", "--format", "json"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "picardkit", *argv, "--out", str(target)],
+        capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert proc.stdout == proc.stderr == ""
+    assert main(argv) == 0
+    assert target.read_bytes() == capsys.readouterr().out.encode()
+
+
+@pytest.mark.parametrize("argv", [
+    ["cover", "1,0,1"],
+    ["verify", "fiber-counts", "--format", "json"],
+    ["cover", "1,x"],
+])
+def test_main_leaves_the_collector_as_it_found_it(capsys, argv):
+    before = gc.isenabled(), gc.get_freeze_count()
+    try:
+        main(argv)
+    except SystemExit:
+        pass
+    capsys.readouterr()
+    assert (gc.isenabled(), gc.get_freeze_count()) == before
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["cover", "1,0,1"], 0),
+    (["verify", "no-such-check"], 2),
+])
+def test_run_freezes_the_collector_once_after_main(capsys, monkeypatch,
+                                                  argv, code):
+    events = []
+    real_main = cli.main
+
+    def recorded_main(args):
+        try:
+            return real_main(args)
+        finally:
+            events.append("main")
+
+    monkeypatch.setattr(cli, "main", recorded_main)
+    # the test process itself is never frozen
+    monkeypatch.setattr(gc, "freeze", lambda: events.append("freeze"))
+    try:
+        got = cli.run(argv)
+    except SystemExit as exc:  # a usage error leaves through argparse
+        got = exc.code
+    capsys.readouterr()
+    assert got == code
+    assert events == ["main", "freeze"]
+
+
+def test_the_module_and_the_script_enter_through_run():
+    package = Path(picardkit.__file__).parent
+    tree = ast.parse((package / "__main__.py").read_text())
+    assert any(isinstance(node, ast.ImportFrom) and node.module == "cli"
+               and [a.name for a in node.names] == ["run"]
+               for node in tree.body)
+    assert ast.unparse(tree.body[-1]) == "sys.exit(run())"
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+    assert scripts == {"picardkit": "picardkit.cli:run"}
 
 
 def test_cli_import_pulls_in_no_code_generation_modules():

@@ -1,6 +1,6 @@
 """Source hygiene of the package, read with the standard ast module.
 
-Seven rules over every module of picardkit: each imported name is used (a
+Eight rules over every module of picardkit: each imported name is used (a
 name listed in __all__ counts as used), no module imports another module's
 private name (one that starts with a single underscore), no module reads a
 private attribute that only another module defines (x._name, other than on
@@ -11,8 +11,10 @@ no float is made: no true division, float literal, float() or round()
 call, since every result is exact, and no module but lattice imports the
 packed-field format, FIELD_BITS or DOT_LIMIT (tests may), and every
 functools cache is listed in CACHES with the bound of its key, since a
-cache keyed by what callers pass grows with them.  A route that only the
-tests call belongs in tests/_oracles.py.  The attribute rule keeps trusted
+cache keyed by what callers pass grows with them, and no code but
+cli.run, the process entry, imports gc or calls into it, so that a caller
+in process (a test, a suite, the benchmark) keeps a heap the collector can
+reach.  A route that only the tests call belongs in tests/_oracles.py.  The attribute rule keeps trusted
 constructors inside their own modules: ReducibleFiber._from_table skips
 validation and stores a cached pair of components as it is.
 """
@@ -242,6 +244,35 @@ def _caches(sources):
     return sorted(out)
 
 
+def _collector_users(sources):
+    """(module, scope) for each import of gc, each read of a name such
+    an import binds, and each call with the argument "gc" (importlib's,
+    say); scope is the top-level function or class it sits in, "" at
+    module level."""
+    out = set()
+    for p in sources:
+        tree = _tree(p)
+        names = {a.asname or a.name for node in ast.walk(tree)
+                 if isinstance(node, ast.Import)
+                 for a in node.names if a.name == "gc"}
+        names |= {a.asname or a.name for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom) and node.module == "gc"
+                  for a in node.names}
+        for top in tree.body:
+            scope = getattr(top, "name", "")  # a def or a class
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Import)
+                        and any(a.name == "gc" for a in node.names)
+                        or isinstance(node, ast.ImportFrom)
+                        and node.module == "gc"
+                        or isinstance(node, ast.Name) and node.id in names
+                        or isinstance(node, ast.Call) and any(
+                            isinstance(a, ast.Constant) and a.value == "gc"
+                            for a in node.args)):
+                    out.add((p.stem, scope))
+    return sorted(out)
+
+
 def test_every_module_is_checked():
     names = {p.stem for p in SOURCES}
     assert {"cli", "cones", "curves", "fibration", "lattice"} <= names
@@ -303,6 +334,31 @@ def test_the_cache_check_sees_every_cache(tmp_path):
     assert _caches(sorted(tmp_path.glob("*.py"))) == [
         ("a", "method"), ("a", "plain"), ("a", "renamed"), ("a", "sized"),
         ("a", "wrapped")]
+
+
+def test_only_the_process_entry_touches_the_collector():
+    assert _collector_users(SOURCES) == [("cli", "run")], (
+        "only cli.run may import gc or call into it")
+
+
+def test_the_collector_check_sees_every_use(tmp_path):
+    (tmp_path / "a.py").write_text("import gc\n"
+                                   "def f():\n    gc.freeze()\n")
+    (tmp_path / "b.py").write_text("def g():\n"
+                                   "    from gc import freeze as frozen\n"
+                                   "    frozen()\n")
+    (tmp_path / "c.py").write_text("import importlib\n"
+                                   "def h():\n"
+                                   "    importlib.import_module('gc').collect()\n"
+                                   "def untouched(gcx):\n    return gcx\n")
+    (tmp_path / "cli.py").write_text("def run():\n    import gc as g\n"
+                                     "    g.freeze()\n"
+                                     "class Main:\n"
+                                     "    def main(self):\n"
+                                     "        import gc\n")
+    assert _collector_users(sorted(tmp_path.glob("*.py"))) == [
+        ("a", ""), ("a", "f"), ("b", "g"), ("c", "h"), ("cli", "Main"),
+        ("cli", "run")]
 
 
 def test_no_module_reads_another_modules_private_attributes():

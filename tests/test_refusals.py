@@ -75,9 +75,6 @@ NOT_A_CLASS = "expected DivisorClass, got tuple"
 NOT_IN_M8 = "H - E1 does not live in BlowupP2(8)"
 NO_P3 = "ProductP1 needs n = 2, got 3"
 LONG = 100_000
-# Python's own refusal to write an int of more than 4300 digits
-INT_LIMIT = ("Exceeds the limit (4300 digits) for integer string conversion; "
-             "use sys.set_int_max_str_digits() to increase the limit")
 
 # (case, rank, message) for every function that pairs or lists conic classes
 CONIC_RANK_REFUSALS = [
@@ -264,19 +261,20 @@ REFUSALS = [
      ValueError, "class multiples must be integers, got (a very long "
                  "integer)"),
     ("ConePoly-long-vector", lambda: ConePoly(1, [(0,) * LONG]),
-     ValueError, f"vector {(0,) * LONG} does not have dimension 1"),
+     ValueError, "vector (0, 0, 0, 0, 0, 0, 0... does not have dimension 1"),
     ("MultiHomogPoly-long-exponents",
      lambda: MultiHomogPoly(1, {(0,) * LONG: 1}),
-     ValueError, f"exponent tuple {(0,) * LONG} must have length 2"),
+     ValueError, "exponent tuple (0, 0, 0, 0, 0, 0, 0... must have length 2"),
     ("MultiHomogPoly-long-exponent",
      lambda: MultiHomogPoly(1, {("e" * LONG, 0): 1}),
-     ValueError, f"exponents must be nonnegative ints: {('e' * LONG, 0)}"),
+     ValueError, "exponents must be nonnegative ints: ('eeeeeeeeeeeeeeeeee..."),
     ("MultiHomogPoly-huge-exponent",
      lambda: MultiHomogPoly(1, {(-10 ** LONG, 0): 1}),
-     ValueError, INT_LIMIT),
+     ValueError, "exponents must be nonnegative ints: (a very long integer)"),
     ("MultiHomogPoly-huge-degree",
      lambda: MultiHomogPoly(1, {(10 ** LONG, 0): 1, (1, 0): 1}),
-     ValueError, INT_LIMIT),
+     ValueError, "term (1, 0) has factor degrees (1,), expected (a very long "
+                 "integer)"),
 ]
 
 
