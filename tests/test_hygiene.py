@@ -14,9 +14,10 @@ functools cache is listed in CACHES with the bound of its key, since a
 cache keyed by what callers pass grows with them, and no code but
 cli.run, the process entry, imports gc or calls into it, so that a caller
 in process (a test, a suite, the benchmark) keeps a heap the collector can
-reach.  A route that only the tests call belongs in tests/_oracles.py.  The attribute rule keeps trusted
-constructors inside their own modules: ReducibleFiber._from_table skips
-validation and stores a cached pair of components as it is.
+reach.  A route that only the tests call belongs in tests/_oracles.py.
+The attribute rule keeps trusted constructors inside their own modules:
+ReducibleFiber._from_table skips validation and stores a cached pair of
+components as it is.
 """
 
 import ast

@@ -15,8 +15,9 @@ messages of the value constructors, ConePoly, max_degree_bound,
 ProductPoint.scaled, MultiHomogPoly.partial_derivative, a class
 multiple, a cone's vectors and a polynomial's exponents for a refused
 value of 100 000 characters, entries or digits; a factor degree of that
-many digits still gets Python's own error.  Each row gives the exception type and the whole
-message; the CLI rows give the exit code and the last stderr line.  Two acceptance tables follow: classes whose models are
+many digits still gets Python's own error.  Each row gives the exception
+type and the whole message; the CLI rows give the exit code and the last
+stderr line.  Two acceptance tables follow: classes whose models are
 equal but distinct objects, and instances of a DivisorClass subclass, get
 the same answers as plain classes of one model object.
 """
