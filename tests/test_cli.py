@@ -591,6 +591,30 @@ def test_a_full_stdout_is_refused_like_an_unwritable_out_path(command,
     assert "Exception ignored" not in proc.stderr
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize("command", ["--help", "cover -h"])
+def test_help_to_a_full_stdout(command, unbuffered):
+    # argparse prints the help and exits; a buffered stdout still holds it,
+    # and the flush at interpreter exit fails.  Unbuffered, argparse's own
+    # write fails, and argparse ignores that
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "picardkit", *command.split()],
+            stdout=full, stderr=subprocess.PIPE, text=True, env=env,
+            timeout=60)
+    if unbuffered:
+        assert (proc.returncode, proc.stderr) == (0, "")
+        return
+    assert proc.returncode == 120
+    assert proc.stderr.splitlines()[-1] == (
+        "OSError: [Errno 28] No space left on device")
+    assert "Exception ignored" in proc.stderr
+
+
 class _Sink:
     """A stdout that discards what it receives."""
 

@@ -32,7 +32,7 @@ from picardkit.curves import (conic_coords, contraction_table,
                               enumerate_conic, enumerate_exceptional,
                               is_conic, orbit_signature, reducible_fibers)
 from picardkit.doublecover import (DoubleCoverSpec, MultiHomogPoly,
-                                   ProductPoint)
+                                   ProductPoint, poly_from_json_dict)
 from picardkit.fibration import (FibrationPair, analyze_pair,
                                  classify_finite_pairs, hodge_bound,
                                  max_degree_bound, scan_conic_pairs)
@@ -86,6 +86,14 @@ CONIC_RANK_REFUSALS = [
     ("bool", True, "model size must be an integer, got True"),
     ("float", 8.0, "model size must be an integer, got 8.0"),
 ]
+
+# two terms on 64 factors, the most the singular command reads, with other
+# factor degrees: the message writes out each tuple in full
+WIDE = [tuple(k % 3 for k in range(128)), tuple(k % 4 for k in range(128))]
+WIDE_DEGREES = [tuple(e[2 * k] + e[2 * k + 1] for k in range(64))
+                for e in WIDE]
+WIDE_POLY = {"n": 64, "multidegree": [0] * 64,
+             "terms": [{"exponents": list(e), "coeff": 1} for e in WIDE]}
 
 # (id, call, exception type, message)
 REFUSALS = [
@@ -273,6 +281,10 @@ REFUSALS = [
     ("MultiHomogPoly-huge-exponent",
      lambda: MultiHomogPoly(1, {(-10 ** LONG, 0): 1}),
      ValueError, "exponents must be nonnegative ints: (a very long integer)"),
+    ("poly_from_json_dict-64-factor-mismatch",
+     lambda: poly_from_json_dict(WIDE_POLY),
+     ValueError, f"term {WIDE[1]} has factor degrees {WIDE_DEGREES[1]}, "
+                 f"expected {WIDE_DEGREES[0]}"),
     # Python's own refusal to write the degree, in place of the message
     ("MultiHomogPoly-huge-degree",
      lambda: MultiHomogPoly(1, {(10 ** LONG, 0): 1, (1, 0): 1}),
