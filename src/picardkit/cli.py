@@ -44,7 +44,7 @@ import argparse
 import os
 import re
 import sys
-from typing import TYPE_CHECKING, Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from .lattice import BLOWUP, DivisorClass, SurfaceModel, short_repr
 
@@ -170,13 +170,20 @@ def _emit(args, params: dict, result: Callable[[], dict],
         except OSError as exc:
             raise _UsageError(f"cannot write {args.out}: {exc}") from None
         return
+    _write_stdout(pieces)
+
+
+def _write_stdout(pieces: Iterable[str]) -> None:
+    """Write the pieces to stdout, then flush it.  If that fails, stdout's
+    descriptor moves onto devnull, so that the flush at interpreter exit,
+    which still holds the unwritten rest, does not fail again; then any
+    failure but a reader that closed stdout early (BrokenPipeError) raises
+    _UsageError."""
     try:
         for piece in pieces:
             sys.stdout.write(piece)
         sys.stdout.flush()
     except OSError as exc:
-        # stdout on devnull, so that the flush at interpreter exit, which
-        # still holds the unwritten rest, does not fail again
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
@@ -572,8 +579,11 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def run(argv: Sequence[str] | None = None) -> int:
-    """The process entry: main(argv), then gc.freeze() on the way out, also
-    when main leaves through SystemExit (--help, a usage error).
+    """The process entry: main(argv), then gc.freeze() and a flush of
+    stdout on the way out, also when main leaves through SystemExit
+    (--help, a usage error).  argparse leaves its help in a buffered
+    stdout; a flush that fails other than on a closed pipe exits 2 with
+    one `cannot write stdout` line, as _emit's refusal does.
 
     Only a process that is about to exit should call this: the frozen
     objects are never collected.  Every file a command opens is closed
@@ -586,3 +596,9 @@ def run(argv: Sequence[str] | None = None) -> int:
         return main(argv)
     finally:
         gc.freeze()
+        if sys.stdout is not None:  # None when descriptor 1 is closed
+            try:
+                _write_stdout(())
+            except _UsageError as exc:
+                print(f"picardkit: error: {exc}", file=sys.stderr)
+                raise SystemExit(2) from None

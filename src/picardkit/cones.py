@@ -54,11 +54,15 @@ and the row reduction run on integers and check nothing again.
 * Row reduction: one RREF helper over primitive integer rows gives ranks,
   lineality bases and coset representatives modulo the lineality space.
 
-Normalization: rays and facet normals are scaled to primitive integer
-vectors (denominators cleared, gcd divided out) with orientation preserved;
-flipping the sign would change the ray or the halfspace.  Only lineality
-line directions, where both signs belong to the cone, are canonicalized to
-a positive leading coordinate.
+Normalization: every vector is scaled to a primitive integer vector
+(denominators cleared, gcd divided out) by _primitive, the one normal form,
+with orientation preserved; flipping the sign would change a ray or a
+halfspace.  A line direction, where both signs belong to the cone, gets no
+sign of its own: the double description orients each cut direction by the
+halfspace that cuts it and lists every line of the final lineality space in
+both signs, and extremal_rays lists its _rref line basis, whose rows start
+with a positive pivot, in both signs too.  So no output depends on the sign
+of a basis vector.
 
 Surface reports: the effective generators are classical and hard-coded
 (basis classes H or E_i plus all exceptional classes, two rulings on
@@ -130,16 +134,6 @@ def _primitive(ints: Sequence[int]) -> Vec:
     if g <= 1:
         return tuple(ints)
     return tuple([v // g for v in ints])
-
-
-def _canon_line(ints: Sequence[int]) -> Vec:
-    """Primitive vector with positive leading entry: canonical form for a
-    line direction, where both signs generate the same set."""
-    p = _primitive(ints)
-    for v in p:
-        if v:
-            return p if v > 0 else _neg(p)
-    return p
 
 
 def _reduce(row: Sequence[int], basis: list[tuple[int, Vec]]) -> Vec:
@@ -294,7 +288,7 @@ def _dual_description(normals: Sequence[Vec],
             if a < 0:
                 lstar, a = _neg(lstar), -a
             lineality = [
-                _canon_line([a * x - v * y for x, y in zip(l, lstar)]) if v
+                _primitive([a * x - v * y for x, y in zip(l, lstar)]) if v
                 else l
                 for i, (l, v) in enumerate(zip(lineality, lvals)) if i != idx]
             # every ray moves onto h along lstar, which lies on all earlier
@@ -567,7 +561,9 @@ def extremal_rays(c: ConePoly) -> list[Vec]:
         if any(q) and q not in seen:
             seen.add(q)
             reduced.append(q)
-    lines = [_canon_line(b) for _, b in basis]
+    # an _rref row is primitive and its first nonzero entry is its pivot,
+    # which is positive
+    lines = [b for _, b in basis]
     return sorted(set(lines) | {_neg(l) for l in lines} | set(_extremal(reduced)))
 
 

@@ -191,6 +191,13 @@ class ProductPoint(FrozenValue):
         return ProductPoint(self.n, tuple(pairs))
 
 
+def _entries_repr(values: tuple[int, ...]) -> str:
+    """repr of a tuple, cut one entry at a time by short_repr: at most
+    2 * MAX_FACTORS entries, each shown in full unless it is long."""
+    inner = ", ".join(map(short_repr, values))
+    return f"({inner},)" if len(values) == 1 else f"({inner})"
+
+
 class MultiHomogPoly(FrozenValue):
     """Multihomogeneous polynomial on the n-fold product of lines.
 
@@ -227,7 +234,8 @@ class MultiHomogPoly(FrozenValue):
                 degree = this
             elif this != degree:
                 raise ValueError(
-                    f"term {exps} has factor degrees {this}, expected {degree}")
+                    f"term {_entries_repr(exps)} has factor degrees "
+                    f"{_entries_repr(this)}, expected {_entries_repr(degree)}")
             if coeff:
                 clean[exps] = clean.get(exps, Fraction(0)) + coeff
         clean = {e: c for e, c in clean.items() if c}

@@ -36,14 +36,16 @@ not finite partners.  The classes x contracts come from lattice.zero_masks,
 the contraction table's route to e.c = 0.  A count per (signature, degree)
 is then the popcount of that level's mask and the signature's members.
 The degree loop stops at the largest degree present, not at the bound it
-is checked against.  It builds no contraction table, and OrbitSignature
-records only for the distinct signatures.
+is checked against.  It builds no contraction table.  It groups the conics
+by one key per conic, the degree and the sorted E-coordinates, and takes
+each orbit's OrbitSignature record from curves.orbit_signature on the
+orbit's one class, so curves alone builds those records.
 """
 
 from __future__ import annotations
 
 from functools import cache
-from operator import neg
+from operator import itemgetter
 
 from .curves import (
     OrbitSignature,
@@ -51,6 +53,7 @@ from .curves import (
     contraction_table,
     enumerate_exceptional,
     is_conic,
+    orbit_signature,
     selected,
 )
 from .lattice import (BLOWUP, DivisorClass, FrozenValue, SurfaceModel,
@@ -174,42 +177,37 @@ def _pair_scan(r: int) -> tuple[PairScanSummary, tuple[PairClassEntry, ...]]:
     """
     coords = conic_coords(r)
     n = len(coords)
-    # orbit signatures as plain (degree, ascending E-coordinates) tuples;
-    # records are built for the distinct ones alone, and ordered as
-    # OrbitSignature orders them
-    keys = [(c[0], *sorted(c[1:])) for c in coords]
-    ordered = sorted((OrbitSignature(k[0], tuple(map(neg, k[1:]))), k)
-                     for k in set(keys))
-    sigs = [sig for sig, _ in ordered]
-    index = {k: i for i, (_, k) in enumerate(ordered)}
-    orbit = [0] * len(sigs)
-    rep = [-1] * len(sigs)
-    # per signature, the bitmask of its members (bit y is conic y)
-    members = [0] * len(sigs)
-    for y, k in enumerate(keys):
-        s = index[k]
-        orbit[s] += 1
-        if rep[s] < 0:
-            rep[s] = y
-        members[s] |= 1 << y
+    model = SurfaceModel.blowup_p2(r)
+    # per orbit, the bitmask of its members (bit y is conic y), keyed by
+    # degree and ascending E-coordinates: one sort per conic
+    orbits: dict[tuple[int, ...], int] = {}
+    for y, c in enumerate(coords):
+        key = (c[0], *sorted(c[1:]))
+        orbits[key] = orbits.get(key, 0) | 1 << y
+    # per orbit, its first member as the one class the scan builds, and
+    # that class's signature; the orbits in signature order
+    groups = []
+    for m in orbits.values():
+        x = DivisorClass(model, coords[(m & -m).bit_length() - 1])
+        groups.append((orbit_signature(x), x, m))
+    sigs, reps, members = zip(*sorted(groups, key=itemgetter(0)))
     # the exceptional classes each representative contracts, e.x = 0, as
     # the vectors that dot against a conic's coordinates
     twisted = tuple(pairing_vector(e) for e in enumerate_exceptional(r))
     contracted = [selected(twisted, mask) for mask in
-                  zero_masks(twisted, [coords[x] for x in rep])]
+                  zero_masks(twisted, [x.coords for x in reps])]
     # per representative x: x.y for every conic y, then, for each class e
     # that x contracts, the conics y with e.y = 0, which are not finite
     # partners of x
-    model = SurfaceModel.blowup_p2(r)
     vectors = []
-    for x, found in zip(rep, contracted):
-        # the one class the scan builds per signature
-        vectors.append(pairing_vector(DivisorClass(model, coords[x])))
+    for x, found in zip(reps, contracted):
+        vectors.append(pairing_vector(x))
         vectors += found
     ones, dots = packed_dots(coords, vectors)
     counts: dict[tuple[int, int, int], int] = {}
     max_degree = 0
     for s, found in enumerate(contracted):
+        size = members[s].bit_count()
         degrees = next(dots)
         blocked = 0
         for _ in found:
@@ -225,7 +223,7 @@ def _pair_scan(r: int) -> tuple[PairScanSummary, tuple[PairClassEntry, ...]]:
                     k = (exact & m).bit_count()
                     if k:
                         key = (s, t, degree) if s <= t else (t, s, degree)
-                        counts[key] = counts.get(key, 0) + k * orbit[s]
+                        counts[key] = counts.get(key, 0) + k * size
             at_least = above
             degree += 1
         max_degree = max(max_degree, degree - 1)

@@ -19,6 +19,15 @@ def _detail(case: str, expected, got) -> dict:
     return {"case": case, "expected": expected, "got": got}
 
 
+# the finite partners of the ruling H - E1 on the blow-up at 7 points, one
+# row per family: name, signature (degree, multiplicities), count, degrees
+_DEG2_PARTNERS = (
+    ("cubic", (3, (2, 1, 1, 1, 1, 1, 0)), 6, [3]),
+    ("quartic", (4, (2, 2, 2, 1, 1, 1, 1)), 20, [3]),
+    ("quintic", (5, (2, 2, 2, 2, 2, 2, 1)), 7, [3, 4]),
+)
+
+
 def _suite_deg2_pairs() -> list[dict]:
     from .curves import enumerate_conic, orbit_signature
     from .fibration import FibrationPair, analyze_pair
@@ -26,38 +35,29 @@ def _suite_deg2_pairs() -> list[dict]:
     # ruling analysis on the blow-up at 7 points: partners of c1 = H - E1
     model = SurfaceModel.blowup_p2(7)
     c1 = DivisorClass.from_curve(model, 1, [1])
-    finite = []
+    # the finite partners, by signature as (degree, multiplicities)
+    by_sig: dict = {}
     for c2 in enumerate_conic(7):
         if c2 == c1:
             continue
         rep = analyze_pair(FibrationPair(model, c1, c2))
         if rep.is_finite:
-            finite.append((c2, rep.degree))
-    by_sig: dict = {}
-    for c2, degree in finite:
-        sig = orbit_signature(c2)
-        by_sig.setdefault((sig.degree, sig.multiplicities), []).append((c2, degree))
-    details = [
-        _detail("finite partner signatures",
-                [[3, [2, 1, 1, 1, 1, 1, 0]], [4, [2, 2, 2, 1, 1, 1, 1]],
-                 [5, [2, 2, 2, 2, 2, 2, 1]]],
-                sorted([d, list(m)] for d, m in by_sig)),
-        _detail("finite partner count by degree: cubics", 6,
-                len(by_sig.get((3, (2, 1, 1, 1, 1, 1, 0)), []))),
-        _detail("finite partner count by degree: quartics", 20,
-                len(by_sig.get((4, (2, 2, 2, 1, 1, 1, 1)), []))),
-        _detail("finite partner count by degree: quintics", 7,
-                len(by_sig.get((5, (2, 2, 2, 2, 2, 2, 1)), []))),
-        _detail("cubic partner degrees", [3],
-                sorted({d for _, d in by_sig.get((3, (2, 1, 1, 1, 1, 1, 0)), [])})),
-        _detail("quartic partner degrees", [3],
-                sorted({d for _, d in by_sig.get((4, (2, 2, 2, 1, 1, 1, 1)), [])})),
-        _detail("quintic partner degrees", [3, 4],
-                sorted({d for _, d in by_sig.get((5, (2, 2, 2, 2, 2, 2, 1)), [])})),
-        _detail("quintic degree 4 exactly when E1-coefficient is 1", True,
-                all((d == 4) == (c2.multiplicities()[0] == 1)
-                    for c2, d in by_sig.get((5, (2, 2, 2, 2, 2, 2, 1)), []))),
-    ]
+            sig = orbit_signature(c2)
+            by_sig.setdefault((sig.degree, sig.multiplicities), []).append(
+                (c2, rep.degree))
+    details = [_detail("finite partner signatures",
+                       [[d, list(m)] for _, (d, m), _, _ in _DEG2_PARTNERS],
+                       sorted([d, list(m)] for d, m in by_sig))]
+    details += [_detail(f"finite partner count by degree: {name}s", count,
+                        len(by_sig.get(sig, [])))
+                for name, sig, count, _ in _DEG2_PARTNERS]
+    details += [_detail(f"{name} partner degrees", degrees,
+                        sorted({d for _, d in by_sig.get(sig, [])}))
+                for name, sig, _, degrees in _DEG2_PARTNERS]
+    quintics = by_sig.get(_DEG2_PARTNERS[-1][1], [])
+    details.append(_detail(
+        "quintic degree 4 exactly when E1-coefficient is 1", True,
+        all((d == 4) == (c2.multiplicities()[0] == 1) for c2, d in quintics)))
     # excluded families: each member shares a contracted curve with the ruling
     line_p1p2 = DivisorClass.from_curve(model, 1, [1, 1])
     e6 = DivisorClass.from_curve(model, 0, [0, 0, 0, 0, 0, -1])

@@ -596,8 +596,9 @@ def test_a_full_stdout_is_refused_like_an_unwritable_out_path(command,
 @pytest.mark.parametrize("command", ["--help", "cover -h"])
 def test_help_to_a_full_stdout(command, unbuffered):
     # argparse prints the help and exits; a buffered stdout still holds it,
-    # and the flush at interpreter exit fails.  Unbuffered, argparse's own
-    # write fails, and argparse ignores that
+    # and run's flush refuses it as _emit refuses a full stdout.  It used to
+    # exit 120, when the flush at interpreter exit failed.  Unbuffered,
+    # argparse's own write fails, and argparse ignores that: exit 0
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
@@ -609,10 +610,25 @@ def test_help_to_a_full_stdout(command, unbuffered):
     if unbuffered:
         assert (proc.returncode, proc.stderr) == (0, "")
         return
-    assert proc.returncode == 120
-    assert proc.stderr.splitlines()[-1] == (
-        "OSError: [Errno 28] No space left on device")
-    assert "Exception ignored" in proc.stderr
+    assert proc.returncode == 2
+    assert proc.stderr == (
+        "picardkit: error: cannot write stdout: [Errno 28] No space left on "
+        "device\n")
+
+
+def test_help_to_a_pipe_with_no_reader_is_no_fault():
+    # the help waits in a buffered stdout, and run's flush meets the closed
+    # pipe; the exit code stays argparse's (it was 120)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "picardkit", "--help"],
+                              stdout=write_end, stderr=subprocess.PIPE,
+                              text=True, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 class _Sink:

@@ -608,7 +608,8 @@ def _positive_multiple(ints, fracs):
 def test_integer_rref_matches_fraction_rref(data):
     # the fraction-free row reduction against the Fraction one it replaced:
     # the same pivots, and each basis row and coset representative a
-    # positive multiple of the rational one, primitive
+    # positive multiple of the rational one, primitive; a row is 0 before
+    # its pivot, which extremal_rays relies on for its line basis
     dim = data.draw(st.integers(1, 8))
     fractional = data.draw(st.booleans())
     vecs = [tuple(_entry(data, fractional) for _ in range(dim))
@@ -632,6 +633,7 @@ def test_integer_rref_matches_fraction_rref(data):
     assert [p for p, _ in basis] == [p for p, _ in want]
     for (p, row), (_, frow) in zip(basis, want):
         assert row[p] > 0 and gcd(*row) == 1
+        assert not any(row[:p])
         assert _positive_multiple(row, frow)
     probes = vecs + [tuple(_entry(data, fractional) for _ in range(dim))]
     for v, ints in zip(probes, cones._integral(probes, dim)):

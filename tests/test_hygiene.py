@@ -1,6 +1,6 @@
 """Source hygiene of the package, read with the standard ast module.
 
-Eight rules over every module of picardkit: each imported name is used (a
+Nine rules over every module of picardkit: each imported name is used (a
 name listed in __all__ counts as used), no module imports another module's
 private name (one that starts with a single underscore), no module reads a
 private attribute that only another module defines (x._name, other than on
@@ -14,7 +14,9 @@ functools cache is listed in CACHES with the bound of its key, since a
 cache keyed by what callers pass grows with them, and no code but
 cli.run, the process entry, imports gc or calls into it, so that a caller
 in process (a test, a suite, the benchmark) keeps a heap the collector can
-reach.  A route that only the tests call belongs in tests/_oracles.py.
+reach, and no module but curves calls OrbitSignature, so that its rule,
+the degree and the descending multiplicities, lives in
+curves.orbit_signature alone.  A route that only the tests call belongs in tests/_oracles.py.
 The attribute rule keeps trusted constructors inside their own modules:
 ReducibleFiber._from_table skips validation and stores a cached pair of
 components as it is.
@@ -216,6 +218,25 @@ def _field_format_imports(sources):
             for a in node.names if a.name in ("FIELD_BITS", "DOT_LIMIT")]
 
 
+def _signature_builders(sources):
+    """(module, line) for each call of OrbitSignature, under any import
+    name or as an attribute, in a module other than curves."""
+    out = []
+    for p in sources:
+        if p.stem == "curves":
+            continue
+        tree = _tree(p)
+        names = {"OrbitSignature"} | {
+            a.asname or a.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            for a in node.names if a.name == "OrbitSignature"}
+        out += [(p.stem, node.lineno) for node in ast.walk(tree)
+                if isinstance(node, ast.Call)
+                and (node.func.attr if isinstance(node.func, ast.Attribute)
+                     else getattr(node.func, "id", None)) in names]
+    return sorted(out)
+
+
 def _caches(sources):
     """(module, function) for each function wrapped in functools' cache or
     lru_cache, as a decorator or by assignment, under any import name."""
@@ -312,6 +333,30 @@ def test_the_field_format_check_sees_an_import(tmp_path):
         "from .lattice import DOT_LIMIT as limit, pairing\n")
     assert _field_format_imports(sorted(tmp_path.glob("*.py"))) \
         == [("cones", "DOT_LIMIT"), ("curves", "FIELD_BITS")]
+
+
+def test_only_curves_builds_orbit_signatures():
+    builders = _signature_builders(SOURCES)
+    assert not builders, (
+        f"take OrbitSignature records from curves.orbit_signature: "
+        f"{builders}")
+
+
+def test_the_signature_check_sees_every_call(tmp_path):
+    (tmp_path / "curves.py").write_text("class OrbitSignature: pass\n"
+                                        "OrbitSignature()\n")
+    (tmp_path / "fibration.py").write_text(
+        "from .curves import OrbitSignature\nOrbitSignature(1, ())\n")
+    (tmp_path / "cones.py").write_text(
+        "from .curves import OrbitSignature as Sig\nx = [Sig(0, ())]\n")
+    (tmp_path / "suites.py").write_text(
+        "from . import curves\ncurves.OrbitSignature(2, (1,))\n")
+    # an annotation names the class without building one
+    (tmp_path / "cli.py").write_text(
+        "from .curves import OrbitSignature\n"
+        "def f(s: OrbitSignature) -> OrbitSignature: return s\n")
+    assert _signature_builders(sorted(tmp_path.glob("*.py"))) \
+        == [("cones", 2), ("fibration", 2), ("suites", 2)]
 
 
 def test_every_cache_is_listed_with_the_bound_of_its_key():

@@ -14,10 +14,11 @@ top_intersection refuse.  The long-input rows give the one-line
 messages of the value constructors, ConePoly, max_degree_bound,
 ProductPoint.scaled, MultiHomogPoly.partial_derivative, a class
 multiple, a cone's vectors and a polynomial's exponents for a refused
-value of 100 000 characters, entries or digits; a factor degree of that
-many digits still gets Python's own error.  Each row gives the exception
-type and the whole message; the CLI rows give the exit code and the last
-stderr line.  Two acceptance tables follow: classes whose models are
+value of 100 000 characters, entries or digits, and a polynomial's
+factor degrees, whose tuples are cut one entry at a time: the 64-factor
+mismatch the singular command can read shows them in full.  Each row
+gives the exception type and the whole message; the CLI rows give the
+exit code and the last stderr line.  Two acceptance tables follow: classes whose models are
 equal but distinct objects, and instances of a DivisorClass subclass, get
 the same answers as plain classes of one model object.
 """
@@ -285,12 +286,11 @@ REFUSALS = [
      lambda: poly_from_json_dict(WIDE_POLY),
      ValueError, f"term {WIDE[1]} has factor degrees {WIDE_DEGREES[1]}, "
                  f"expected {WIDE_DEGREES[0]}"),
-    # Python's own refusal to write the degree, in place of the message
+    # each tuple cut one entry at a time
     ("MultiHomogPoly-huge-degree",
      lambda: MultiHomogPoly(1, {(10 ** LONG, 0): 1, (1, 0): 1}),
-     ValueError, "Exceeds the limit (4300 digits) for integer string "
-                 "conversion; use sys.set_int_max_str_digits() to increase "
-                 "the limit"),
+     ValueError, "term (1, 0) has factor degrees (1,), expected ((a very "
+                 "long integer),)"),
 ]
 
 
