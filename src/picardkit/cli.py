@@ -27,8 +27,10 @@ fault of the program, so it exits 3 like any other exception.
 
 A process enters through run, which `python -m picardkit` and the installed
 picardkit script both call.  run returns main's exit code and, on the way
-out, also when argparse raises SystemExit, calls gc.freeze(): every object
-the command built moves to the collector's permanent generation, which the
+out, also when argparse raises SystemExit, flushes stdout, where argparse
+leaves --help, through the writer _emit uses, so a failed flush exits 2 as
+a failed write does.  It also calls gc.freeze(): every object the
+command built moves to the collector's permanent generation, which the
 collections of interpreter teardown skip.  A command ends with some 13 000
 (cover) to 33 000 (verify fiber-counts) tracked objects, and each of those
 collections would walk them all.  Objects still die by reference count,
