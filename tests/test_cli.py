@@ -616,6 +616,20 @@ def test_help_to_a_full_stdout(command, unbuffered):
         "device\n")
 
 
+@pytest.mark.parametrize("command", ["cover 1,0,1",
+                                     "cover 1,0,1 --format json"])
+def test_a_closed_stdout(command):
+    # with descriptor 1 closed (>&-) Python sets sys.stdout to None
+    proc = subprocess.run(
+        ["sh", "-c", 'exec "$0" -m picardkit "$@" >&-', sys.executable,
+         *command.split()],
+        stderr=subprocess.PIPE, text=True, timeout=60)
+    assert proc.returncode == 3
+    assert proc.stderr == (
+        "picardkit: internal error: AttributeError: 'NoneType' object has "
+        "no attribute 'write'\n")
+
+
 def test_help_to_a_pipe_with_no_reader_is_no_fault():
     # the help waits in a buffered stdout, and run's flush meets the closed
     # pipe; the exit code stays argparse's (it was 120)

@@ -38,7 +38,7 @@ from picardkit.fibration import (FibrationPair, analyze_pair,
                                  classify_finite_pairs, hodge_bound,
                                  max_degree_bound, scan_conic_pairs)
 from picardkit.lattice import (DivisorClass, SurfaceModel, canonical_degree,
-                               pairing, top_intersection)
+                               check_class, pairing, top_intersection)
 
 M8 = SurfaceModel("BlowupP2", 8)
 M7 = SurfaceModel("BlowupP2", 7)
@@ -267,6 +267,8 @@ REFUSALS = [
     ("MultiHomogPoly-long-variable",
      lambda: MultiHomogPoly(1, {(1, 0): 1}).partial_derivative("v" * LONG),
      ValueError, "variable index 'vvvvvvvvvvvvvvvvvvv... out of range"),
+    ("check_class-long-model", lambda: check_class(H, "x" * LONG),
+     ValueError, "H does not live in " + "x" * LONG),
     # an int past 4300 digits has no repr, so the message names it
     ("DivisorClass-long-multiple", lambda: E1 * BigInt(10 ** LONG),
      ValueError, "class multiples must be integers, got (a very long "
