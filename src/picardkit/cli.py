@@ -180,7 +180,10 @@ def _write_stdout(pieces: Iterable[str]) -> None:
     descriptor moves onto devnull, so that the flush at interpreter exit,
     which still holds the unwritten rest, does not fail again; then any
     failure but a reader that closed stdout early (BrokenPipeError) raises
-    _UsageError."""
+    _UsageError.  So does a closed descriptor 1, where Python leaves
+    sys.stdout None."""
+    if sys.stdout is None:
+        raise _UsageError("cannot write stdout: it is closed")
     try:
         for piece in pieces:
             sys.stdout.write(piece)

@@ -44,13 +44,30 @@ and the row reduction run on integers and check nothing again.
   over the integers with one common denominator and no artificial
   columns, decides whether a vector is a nonnegative combination of given
   generators.  This is the second, independent route to containment next
-  to the facet-sign test, and the two are required to agree.  One such LP
-  decides whether a cone is pointed.  is_simplicial, the one route to
-  simpliciality, runs it and stops counting extremal rays at one past the
-  dimension of the span.  in_cone_lp passes its vectors through _integral,
-  then calls _phase_one, the one simplex, which extremal_rays and
-  is_simplicial call directly on a cone's rays, checked once when the cone
-  was built.
+  to the facet-sign test, and the two are required to agree.  in_cone_lp
+  passes its vectors through _integral, then calls _phase_one, the one
+  simplex.  extremal_rays and is_simplicial, the one route to
+  simpliciality, work on a cone's rays, checked once when the cone was
+  built.  They try witnesses first, each checked in O(m d) integer
+  operations for m generators in dimension d, and the simplex decides only
+  what the witnesses leave open:
+  - independent: generators as many as the dimension of their span give
+    a pointed simplicial cone;
+  - pointed: a functional w with w.g > 0 on every generator g proves the
+    cone pointed, in place of the LP asking whether 0 is a nonnegative
+    combination of the generators with coefficients summing to 1.  w is
+    the sum of the generators, or -K in a surface report;
+  - extremal: given such a w, a generator g that is the unique maximum of
+    u.g / w.g over the generators, for some u = +-e_i, spans an extremal
+    ray.  Were g = sum of l_h h over the other generators, all l_h >= 0,
+    then g / w.g = sum of m_h h / w.h with m_h = l_h w.h / w.g >= 0, and
+    applying w gives sum m_h = 1.  So u.g / w.g is a convex combination
+    of the u.h / w.h, and cannot exceed all of them.
+  Each generator no witness settles takes one LP over the others.  As
+  ConePoly keeps distinct primitive generators, one that is no
+  nonnegative combination of the others spans an extremal ray.
+  is_simplicial counts the witnessed rays first and stops at one past the
+  dimension of the span, so enough witnesses decide it with no LP.
 * Row reduction: one RREF helper over primitive integer rows gives ranks,
   lineality bases and coset representatives modulo the lineality space.
 
@@ -80,7 +97,9 @@ and curve classes coincide on a surface); for P1 x P1 it is the
 nonnegative quadrant spanned by the two rulings.
 On every reported model that orthant has the psef generators too, so the
 report decides Mori simpliciality by is_simplicial on the psef cone
-itself, and psef inside nef by the nef cone's own facet test.
+itself, with w = pairing_vector(-K), which the canonical-degree check
+has shown positive on every generator, and psef inside nef by the nef
+cone's own facet test.
 """
 
 from __future__ import annotations
@@ -93,8 +112,8 @@ from typing import Iterable, Iterator, Sequence
 
 from .curves import enumerate_exceptional
 from .lattice import (BLOWUP, DivisorClass, FrozenValue, SurfaceModel,
-                      canonical_degree, is_exact_int, pairing_vector,
-                      short_repr)
+                      canonical_class, canonical_degree, is_exact_int,
+                      pairing_vector, short_repr)
 
 Vec = tuple[int, ...]
 
@@ -526,11 +545,41 @@ def dual_cone(c: ConePoly) -> ConePoly:
     return ConePoly._described(c.ambient_dim, dual, c.rays(), c._minimal)
 
 
-def _extremal(gens: Sequence[Vec]) -> Iterator[Vec]:
-    """Each generator that is not a nonnegative combination of the others,
-    in input order (the simplex route)."""
+def _witnessed(gens: Sequence[Vec], w: Sequence[int] | None = None
+               ) -> set[Vec] | None:
+    """The generators that some functional u = +-e_i proves to be no
+    nonnegative combination of the others, or None when w, by default the
+    sum of the generators, is not positive on every generator and so
+    proves nothing, not even pointedness.
+
+    The proof, in the module docstring, holds for a generator that is the
+    unique maximum of u.g / w.g.  The ratios are compared exactly, each
+    scaled to the lcm of the w.g."""
+    if w is None:
+        w = [sum(col) for col in zip(*gens)]
+    wg = [sum(map(mul, w, g)) for g in gens]
+    if not all(v > 0 for v in wg):
+        return None
+    common = lcm(*wg)
+    scale = [common // v for v in wg]
+    found = set()
+    for col in zip(*gens):
+        vals = list(map(mul, col, scale))
+        # u = e_i at the maximum, u = -e_i at the minimum
+        for top in (max(vals), min(vals)):
+            if vals.count(top) == 1:
+                found.add(gens[vals.index(top)])
+    return found
+
+
+def _extremal(gens: Sequence[Vec], known: Iterable[Vec] = ()
+              ) -> Iterator[Vec]:
+    """The known extremal generators, then each other generator that is
+    not a nonnegative combination of the others, in input order (the
+    simplex route)."""
+    yield from known
     for g in gens:
-        if not _phase_one([h for h in gens if h != g], g):
+        if g not in known and not _phase_one([h for h in gens if h != g], g):
             yield g
 
 
@@ -545,13 +594,15 @@ def extremal_rays(c: ConePoly) -> list[Vec]:
     """A minimal generating set of primitive rays, sorted.
 
     For a pointed cone this is the unique set of extremal rays, each kept
-    exactly when it is not a nonnegative combination of the others (the
-    simplex route).  A cone with lineality returns a canonical line basis
-    in both signs plus the extremal rays of the pointed quotient.
+    exactly when it is not a nonnegative combination of the others: a
+    witness settles what it can, the simplex route the rest.  A cone with
+    lineality returns a canonical line basis in both signs plus the
+    extremal rays of the pointed quotient.
     """
     gens = list(c.rays())
-    if _pointed(gens):
-        return sorted(_extremal(gens))
+    known = _witnessed(gens)
+    if known is not None or _pointed(gens):
+        return sorted(_extremal(gens, known or ()))
     lin_members = [g for g in gens if _phase_one(gens, _neg(g))]
     basis = _rref(lin_members)
     reduced = []
@@ -570,11 +621,20 @@ def extremal_rays(c: ConePoly) -> list[Vec]:
 def is_simplicial(c: ConePoly) -> bool:
     """Pointed, with as many extremal rays as the dimension of the span;
     the count stops at one past the dimension."""
-    gens = list(c.rays())
-    if not _pointed(gens):
+    return _simplicial(list(c.rays()), c.span_rank())
+
+
+def _simplicial(gens: Sequence[Vec], dim: int,
+                w: Sequence[int] | None = None) -> bool:
+    """is_simplicial of the cone on gens, distinct primitive vectors whose
+    span has dimension dim, trying w, by default their sum, as the
+    witness of pointedness.  The witnessed rays are counted first."""
+    if len(gens) == dim:
+        return True  # independent generators
+    known = _witnessed(gens, w)
+    if known is None and not _pointed(gens):
         return False  # a cone with a line
-    dim = c.span_rank()
-    return len(list(islice(_extremal(gens), dim + 1))) == dim
+    return len(list(islice(_extremal(gens, known or ()), dim + 1))) == dim
 
 
 class ConeReport(FrozenValue):
@@ -618,6 +678,9 @@ def surface_cone_report(model: SurfaceModel) -> ConeReport:
     equal = (all(nef.contains(v) for v in coords)
              and all(psef.contains(r) for r in nef.rays()))
     # mori_simplicial is is_simplicial(psef): on every reported model the
-    # Mori cone has the psef generators
+    # Mori cone has the psef generators.  -K, positive on each of them by
+    # the check above, witnesses that the cone is pointed
+    simplicial = _simplicial(psef.rays(), psef.span_rank(),
+                             pairing_vector(-canonical_class(model)))
     return ConeReport(model, nef, psef, nef.rays() if small else None,
-                      equal, is_simplicial(psef), model.rank)
+                      equal, simplicial, model.rank)

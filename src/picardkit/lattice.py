@@ -111,7 +111,8 @@ def _storer(setters: tuple) -> Callable[[object, tuple], None]:
 
 class FrozenValue:
     """An immutable value whose fields are its __slots__, two or more, in
-    constructor order.
+    constructor order.  The class is abstract: only a subclass that
+    declares fields can be built, and FrozenValue() raises TypeError.
 
     The constructor binds its arguments to the fields as a plain function
     binds parameters, positional first, then keyword, and refuses too many,
@@ -128,6 +129,7 @@ class FrozenValue:
     """
 
     __slots__ = ()
+    _arity = -1  # no field yet: every construction reaches _bound
 
     def __init_subclass__(cls) -> None:
         super().__init_subclass__()
@@ -154,6 +156,9 @@ class FrozenValue:
     def _bound(cls, args: tuple, kwargs: dict) -> tuple:
         """One value per field, in field order, from positional and keyword
         arguments; TypeError where a plain function would raise it."""
+        if cls._arity < 0:
+            raise TypeError(f"{cls.__name__} is abstract: build a subclass "
+                            f"that declares its fields")
         name, fields = cls.__name__, cls._fields
         if len(args) > len(fields):
             raise TypeError(f"{name}() takes {len(fields)} arguments but "
@@ -345,7 +350,8 @@ def check_class(c: object, model: SurfaceModel | None = None
     if not isinstance(c, DivisorClass):
         raise TypeError(f"expected DivisorClass, got {type(c).__name__}")
     if model is not None and c.model is not model and c.model != model:
-        raise ValueError(f"{c} does not live in {model}")
+        shown = model if isinstance(model, SurfaceModel) else short_repr(model)
+        raise ValueError(f"{c} does not live in {shown}")
     return c
 
 

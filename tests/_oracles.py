@@ -51,6 +51,12 @@ it was written before the library switched to one integer pass: the
 polynomial evaluated in Fractions, then each of its 2n partial derivatives
 built and evaluated in turn.
 
+``witness_problem`` checks the certificates the cone engine uses in place
+of LPs: a functional positive on every generator, which proves a cone
+pointed, and for each ray it claims extremal a functional +-e_i whose
+ratio to the first has its unique maximum there.  It compares Fractions
+where the engine scales to one common denominator.
+
 ``adjunction_genus``, ``is_exceptional`` and ``mori_cone`` are routes that
 only the tests call, so they live here rather than in the package: the
 genus (c^2 + c.K)/2 + 1, the equations c^2 = c.K = -1, and the cone of
@@ -286,6 +292,35 @@ def recomputed_dual_description(normals, dim):
         done.append(h)
     return tuple(sorted(rays + [s for l in lineality
                                 for s in (l, tuple(-x for x in l))]))
+
+
+def _unique_maximum_at(values, k):
+    return all(v < values[k] for j, v in enumerate(values) if j != k)
+
+
+def witness_problem(gens, w, claimed):
+    """None when w and the claimed rays are valid witnesses for the cone on
+    gens, else what is wrong.  Valid means: the generators are distinct
+    and primitive, w.g > 0 on each of them, which proves the cone
+    pointed, and each claimed ray is a generator that is the unique
+    maximum of u.g / w.g over the generators for some u = +-e_i, which
+    proves it extremal.  The ratios are Fractions, and no code of the cone
+    engine runs."""
+    if len(set(gens)) != len(gens) or any(gcd(*g) != 1 for g in gens):
+        return "the generators are not distinct and primitive"
+    dots = [_oracle_dot(w, g) for g in gens]
+    for g, v in zip(gens, dots):
+        if v <= 0:
+            return f"w.{g} = {v} is not positive"
+    for g in claimed:
+        if g not in gens:
+            return f"{g} is no generator"
+        k = gens.index(g)
+        if not any(_unique_maximum_at(
+                [Fraction(sign * h[i], v) for h, v in zip(gens, dots)], k)
+                for i in range(len(w)) for sign in (1, -1)):
+            return f"no functional +-e_i has its unique maximum at {g}"
+    return None
 
 
 def _pair(a, b):

@@ -618,16 +618,27 @@ def test_help_to_a_full_stdout(command, unbuffered):
 
 @pytest.mark.parametrize("command", ["cover 1,0,1",
                                      "cover 1,0,1 --format json"])
-def test_a_closed_stdout(command):
-    # with descriptor 1 closed (>&-) Python sets sys.stdout to None
+def test_a_closed_stdout_is_refused_like_a_full_one(command):
+    # with descriptor 1 closed (>&-) Python sets sys.stdout to None.  It
+    # used to exit 3 with "internal error: AttributeError: 'NoneType'
+    # object has no attribute 'write'"
     proc = subprocess.run(
         ["sh", "-c", 'exec "$0" -m picardkit "$@" >&-', sys.executable,
          *command.split()],
         stderr=subprocess.PIPE, text=True, timeout=60)
-    assert proc.returncode == 3
-    assert proc.stderr == (
-        "picardkit: internal error: AttributeError: 'NoneType' object has "
-        "no attribute 'write'\n")
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines()[-1] == (
+        "picardkit: error: cannot write stdout: it is closed")
+    assert "Traceback" not in proc.stderr
+
+
+def test_help_to_a_closed_stdout_goes_to_stderr():
+    # argparse falls back to stderr when sys.stdout is None
+    proc = subprocess.run(
+        ["sh", "-c", 'exec "$0" -m picardkit --help >&-', sys.executable],
+        stderr=subprocess.PIPE, text=True, timeout=60)
+    assert proc.returncode == 0
+    assert proc.stderr.startswith("usage: picardkit")
 
 
 def test_help_to_a_pipe_with_no_reader_is_no_fault():

@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 
 from _oracles import (fraction_in_cone_lp, fraction_reduce, fraction_rref,
                       mori_cone, oracle_conic, recomputed_dual_description,
-                      reflect, weyl_orbit, weyl_roots)
+                      reflect, weyl_orbit, weyl_roots, witness_problem)
 from picardkit import cones
+from picardkit.cli import main
 from picardkit.cones import (
     ConePoly,
     dual_cone,
@@ -126,7 +127,11 @@ def test_cone_queries_check_entry_types_once_per_cone(monkeypatch):
               ConePoly.from_generators([(1, 0, 0), (-1, 0, 0), (0, 1, 0),
                                         (1, 1, 1)]),  # a line
               ConePoly.from_generators([(Fraction(1, 2), 0),
-                                        (0, Fraction(1, 3)), (1, 1)])]
+                                        (0, Fraction(1, 3)), (1, 1)]),
+              # pointed, but the sum of the generators is negative on
+              # (1, 0, 0), so no witness helps and every query is an LP
+              ConePoly.from_generators([(1, 0, 0), (-1, 1, 0), (0, 0, 1),
+                                        (0, 1, 1), (-1, 2, 1)])]
     calls = dict.fromkeys(["_integral", "_phase_one", "_rref"], 0)
     for name in calls:
         def counted(*args, _name=name, _fn=getattr(cones, name)):
@@ -360,6 +365,163 @@ def test_is_simplicial_matches_the_full_route(data):
         gens.append(tuple(-a for a in gens[0]))
     c = ConePoly.from_generators(gens, ambient_dim=dim)
     assert is_simplicial(c) == _simplicial_by_full_route(c)
+
+
+# --- witnesses -------------------------------------------------------------
+
+def _counted_lps(monkeypatch) -> list:
+    """The right-hand sides of every _phase_one call from here on."""
+    calls = []
+    in_cone = cones._phase_one
+
+    def counted(generators, x):
+        calls.append(x)
+        return in_cone(generators, x)
+
+    monkeypatch.setattr(cones, "_phase_one", counted)
+    return calls
+
+
+def _lp_only(gens):
+    """(extremal generators, simplicial) by the simplex alone, or None for
+    a cone with a line: the route that decided both before witnesses."""
+    if not cones._pointed(gens):
+        return None
+    ext = [g for g in gens
+           if not cones._phase_one([h for h in gens if h != g], g)]
+    return ext, len(ext) == len(fraction_rref(gens))
+
+
+def test_every_witness_of_the_surface_reports_checks(monkeypatch):
+    # -K proves each psef cone pointed, and each ray witnessed extremal
+    # passes the oracle's check; a model with as many generators as its
+    # rank is decided by independence, with no witness
+    used = []
+    witnessed = cones._witnessed
+
+    def recorded(gens, w=None):
+        found = witnessed(gens, w)
+        used.append((gens, w, found))
+        return found
+
+    monkeypatch.setattr(cones, "_witnessed", recorded)
+    counts = {}
+    for model in [_bp(r) for r in range(9)] + [_pp(2)]:
+        used.clear()
+        surface_cone_report(model)
+        gens = [g.coords for g in psef_generators(model)]
+        mk = pairing_vector(-canonical_class(model))
+        assert witness_problem(gens, mk, ()) is None
+        if len(gens) == len(fraction_rref(gens)):
+            assert used == []
+            continue
+        ((seen, w, found),) = used
+        assert (list(seen), w) == (gens, mk)
+        assert witness_problem(gens, w, found) is None
+        counts[str(model)] = len(found)
+    # more witnessed rays than the rank at r = 7 and 8 settle the answer
+    assert counts == {"BlowupP2(3)": 3, "BlowupP2(4)": 4, "BlowupP2(5)": 6,
+                      "BlowupP2(6)": 6, "BlowupP2(7)": 14, "BlowupP2(8)": 16}
+
+
+def test_the_witness_check_catches_a_corrupted_witness():
+    model = _bp(8)
+    gens = [g.coords for g in psef_generators(model)]
+    w = pairing_vector(-canonical_class(model))
+    found = cones._witnessed(gens, w)
+    assert witness_problem(gens, w, found) is None
+    # one sign of w flipped: E1 pairs to -1
+    flipped = (w[0], -w[1]) + w[2:]
+    assert witness_problem(gens, flipped, found) == (
+        "w.(0, 1, 0, 0, 0, 0, 0, 0, 0) = -1 is not positive")
+    # H - E1 - E2 shares every maximum it reaches with another generator
+    tied = (1, -1, -1, 0, 0, 0, 0, 0, 0)
+    assert tied in gens and tied not in found
+    assert witness_problem(gens, w, found | {tied}) == (
+        f"no functional +-e_i has its unique maximum at {tied}")
+
+
+@pytest.mark.parametrize("r, lps_before", [(7, 10), (8, 11)])
+def test_large_reports_decide_the_mori_cone_with_no_lp(monkeypatch, r,
+                                                      lps_before):
+    # the rays witnessed by -K and +-e_i outnumber the rank; the simplex
+    # route alone took lps_before LPs
+    calls = _counted_lps(monkeypatch)
+    assert not surface_cone_report(_bp(r)).mori_simplicial
+    assert calls == []
+
+
+def test_verify_cone_dp_lp_count(monkeypatch, capsys):
+    # 71 LPs by the simplex route alone: 63 in the reports and the 8
+    # memberships of E1, which witnesses do not touch
+    calls = _counted_lps(monkeypatch)
+    assert main(["verify", "cone-dp"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 15
+
+
+_SHAPES = ["free", "low-rank", "+-v", "redundant"]
+
+
+def _shaped(rng: random.Random, dim: int, shape: str, w: tuple) -> list:
+    """Random generators of one shape.  Given w, each is first turned to
+    the side where w is positive, and one w is orthogonal to is dropped,
+    so w proves the cone pointed unless the shape adds a line."""
+    def vec():
+        return tuple(rng.randint(-3, 3) for _ in range(dim))
+
+    def at(g):
+        return sum(a * b for a, b in zip(g, w))
+
+    count = rng.randint(1, dim + 4)
+    if shape == "low-rank":
+        basis = [vec() for _ in range(rng.randint(1, max(1, dim - 1)))]
+        gens = [tuple(sum(c * b[i] for c, b in zip(coeffs, basis))
+                      for i in range(dim))
+                for coeffs in ([rng.randint(-2, 2) for _ in basis]
+                               for _ in range(count))]
+    else:
+        gens = [vec() for _ in range(count)]
+    if w is not None:
+        gens = [g if at(g) > 0 else tuple(-a for a in g)
+                for g in gens if at(g)]
+    if gens and shape == "+-v":
+        gens.append(tuple(-a for a in gens[0]))
+    elif len(gens) > 1 and shape == "redundant":
+        a, b = rng.sample(gens, 2)
+        gens.append(tuple(x + rng.randint(1, 2) * y for x, y in zip(a, b)))
+    return gens
+
+
+@pytest.mark.parametrize("shape", _SHAPES)
+def test_witnesses_agree_with_the_lp_route(shape):
+    # dims 1-8; half the cones are oriented by a random w, and each cone
+    # is tried with w and with the sum of its generators.  Whatever a
+    # witness proves, the simplex route agrees, and so do the answers
+    rng = random.Random(f"witness:{shape}")
+    proved = 0
+    for _ in range(100):
+        dim = rng.randint(1, 8)
+        w = (tuple(rng.randint(-3, 3) for _ in range(dim))
+             if rng.random() < 0.5 else None)
+        c = ConePoly.from_generators(_shaped(rng, dim, shape, w), dim)
+        gens, rank = list(c.rays()), c.span_rank()
+        lp = _lp_only(gens)
+        for trial in (None, w):
+            found = cones._witnessed(gens, trial)
+            if found is not None:
+                assert lp is not None
+                used = trial or [sum(col) for col in zip(*gens)]
+                assert witness_problem(gens, used, found) is None
+                assert found <= set(lp[0])
+                proved += len(found)
+            assert cones._simplicial(gens, rank, trial) == (
+                lp is not None and lp[1])
+        assert is_simplicial(c) == (lp is not None and lp[1])
+        if lp is not None:
+            assert extremal_rays(c) == sorted(lp[0])
+    # a cone with a line has no witness
+    assert proved == 0 if shape == "+-v" else proved >= 40
 
 
 def test_zero_cone_is_simplicial():

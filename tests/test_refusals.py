@@ -11,9 +11,9 @@ coordinates and the scan; contraction_table answers rank 0 with an empty
 table.  The
 product rows give what ProductP1 sizes, the cone reports on them and
 top_intersection refuse.  The long-input rows give the one-line
-messages of the value constructors, ConePoly, max_degree_bound,
-ProductPoint.scaled, MultiHomogPoly.partial_derivative, a class
-multiple, a cone's vectors and a polynomial's exponents for a refused
+messages of the value constructors, check_class, ConePoly,
+max_degree_bound, ProductPoint.scaled, MultiHomogPoly.partial_derivative,
+a class multiple, a cone's vectors and a polynomial's exponents for a refused
 value of 100 000 characters, entries or digits, and a polynomial's
 factor degrees, whose tuples are cut one entry at a time: the 64-factor
 mismatch the singular command can read shows them in full.  Each row
@@ -268,7 +268,7 @@ REFUSALS = [
      lambda: MultiHomogPoly(1, {(1, 0): 1}).partial_derivative("v" * LONG),
      ValueError, "variable index 'vvvvvvvvvvvvvvvvvvv... out of range"),
     ("check_class-long-model", lambda: check_class(H, "x" * LONG),
-     ValueError, "H does not live in " + "x" * LONG),
+     ValueError, "H does not live in 'xxxxxxxxxxxxxxxxxxx..."),
     # an int past 4300 digits has no repr, so the message names it
     ("DivisorClass-long-multiple", lambda: E1 * BigInt(10 ** LONG),
      ValueError, "class multiples must be integers, got (a very long "

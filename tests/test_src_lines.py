@@ -55,3 +55,13 @@ def test_the_script_prints_a_row_per_module_and_the_total(tmp_path):
                     [str(tmp_path / "a.py"), "19", str(SAMPLE_CODE)],
                     [str(tmp_path / "b.py"), "2", "1"],
                     ["total", "21", str(SAMPLE_CODE + 1)]]
+
+
+def test_help_prints_the_usage():
+    # --help was read as a path, and ended in a FileNotFoundError
+    for flag in ("--help", "-h"):
+        proc = subprocess.run([sys.executable, str(TOOL), flag],
+                              capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.startswith("Total lines and code lines")
+        assert "python tools/src_lines.py src tests/_oracles.py" in proc.stdout

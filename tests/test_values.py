@@ -20,7 +20,7 @@ from picardkit.curves import OrbitSignature, ReducibleFiber
 from picardkit.doublecover import DoubleCoverSpec, MultiHomogPoly, ProductPoint
 from picardkit.fibration import (FibrationPair, FinitenessReport, HodgeBound,
                                  PairClassEntry, PairScanSummary)
-from picardkit.lattice import DivisorClass, SurfaceModel
+from picardkit.lattice import DivisorClass, FrozenValue, SurfaceModel
 
 M1 = SurfaceModel("BlowupP2", 1)
 M2 = SurfaceModel("BlowupP2", 2)
@@ -222,6 +222,21 @@ def test_a_subclass_that_adds_no_field_keeps_its_base_fields():
     assert (model.kind, model.size, model.rank) == ("BlowupP2", 3, 4)
     with pytest.raises(ValueError, match="needs 0 <= r <= 8, got 9"):
         TaggedModel("BlowupP2", 9)
+
+
+@pytest.mark.parametrize("args, kwargs", [((), {}), ((1, 2), {}),
+                                          ((), {"x": 1})])
+def test_the_base_class_and_a_class_without_fields_are_abstract(args,
+                                                                kwargs):
+    # FrozenValue() raised AttributeError: ... '_arity'
+    class NoFields(FrozenValue):
+        __slots__ = ()
+
+    for cls in (FrozenValue, NoFields):
+        with pytest.raises(TypeError) as caught:
+            cls(*args, **kwargs)
+        assert str(caught.value) == (f"{cls.__name__} is abstract: build a "
+                                     f"subclass that declares its fields")
 
 
 def test_multihomog_poly_defaults_its_multidegree_to_its_terms():

@@ -12,7 +12,7 @@ Run from the root of the repository:
     python tools/src_lines.py src tests/_oracles.py
 
 Each path is a module or a directory, searched for *.py.  One row per
-module, by path, then the total.
+module, by path, then the total.  -h or --help prints this text.
 """
 
 from __future__ import annotations
@@ -65,6 +65,9 @@ def _modules(paths: list[str]) -> list[Path]:
 
 
 def main(argv: list[str]) -> int:
+    if {"-h", "--help"} & set(argv):
+        print(__doc__.strip())
+        return 0
     modules = _modules(argv or ["src/picardkit"])
     rows = [(str(p), *count(p.read_text(encoding="utf-8"))) for p in modules]
     rows.append(("total", sum(r[1] for r in rows), sum(r[2] for r in rows)))
