@@ -564,6 +564,11 @@ def test_a_reader_that_closes_stdout_early_is_no_fault(fmt):
     assert err == b""
 
 
+# argparse's top-level usage line, which main prints before a refusal
+_USAGE = ("usage: picardkit [-h] {enumerate,pairs,cones,cover,singular,verify}"
+          " ...\n")
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
 @pytest.mark.parametrize("unbuffered", [False, True])
 @pytest.mark.parametrize("command", [
@@ -584,11 +589,9 @@ def test_a_full_stdout_is_refused_like_an_unwritable_out_path(command,
             stdout=full, stderr=subprocess.PIPE, text=True, env=env,
             timeout=60)
     assert proc.returncode == 2
-    assert proc.stderr.splitlines()[-1] == (
+    assert proc.stderr == _USAGE + (
         "picardkit: error: cannot write stdout: [Errno 28] No space left on "
-        "device")
-    assert "Traceback" not in proc.stderr
-    assert "Exception ignored" not in proc.stderr
+        "device\n")
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
@@ -627,9 +630,8 @@ def test_a_closed_stdout_is_refused_like_a_full_one(command):
          *command.split()],
         stderr=subprocess.PIPE, text=True, timeout=60)
     assert proc.returncode == 2
-    assert proc.stderr.splitlines()[-1] == (
-        "picardkit: error: cannot write stdout: it is closed")
-    assert "Traceback" not in proc.stderr
+    assert proc.stderr == _USAGE + (
+        "picardkit: error: cannot write stdout: it is closed\n")
 
 
 def test_help_to_a_closed_stdout_goes_to_stderr():
