@@ -19,8 +19,9 @@ usage error that names the token.  A branch type with an empty entry
 
 Exit codes: 0 on success (and for a verification that passed), 1 for a
 verification suite that failed, 2 for usage errors (bad flags, out-of-range
-ranks, malformed input files, an --out path or a stdout that cannot be
-written), 3 for an internal fault (any other exception, reported on one
+ranks, malformed input files, an --out path that cannot be written; the
+usage line, then the message) and for a stdout that cannot be written (one
+line), 3 for an internal fault (any other exception, reported on one
 stderr line).  Each handler builds its inputs in one step, `with _INPUT:`;
 only a ValueError raised there is a usage error.  One raised later is a
 fault of the program, so it exits 3 like any other exception.
@@ -46,16 +47,18 @@ import argparse
 import os
 import re
 import sys
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
+from typing import (TYPE_CHECKING, Callable, Iterable, Iterator, NoReturn,
+                    Sequence)
 
-from .lattice import BLOWUP, DivisorClass, SurfaceModel, short_repr
+from .lattice import (BLOWUP, MAX_BLOWUP_POINTS, DivisorClass, SurfaceModel,
+                      short_repr)
 
 if TYPE_CHECKING:
     from .doublecover import MultiHomogPoly, ProductPoint
 
 INT_PATTERN = re.compile(r"-?[0-9]+")
-# no subcommand takes a rank above 8, the largest blow-up
-MAX_RANK = 8
+# no subcommand takes a rank above that of the largest blow-up
+MAX_RANK = MAX_BLOWUP_POINTS
 # the ids of the suites in picardkit.suites, sorted, for the verify parser
 SUITE_IDS = ("branch-singular", "cone-dp", "deg2-pairs", "double-cover-k",
              "fiber-counts", "hodge-bound", "quadric-target")
@@ -157,8 +160,8 @@ def _emit(args, params: dict, result: Callable[[], dict],
     json.dumps(indent=2, sort_keys=True); a fault found while rendering
     leaves the pieces written before it.  A reader that closes stdout
     early gets what it read, and the exit code stays the command's; any
-    other failure to write stdout, a full disk say, is refused like an
-    --out path that cannot be written."""
+    other failure to write stdout, a full disk say, exits 2 with one
+    `cannot write stdout` line (_write_stdout)."""
     if args.format == "json":
         pieces = _json_pieces({"command": args.command, "params": params,
                                "result": result()})
@@ -179,11 +182,11 @@ def _write_stdout(pieces: Iterable[str]) -> None:
     """Write the pieces to stdout, then flush it.  If that fails, stdout's
     descriptor moves onto devnull, so that the flush at interpreter exit,
     which still holds the unwritten rest, does not fail again; then any
-    failure but a reader that closed stdout early (BrokenPipeError) raises
-    _UsageError.  So does a closed descriptor 1, where Python leaves
-    sys.stdout None."""
+    failure but a reader that closed stdout early (BrokenPipeError) is
+    refused by _refuse_stdout.  So is a closed descriptor 1, where Python
+    leaves sys.stdout None."""
     if sys.stdout is None:
-        raise _UsageError("cannot write stdout: it is closed")
+        _refuse_stdout("it is closed")
     try:
         for piece in pieces:
             sys.stdout.write(piece)
@@ -193,7 +196,14 @@ def _write_stdout(pieces: Iterable[str]) -> None:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         if not isinstance(exc, BrokenPipeError):
-            raise _UsageError(f"cannot write stdout: {exc}") from None
+            _refuse_stdout(exc)
+
+
+def _refuse_stdout(reason: object) -> NoReturn:
+    """Exit 2 with one `cannot write stdout` line on stderr.  The command
+    line was fine, so unlike a _UsageError no usage line comes first."""
+    print(f"picardkit: error: cannot write stdout: {reason}", file=sys.stderr)
+    raise SystemExit(2) from None
 
 
 def _parse_int(text: str, what: str, largest: int) -> int:
@@ -588,7 +598,7 @@ def run(argv: Sequence[str] | None = None) -> int:
     stdout on the way out, also when main leaves through SystemExit
     (--help, a usage error).  argparse leaves its help in a buffered
     stdout; a flush that fails other than on a closed pipe exits 2 with
-    one `cannot write stdout` line, as _emit's refusal does.
+    the one line of _refuse_stdout, as a failed write in _emit does.
 
     Only a process that is about to exit should call this: the frozen
     objects are never collected.  Every file a command opens is closed
@@ -602,8 +612,4 @@ def run(argv: Sequence[str] | None = None) -> int:
     finally:
         gc.freeze()
         if sys.stdout is not None:  # None when descriptor 1 is closed
-            try:
-                _write_stdout(())
-            except _UsageError as exc:
-                print(f"picardkit: error: {exc}", file=sys.stderr)
-                raise SystemExit(2) from None
+            _write_stdout(())

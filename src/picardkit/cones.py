@@ -25,7 +25,7 @@ and the row reduction run on integers and check nothing again.
   where it is.
   One run also gives the double description of its own output, the
   generators of the cone the normals span, read off its final zero sets
-  the first time it is asked for (_Pending):
+  by a deferred call (_read_off), made the first time it is asked for:
   - a normal that cut nothing when it was processed is a nonnegative
     combination of earlier ones; the run records it in a bitmask, and it
     is never a generator;
@@ -105,10 +105,11 @@ cone's own facet test.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from itertools import chain, islice
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .curves import enumerate_exceptional
 from .lattice import (BLOWUP, DivisorClass, FrozenValue, SurfaceModel,
@@ -264,11 +265,12 @@ def _phase_one(generators: Sequence[Sequence[int]],
     return True
 
 
-def _dual_description(normals: Sequence[Vec],
-                      dim: int) -> tuple[tuple[Vec, ...], "_Pending"]:
-    """Generators of {x : <x, h> >= 0 for every h}, sorted, and the run's
-    final state, from which _Pending.read gives the double description of
-    those generators without running again.
+def _dual_description(normals: Sequence[Vec], dim: int
+                      ) -> tuple[tuple[Vec, ...], partial[tuple[Vec, ...]]]:
+    """Generators of {x : <x, h> >= 0 for every h}, sorted, and the
+    deferred read-off: _read_off bound to the run's final state, a call
+    that gives the double description of those generators without running
+    again.  A partial of a module function, so it copies and pickles.
 
     The normals are distinct nonzero primitive integer vectors, as
     ConePoly keeps them.  The generators are the primitive rays of the
@@ -368,50 +370,32 @@ def _dual_description(normals: Sequence[Vec],
     gens = tuple(sorted([r for r in rays if r is not None]
                         + [s for l in lineality for s in (l, _neg(l))]))
     kept = ((1 << len(normals)) - 1) & ~redundant
-    return gens, _Pending(normals, dim, gens, tight, zsets, live, kept)
+    return gens, partial(_read_off, normals, dim, gens, tight, zsets,
+                         live, kept)
 
 
-class _Pending:
-    """The double description of a run's output gens, the generators of
-    cone(normals), read off the state the run ended in the first time it
-    is asked for, by the rules in the module docstring.  When cone(normals)
-    has a line, reading it is a second run, on gens.  Plain data, so a
-    cone holding one copies and pickles.
-    """
-
-    __slots__ = ("normals", "dim", "gens", "tight", "zsets", "live", "kept",
-                 "answer")
-
-    def __init__(self, normals: Sequence[Vec], dim: int,
-                 gens: tuple[Vec, ...], tight: list[int], zsets: list[int],
-                 live: int, kept: int) -> None:
-        self.normals, self.dim, self.gens = normals, dim, gens
-        self.tight, self.zsets, self.live, self.kept = tight, zsets, live, kept
-        self.answer: tuple[Vec, ...] | None = None
-
-    def read(self) -> tuple[Vec, ...]:
-        """_dual_description(gens, dim)[0], derived once."""
-        if self.answer is None:
-            self.answer = self._derive()
-        return self.answer
-
-    def _derive(self) -> tuple[Vec, ...]:
-        tight, zsets, live, kept = self.tight, self.zsets, self.live, self.kept
-        out = []
-        for k, h in enumerate(self.normals):
-            if not kept >> k & 1:
-                continue
-            z = tight[k] & live
-            if z == live:  # the normals span a line
-                return _dual_description(self.gens, self.dim)[0]
-            on_all = kept
-            while z:
-                low = z & -z
-                on_all &= zsets[low.bit_length() - 1]
-                z ^= low
-            if on_all == 1 << k:
-                out.append(h)
-        return tuple(sorted(out))
+def _read_off(normals: Sequence[Vec], dim: int, gens: tuple[Vec, ...],
+              tight: list[int], zsets: list[int], live: int,
+              kept: int) -> tuple[Vec, ...]:
+    """_dual_description(gens, dim)[0], the generators of cone(normals),
+    read off the state a run on normals ended in, by the rules in the
+    module docstring.  When cone(normals) has a line, it is a second run,
+    on gens."""
+    out = []
+    for k, h in enumerate(normals):
+        if not kept >> k & 1:
+            continue
+        z = tight[k] & live
+        if z == live:  # the normals span a line
+            return _dual_description(gens, dim)[0]
+        on_all = kept
+        while z:
+            low = z & -z
+            on_all &= zsets[low.bit_length() - 1]
+            z ^= low
+        if on_all == 1 << k:
+            out.append(h)
+    return tuple(sorted(out))
 
 
 class ConePoly:
@@ -420,11 +404,12 @@ class ConePoly:
     double description and cached.  Membership is the facet-sign test; the
     simplex route in_cone_lp(cone.rays(), x) is the independent check.
 
-    A cone also keeps two double descriptions, each a tuple, a _Pending
-    not yet read, or None until needed: _dual, that of its generators (its
-    dual's generators, and its facets when it was built from generators),
-    and _minimal, that of _dual (its own generators in the double
-    description's form).  One run gives both, as the module docstring says.
+    A cone also keeps two double descriptions, each a tuple, a deferred
+    read-off not yet called, or None until needed: _dual, that of its
+    generators (its dual's generators, and its facets when it was built
+    from generators), and _minimal, that of _dual (its own generators in
+    the double description's form).  One run gives both, as the module
+    docstring says, and _dual_rays calls _dual's read-off at most once.
     """
 
     def __init__(self, ambient_dim: int,
@@ -438,8 +423,8 @@ class ConePoly:
         self.ambient_dim = ambient_dim
         self._generators = self._clean(generators)
         self._facets = self._clean(facets)
-        self._dual: tuple[Vec, ...] | _Pending | None = None
-        self._minimal: tuple[Vec, ...] | _Pending | None = None
+        self._dual: tuple[Vec, ...] | Callable | None = None
+        self._minimal: tuple[Vec, ...] | Callable | None = None
 
     def _clean(self, vecs) -> tuple[Vec, ...] | None:
         if vecs is None:
@@ -451,7 +436,7 @@ class ConePoly:
     @classmethod
     def _described(cls, ambient_dim: int, generators: tuple[Vec, ...],
                    facets: tuple[Vec, ...],
-                   dual: tuple[Vec, ...] | _Pending) -> "ConePoly":
+                   dual: tuple[Vec, ...] | Callable) -> "ConePoly":
         """A cone from two descriptions already clean, distinct nonzero
         primitive integer vectors, the generators in the double
         description's form, and the double description of the
@@ -513,8 +498,8 @@ class ConePoly:
             if self._dual is None:
                 self._dual, self._minimal = _dual_description(
                     gens, self.ambient_dim)
-        if self._dual.__class__ is _Pending:
-            self._dual = self._dual.read()
+        if callable(self._dual):
+            self._dual = self._dual()
         return self._dual
 
     def contains(self, x: Iterable) -> bool:
@@ -533,9 +518,10 @@ def dual_cone(c: ConePoly) -> ConePoly:
     The result has c's generators, already clean, as its facet normals,
     and as generators the double description of c's generators: the very
     tuple c.facet_normals() returns when c was built from generators, or
-    what c's own run left pending when c was built from facets, so minimal
-    even where the given facets were redundant.  Its double description is
-    c's generators in their minimal form, c._minimal, handed on pending,
+    the deferred read-off of c's own run when c was built from facets, so
+    minimal even where the given facets were redundant.  Its double
+    description is c's generators in their minimal form, c._minimal,
+    handed on as it is, a tuple or a deferred read-off not yet called,
     so dual_cone(dual_cone(c)) runs a second double description only
     when the normals of c's run span a line.  A dual under the
     intersection form is the dual of the generators pushed through

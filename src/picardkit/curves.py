@@ -84,9 +84,9 @@ from operator import attrgetter, neg
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
-from .lattice import (BLOWUP, DivisorClass, FrozenValue, SurfaceModel,
-                      canonical_degree, check_class, pairing, pairing_vector,
-                      zero_masks)
+from .lattice import (BLOWUP, MAX_BLOWUP_POINTS, DivisorClass, FrozenValue,
+                      SurfaceModel, canonical_degree, check_class, pairing,
+                      pairing_vector, zero_masks)
 
 
 @total_ordering
@@ -194,8 +194,6 @@ def _mult_vectors(r: int, target_sum: int, target_sq: int,
             rem_q = target_sq - q2
             if rem_s * rem_s > k * rem_q:
                 continue  # Cauchy-Schwarz: unreachable sum
-            if rem_q > k * bound * bound:
-                continue  # not enough coordinates left to burn the budget
             prefix[i] = v
             rec(i + 1, s2, q2)
 
@@ -233,8 +231,9 @@ def conic_coords(r: int) -> tuple[tuple[int, ...], ...]:
     """The coordinates of enumerate_conic(r), in its order: one tuple per
     conic class of BlowupP2(r), 1 <= r <= 8, built once per rank and
     shared.  It refuses what enumerate_conic refuses."""
-    if not 1 <= r <= 8:
-        raise ValueError(f"conic enumeration needs 1 <= r <= 8, got {r}")
+    if not 1 <= r <= MAX_BLOWUP_POINTS:
+        raise ValueError(f"conic enumeration needs 1 <= r <= "
+                         f"{MAX_BLOWUP_POINTS}, got {r}")
     SurfaceModel.blowup_p2(r)  # refuses True, 8.0 and other non-ints
     return _family_coords(r, 2, 0, 1)
 

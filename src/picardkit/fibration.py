@@ -56,8 +56,8 @@ from .curves import (
     orbit_signature,
     selected,
 )
-from .lattice import (BLOWUP, DivisorClass, FrozenValue, SurfaceModel,
-                      canonical_degree, check_class, dense_mask,
+from .lattice import (BLOWUP, MAX_BLOWUP_POINTS, DivisorClass, FrozenValue,
+                      SurfaceModel, canonical_degree, check_class, dense_mask,
                       fields_at_least, is_exact_int, packed_dots, pairing,
                       pairing_vector, short_repr, zero_fields,
                       zero_masks)
@@ -163,8 +163,9 @@ def hodge_bound(model: SurfaceModel, c1: DivisorClass,
 
 def max_degree_bound(r: int) -> int:
     """Degree cap floor(8 / K^2) for finite conic pairs on BlowupP2(r)."""
-    if not (is_exact_int(r) and 1 <= r <= 8):
-        raise ValueError(f"need 1 <= r <= 8, got {short_repr(r)}")
+    if not (is_exact_int(r) and 1 <= r <= MAX_BLOWUP_POINTS):
+        raise ValueError(f"need 1 <= r <= {MAX_BLOWUP_POINTS}, "
+                         f"got {short_repr(r)}")
     return 8 // (9 - r)
 
 

@@ -68,6 +68,8 @@ from typing import Callable, Iterator, Sequence
 
 BLOWUP = "BlowupP2"
 PRODUCT = "ProductP1"
+# the most points a BlowupP2(r) model blows up: r <= 8 keeps -K ample
+MAX_BLOWUP_POINTS = 8
 
 
 def is_exact_int(x: object) -> bool:
@@ -216,8 +218,9 @@ class SurfaceModel(FrozenValue):
             raise ValueError(f"model size must be an integer, "
                              f"got {short_repr(size)}")
         if kind == BLOWUP:
-            if not 0 <= size <= 8:
-                raise ValueError(f"BlowupP2 needs 0 <= r <= 8, got {size}")
+            if not 0 <= size <= MAX_BLOWUP_POINTS:
+                raise ValueError(f"BlowupP2 needs 0 <= r <= "
+                                 f"{MAX_BLOWUP_POINTS}, got {size}")
         elif kind == PRODUCT:
             if size != 2:
                 raise ValueError(f"ProductP1 needs n = 2, got {size}")

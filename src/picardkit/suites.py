@@ -11,8 +11,11 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .lattice import (BLOWUP, DivisorClass, SurfaceModel, canonical_class,
-                      pairing)
+from .lattice import (BLOWUP, MAX_BLOWUP_POINTS, DivisorClass, SurfaceModel,
+                      canonical_class, pairing)
+
+# the ranks of the blow-ups that have conic classes
+_RANKS = range(1, MAX_BLOWUP_POINTS + 1)
 
 
 def _detail(case: str, expected, got) -> dict:
@@ -83,7 +86,7 @@ def _suite_quadric_target() -> list[dict]:
     from .fibration import max_degree_bound, scan_conic_pairs
 
     details = []
-    summaries = {r: scan_conic_pairs(r) for r in range(1, 9)}
+    summaries = {r: scan_conic_pairs(r) for r in _RANKS}
     for r, summary in summaries.items():
         details.append(_detail(f"rank {r} finite pairs exist", r in (5, 7, 8),
                                summary.finite_pair_count > 0))
@@ -97,7 +100,7 @@ def _suite_hodge_bound() -> list[dict]:
     from .fibration import max_degree_bound, scan_conic_pairs
 
     details = []
-    for r in range(1, 9):
+    for r in _RANKS:
         summary = scan_conic_pairs(r)
         details.append(_detail(f"rank {r} hodge bound holds", True,
                                summary.hodge_holds))
@@ -111,7 +114,7 @@ def _suite_cone_dp() -> list[dict]:
     from .cones import in_cone_lp, surface_cone_report
 
     details = []
-    models = [SurfaceModel.blowup_p2(r) for r in range(9)]
+    models = [SurfaceModel.blowup_p2(r) for r in range(MAX_BLOWUP_POINTS + 1)]
     for model in models + [SurfaceModel.product_p1(2)]:
         report = surface_cone_report(model)
         # nef equals psef on P^2 and P1 x P1 only
@@ -224,7 +227,7 @@ def _suite_fiber_counts() -> list[dict]:
                          reducible_fibers)
 
     details = []
-    for r in range(1, 9):
+    for r in _RANKS:
         family = enumerate_exceptional(r)
         counts = {len(reducible_fibers(c, family)) for c in enumerate_conic(r)}
         details.append(_detail(f"rank {r} reducible fiber count", [r - 1],

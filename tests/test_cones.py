@@ -256,19 +256,45 @@ def test_a_double_dual_read_off_one_run_equals_two_runs(data):
 
 
 def test_copies_of_a_cone_with_a_pending_double_dual_agree():
-    # the pending answer is plain data, so a copy reads the same answer
+    # the deferred read-off is a partial of a module function over plain
+    # data, so a copy reads the same answer
     gens = [(1, 0, 0), (-1, 0, 0), (0, 1, 1), (1, 2, 3), (3, 3, 4)]
     for make in (lambda: dual_cone(ConePoly.from_generators(gens)),
                  lambda: ConePoly.from_facets(gens)):
         cone = make()
         cone.rays()
-        assert type(cone._dual) is cones._Pending
+        assert cone._dual.func is cones._read_off
         want = dual_cone(make()).rays()
         for copied in (copy.deepcopy(cone),
                        pickle.loads(pickle.dumps(cone))):
-            assert type(copied._dual) is cones._Pending
+            assert copied._dual.func is cones._read_off
             assert dual_cone(copied).rays() == want
         assert dual_cone(cone).rays() == want
+
+
+def test_the_read_off_is_deferred_until_a_double_dual_is_read(monkeypatch):
+    # a run's read-off costs a walk over its normals, so only reading the
+    # double description it defers may call it: not rays() of a facet-built
+    # cone, not facet_normals(), not a surface report
+    reads = []
+    read_off = cones._read_off
+
+    def counted(*state):
+        reads.append(state[0])
+        return read_off(*state)
+
+    monkeypatch.setattr(cones, "_read_off", counted)
+    facets = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, -1, 2)]
+    ConePoly.from_facets(facets).rays()
+    gens = [(1, 0, 2), (1, 3, -1), (2, -1, 1), (1, 1, 1), (3, 0, -2)]
+    ConePoly.from_generators(gens).facet_normals()
+    assert reads == []
+    dual_cone(dual_cone(ConePoly.from_generators(gens))).rays()
+    assert len(reads) == 1
+    reads.clear()
+    for model in [_bp(r) for r in range(9)] + [_pp(2)]:
+        surface_cone_report(model)
+    assert reads == []
 
 
 # --- extremal rays and simpliciality ---------------------------------------
